@@ -71,7 +71,7 @@ def main():
     scene = gen_scene(0, height, width)
     noisy = add_noise(mosaic(scene, BayerPattern.GRBG), NoiseParams(0.02, 0.04), 1)
     outputs = [
-        denoise_pipeline(noisy, wp, DenoiserSpec.gaussian(1.0)) for wp in patterns
+        denoise_pipeline(noisy, wp, DenoiserSpec("gaussian", 1.0)) for wp in patterns
     ]
     deltas = [
         int(np.abs(outputs[0].samples.astype(np.int64) - o.samples.astype(np.int64)).max())

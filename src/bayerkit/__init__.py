@@ -16,7 +16,7 @@ from .augment import (
     sample_plan,
     transpose_bayer,
 )
-from .denoise import DenoiserKind, DenoiserSpec, denoise_packed, denoise_pipeline
+from .denoise import DenoiserSpec, denoise_packed, denoise_pipeline
 from .errors import (
     BadDimensions,
     BadFilterParam,
@@ -58,68 +58,3 @@ from .simulate import (
 from .unify import PadSpec, disunify_crop, unify_crop, unify_offsets, unify_pad
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugPlan",
-    "BadDimensions",
-    "BadFilterParam",
-    "BayerKitError",
-    "BayerPattern",
-    "ColorChannel",
-    "DenoiserKind",
-    "DenoiserSpec",
-    "HFlip",
-    "IllegalTranspose",
-    "ImageTooSmall",
-    "InconsistentSpec",
-    "MetricReport",
-    "MissingSidecar",
-    "NoiseParams",
-    "OddOffset",
-    "OutOfBounds",
-    "PSNR_CAP_DB",
-    "PackedImage",
-    "PadSpec",
-    "ParseError",
-    "Patch",
-    "PatchTooLarge",
-    "RawFilePair",
-    "RawImage",
-    "RgbImage",
-    "ShapeMismatch",
-    "TooSmall",
-    "TransformKind",
-    "Transpose",
-    "UnknownPattern",
-    "VFlip",
-    "add_noise",
-    "apply_plan",
-    "baselines",
-    "channel_at",
-    "channel_index_grid",
-    "crop_patch",
-    "demosaic_bilinear",
-    "denoise_packed",
-    "denoise_pipeline",
-    "disunify_crop",
-    "flip_bayer",
-    "gen_scene",
-    "load_raw",
-    "metric_report",
-    "mosaic",
-    "mse",
-    "pack",
-    "pattern_at_offset",
-    "pattern_transform",
-    "psnr",
-    "sample_plan",
-    "save_raw",
-    "ssim",
-    "transpose_bayer",
-    "transpose_is_legal",
-    "unify_crop",
-    "unify_offsets",
-    "unify_pad",
-    "unpack",
-    "write_ppm",
-]

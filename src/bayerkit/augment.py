@@ -18,7 +18,8 @@ is numpy's PCG64, so a given seed yields the same plan on every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -34,33 +35,29 @@ from .errors import (
 from .image import RawImage
 from .patterns import transpose_is_legal, BayerPattern
 
-__all__ = [
-    "HFlip",
-    "VFlip",
-    "Transpose",
-    "Patch",
-    "AugPlan",
-    "flip_bayer",
-    "transpose_bayer",
-    "crop_patch",
-    "sample_plan",
-    "apply_plan",
-]
-
 
 @dataclass(frozen=True)
 class HFlip:
     op = "hflip"
+
+    def apply(self, img: RawImage) -> RawImage:
+        return flip_bayer(img, "horizontal")
 
 
 @dataclass(frozen=True)
 class VFlip:
     op = "vflip"
 
+    def apply(self, img: RawImage) -> RawImage:
+        return flip_bayer(img, "vertical")
+
 
 @dataclass(frozen=True)
 class Transpose:
     op = "transpose"
+
+    def apply(self, img: RawImage) -> RawImage:
+        return transpose_bayer(img)
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,28 @@ class Patch:
     width: int
     op = "patch"
 
+    def __post_init__(self):
+        if any(v % 2 for v in (self.top, self.left, self.height, self.width)):
+            raise OddOffset(f"patch offsets and sizes must be even: {self}")
+
+    def apply(self, img: RawImage) -> RawImage:
+        return crop_patch(img, self.top, self.left, self.height, self.width)
+
 
 Step = HFlip | VFlip | Transpose | Patch
+
+# JSON "op" name -> step class; a step's other JSON keys are its dataclass fields
+_STEPS = {kind.op: kind for kind in get_args(Step)}
+
+
+def _json_int(obj: dict, key: str, default: int | None = None) -> int:
+    """The integer at obj[key]; bool, float and string values are refused."""
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise ParseError(
+            f"bad augmentation plan: {key!r} must be a JSON integer, got {json.dumps(value)}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,55 +106,30 @@ class AugPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        for step in self.steps:
-            if isinstance(step, Patch):
-                if any(v % 2 for v in (step.top, step.left, step.height, step.width)):
-                    raise OddOffset(f"patch offsets and sizes must be even: {step}")
 
     def to_json(self) -> str:
-        payload = {"seed": self.seed, "steps": []}
-        for step in self.steps:
-            if isinstance(step, Patch):
-                payload["steps"].append(
-                    {
-                        "op": "patch",
-                        "top": step.top,
-                        "left": step.left,
-                        "height": step.height,
-                        "width": step.width,
-                    }
-                )
-            else:
-                payload["steps"].append({"op": step.op})
+        payload = {"seed": self.seed, "steps": [{"op": s.op, **asdict(s)} for s in self.steps]}
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AugPlan":
         try:
             payload = json.loads(text)
-            steps: list[Step] = []
-            for entry in payload.get("steps", []):
-                op = entry["op"]
-                if op == "hflip":
-                    steps.append(HFlip())
-                elif op == "vflip":
-                    steps.append(VFlip())
-                elif op == "transpose":
-                    steps.append(Transpose())
-                elif op == "patch":
-                    steps.append(
-                        Patch(
-                            int(entry["top"]),
-                            int(entry["left"]),
-                            int(entry["height"]),
-                            int(entry["width"]),
-                        )
-                    )
-                else:
-                    raise ParseError(f"unknown plan step op: {op!r}")
-            return cls(tuple(steps), seed=int(payload.get("seed", 0)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except json.JSONDecodeError as e:
             raise ParseError(f"bad augmentation plan: {e}") from e
+        entries = payload.get("steps", []) if isinstance(payload, dict) else None
+        if not isinstance(entries, list):
+            raise ParseError("bad augmentation plan: expected an object with a 'steps' list")
+        steps = []
+        for i, entry in enumerate(entries):
+            op = entry.get("op") if isinstance(entry, dict) else None
+            kind = _STEPS.get(op) if isinstance(op, str) else None
+            if kind is None:
+                raise ParseError(
+                    f"bad augmentation plan: step {i} has no known op: {json.dumps(entry)}"
+                )
+            steps.append(kind(*(_json_int(entry, f.name) for f in fields(kind))))
+        return cls(tuple(steps), seed=_json_int(payload, "seed", 0))
 
 
 def flip_bayer(img: RawImage, axis: str) -> RawImage:
@@ -243,16 +235,7 @@ def apply_plan(img: RawImage, plan: AugPlan) -> RawImage:
     out = img
     for i, step in enumerate(plan.steps):
         try:
-            if isinstance(step, HFlip):
-                out = flip_bayer(out, "horizontal")
-            elif isinstance(step, VFlip):
-                out = flip_bayer(out, "vertical")
-            elif isinstance(step, Transpose):
-                out = transpose_bayer(out)
-            elif isinstance(step, Patch):
-                out = crop_patch(out, step.top, step.left, step.height, step.width)
-            else:
-                raise ValueError(f"unknown plan step: {step!r}")
+            out = step.apply(out)
         except BayerKitError as e:
             e.args = (f"plan step {i} ({step.op}): {e}",)
             raise

@@ -26,8 +26,6 @@ from .packing import pack, unpack
 from .patterns import BayerPattern
 from .unify import unify_crop, unify_offsets
 
-__all__ = ["naive_unify", "naive_flip", "compare_unify_paths", "compare_flip_paths"]
-
 
 def _plane_channel_letters(pattern: BayerPattern) -> list[str]:
     return list(pattern.value)

@@ -52,12 +52,20 @@ def _patch_args(text: str) -> tuple[int, int, int, int]:
         raise argparse.ArgumentTypeError(f"patch must be T,L,H,W integers, got {text!r}") from None
 
 
-def _noise(text: str) -> tuple[float, float]:
+def _noise(text: str) -> NoiseParams:
     try:
         read, shot = (float(v) for v in text.split(","))
-        return read, shot
+        return NoiseParams(read, shot)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"noise must be READ,SHOT floats, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"noise must be READ,SHOT finite floats >= 0, got {text!r}"
+        ) from None
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vflip", action="store_true")
     p.add_argument("--transpose", action="store_true")
     p.add_argument("--patch", type=_patch_args, metavar="T,L,H,W")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--patch-size", type=int)
     p.add_argument("--plan", metavar="plan.json")
     p.add_argument("input")
@@ -97,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic mosaic")
     p.add_argument("--pattern", type=_pattern, required=True)
     p.add_argument("--size", type=_size, required=True, metavar="HxW")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--noise", type=_noise, metavar="READ,SHOT")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--noise-seed", type=_seed, default=0)
     p.add_argument("--clean", metavar="clean.pgm")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline-demo",
                        help="differential demo: correct transforms vs naive packed-plane ops")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_baseline_demo)
 
     return parser
@@ -164,13 +172,8 @@ def cmd_augment(args) -> int:
             raise UsageError("--seed requires --patch-size")
         plan = sample_plan(args.seed, args.patch_size, img.height, img.width, img.pattern)
     else:
-        steps = []
-        if args.hflip:
-            steps.append(HFlip())
-        if args.vflip:
-            steps.append(VFlip())
-        if args.transpose:
-            steps.append(Transpose())
+        # the flag of each argument-free step is named after its op
+        steps = [kind() for kind in (HFlip, VFlip, Transpose) if getattr(args, kind.op)]
         if args.patch is not None:
             steps.append(Patch(*args.patch))
         plan = AugPlan(tuple(steps))
@@ -202,8 +205,7 @@ def cmd_simulate(args) -> int:
         save_raw(clean, None, args.clean)
     out = clean
     if args.noise is not None:
-        read, shot = args.noise
-        out = add_noise(clean, NoiseParams(read, shot), args.noise_seed)
+        out = add_noise(clean, args.noise, args.noise_seed)
     save_raw(out, None, args.output)
     return 0
 

@@ -22,9 +22,9 @@ happens once per pipeline run.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,71 +34,6 @@ from .packing import pack, unpack
 from .patterns import BayerPattern
 from .simulate import round_half_away
 from .unify import disunify_crop, unify_pad
-
-__all__ = ["DenoiserKind", "DenoiserSpec", "denoise_packed", "denoise_pipeline"]
-
-
-class DenoiserKind(enum.Enum):
-    IDENTITY = "identity"
-    GAUSSIAN = "gaussian"
-    MEDIAN = "median"
-
-
-@dataclass(frozen=True)
-class DenoiserSpec:
-    """Which per-plane filter to run, plus its parameter.
-
-    gaussian:<sigma> with sigma > 0; median:<radius> with radius 1 or 2.
-    """
-
-    kind: DenoiserKind
-    sigma: float | None = None
-    radius: int | None = None
-
-    def __post_init__(self):
-        if self.kind is DenoiserKind.GAUSSIAN:
-            if self.sigma is None or not math.isfinite(self.sigma) or self.sigma <= 0:
-                raise BadFilterParam(f"gaussian sigma must be finite and > 0, got {self.sigma}")
-        elif self.kind is DenoiserKind.MEDIAN:
-            if self.radius not in (1, 2):
-                raise BadFilterParam(f"median radius must be 1 or 2, got {self.radius}")
-
-    @classmethod
-    def identity(cls) -> "DenoiserSpec":
-        return cls(DenoiserKind.IDENTITY)
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "DenoiserSpec":
-        return cls(DenoiserKind.GAUSSIAN, sigma=sigma)
-
-    @classmethod
-    def median(cls, radius: int) -> "DenoiserSpec":
-        return cls(DenoiserKind.MEDIAN, radius=radius)
-
-    @classmethod
-    def parse(cls, text: str) -> "DenoiserSpec":
-        """Parse the CLI syntax: identity | gaussian:<sigma> | median:<radius>."""
-        name, _, arg = text.partition(":")
-        if name == "identity" and not arg:
-            return cls.identity()
-        if name == "gaussian" and arg:
-            try:
-                return cls.gaussian(float(arg))
-            except ValueError:
-                raise BadFilterParam(f"bad gaussian sigma: {arg!r}") from None
-        if name == "median" and arg:
-            try:
-                return cls.median(int(arg))
-            except ValueError:
-                raise BadFilterParam(f"bad median radius: {arg!r}") from None
-        raise BadFilterParam(f"cannot parse denoiser spec: {text!r}")
-
-    def cli_name(self) -> str:
-        if self.kind is DenoiserKind.IDENTITY:
-            return "identity"
-        if self.kind is DenoiserKind.GAUSSIAN:
-            return f"gaussian:{self.sigma}"
-        return f"median:{self.radius}"
 
 
 def _gaussian_3tap(sigma: float) -> tuple[float, float]:
@@ -124,20 +59,70 @@ def _median_plane(plane: np.ndarray, radius: int) -> np.ndarray:
     return np.median(windows, axis=(2, 3))
 
 
+class _Filter(NamedTuple):
+    parse_arg: Callable[[str], float | int] | None  # None: takes no argument
+    accepts: Callable[[object], bool]
+    expects: str  # what accepts() checks, for error messages
+    plane: Callable[[np.ndarray, float | int], np.ndarray] | None  # None: identity
+
+
+def _finite_positive(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v) and v > 0
+
+
+_FILTERS = {
+    "identity": _Filter(None, lambda v: v is None, "no parameter", None),
+    "gaussian": _Filter(float, _finite_positive, "a finite sigma > 0", _smooth_plane),
+    "median": _Filter(
+        int, lambda v: type(v) is int and v in (1, 2), "radius 1 or 2", _median_plane
+    ),
+}
+
+
+@dataclass(frozen=True)
+class DenoiserSpec:
+    """Which per-plane filter to run, plus its parameter.
+
+    identity (no parameter); gaussian with sigma > 0; median with radius 1
+    or 2. Construction rejects unknown names and bad parameters with
+    BadFilterParam.
+    """
+
+    name: str
+    param: float | int | None = None
+
+    def __post_init__(self):
+        entry = _FILTERS.get(self.name)
+        if entry is None:
+            raise BadFilterParam(f"unknown filter {self.name!r}, expected one of {list(_FILTERS)}")
+        if not entry.accepts(self.param):
+            raise BadFilterParam(f"{self.name} takes {entry.expects}, got {self.param}")
+
+    @classmethod
+    def parse(cls, text: str) -> "DenoiserSpec":
+        """Parse the CLI syntax: identity | gaussian:<sigma> | median:<radius>."""
+        name, _, arg = text.partition(":")
+        entry = _FILTERS.get(name)
+        if entry is None or (entry.parse_arg is None) != (arg == ""):
+            raise BadFilterParam(f"cannot parse denoiser spec: {text!r}")
+        try:
+            return cls(name, entry.parse_arg(arg) if arg else None)
+        except ValueError:
+            raise BadFilterParam(f"bad {name} parameter: {arg!r}") from None
+
+
 def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     """Filter each plane independently; shape, order, pattern, levels unchanged.
 
-    IDENTITY returns the input object untouched. Median uses reflect-101
-    borders; the Gaussian uses edge duplication (required for working-pattern
-    invariance of the pipeline, see module docstring).
+    The identity filter returns the input object untouched. Median uses
+    reflect-101 borders; the Gaussian uses edge duplication (required for
+    working-pattern invariance of the pipeline, see module docstring).
     """
-    if spec.kind is DenoiserKind.IDENTITY:
+    plane_filter = _FILTERS[spec.name].plane
+    if plane_filter is None:
         return p
     planes = p.planes.astype(np.float64)
-    if spec.kind is DenoiserKind.GAUSSIAN:
-        filtered = np.stack([_smooth_plane(pl, spec.sigma) for pl in planes])
-    else:
-        filtered = np.stack([_median_plane(pl, spec.radius) for pl in planes])
+    filtered = np.stack([plane_filter(pl, spec.param) for pl in planes])
     out = np.clip(round_half_away(filtered), 0, 65535).astype(np.uint16)
     return PackedImage(out, p.pattern, p.black_level, p.white_level)
 

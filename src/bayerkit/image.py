@@ -8,8 +8,6 @@ import numpy as np
 
 from .patterns import BayerPattern
 
-__all__ = ["RawImage", "PackedImage"]
-
 
 def _frozen_u16(samples, expect_ndim: int) -> np.ndarray:
     arr = np.array(samples, dtype=np.uint16, copy=True)
@@ -17,6 +15,13 @@ def _frozen_u16(samples, expect_ndim: int) -> np.ndarray:
         raise ValueError(f"expected a {expect_ndim}-D sample array, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
+
+
+def _check_metadata(pattern, black_level: int, white_level: int) -> None:
+    if not isinstance(pattern, BayerPattern):
+        raise TypeError("pattern must be a BayerPattern")
+    if not (0 <= black_level < white_level <= 65535):
+        raise ValueError(f"need 0 <= black < white <= 65535, got {black_level}, {white_level}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,12 +45,7 @@ class RawImage:
         h, w = self.samples.shape
         if h < 2 or w < 2 or h % 2 or w % 2:
             raise ValueError(f"mosaic dimensions must be even and >= 2, got {h}x{w}")
-        if not isinstance(self.pattern, BayerPattern):
-            raise TypeError("pattern must be a BayerPattern")
-        if not (0 <= self.black_level < self.white_level <= 65535):
-            raise ValueError(
-                f"need 0 <= black < white <= 65535, got {self.black_level}, {self.white_level}"
-            )
+        _check_metadata(self.pattern, self.black_level, self.white_level)
 
     @property
     def height(self) -> int:
@@ -81,12 +81,7 @@ class PackedImage:
         object.__setattr__(self, "planes", _frozen_u16(self.planes, 3))
         if self.planes.shape[0] != 4:
             raise ValueError(f"expected 4 planes, got {self.planes.shape[0]}")
-        if not isinstance(self.pattern, BayerPattern):
-            raise TypeError("pattern must be a BayerPattern")
-        if not (0 <= self.black_level < self.white_level <= 65535):
-            raise ValueError(
-                f"need 0 <= black < white <= 65535, got {self.black_level}, {self.white_level}"
-            )
+        _check_metadata(self.pattern, self.black_level, self.white_level)
 
     @property
     def plane_height(self) -> int:

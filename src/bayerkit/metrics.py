@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ShapeMismatch, TooSmall
 from .image import RawImage
 
-__all__ = ["PSNR_CAP_DB", "MetricReport", "mse", "psnr", "ssim", "metric_report"]
-
 PSNR_CAP_DB = 99.0
 
 _SSIM_WINDOW = 11

@@ -11,8 +11,6 @@ import numpy as np
 
 from .image import PackedImage, RawImage
 
-__all__ = ["pack", "unpack"]
-
 
 def pack(img: RawImage) -> PackedImage:
     """Split the mosaic into planes TL, TR, BL, BR.

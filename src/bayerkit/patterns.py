@@ -19,17 +19,6 @@ import numpy as np
 
 from .errors import UnknownPattern
 
-__all__ = [
-    "ColorChannel",
-    "BayerPattern",
-    "TransformKind",
-    "channel_at",
-    "channel_index_grid",
-    "pattern_at_offset",
-    "pattern_transform",
-    "transpose_is_legal",
-]
-
 
 class ColorChannel(enum.Enum):
     """One of the three color filters. The two greens are not distinguished."""

@@ -30,8 +30,6 @@ from .patterns import BayerPattern
 from .simulate import RgbImage, round_half_away
 from .unify import PadSpec
 
-__all__ = ["RawFilePair", "load_raw", "save_raw", "write_ppm"]
-
 _PGM_MAGIC = b"P5\n"
 _MAXVAL_LINE = b"65535\n"
 

@@ -24,16 +24,6 @@ from .errors import BadDimensions
 from .image import RawImage
 from .patterns import BayerPattern, channel_index_grid
 
-__all__ = [
-    "RgbImage",
-    "NoiseParams",
-    "gen_scene",
-    "mosaic",
-    "add_noise",
-    "demosaic_bilinear",
-    "round_half_away",
-]
-
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
 # the +/-0.02 jitter the channel means stay at least 0.11 apart: channel
 # misassignment must be numerically visible, not a coin toss.

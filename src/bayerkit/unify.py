@@ -20,8 +20,6 @@ from .errors import ImageTooSmall, InconsistentSpec
 from .image import RawImage
 from .patterns import BayerPattern, pattern_at_offset
 
-__all__ = ["PadSpec", "unify_offsets", "unify_crop", "unify_pad", "disunify_crop"]
-
 
 @dataclass(frozen=True)
 class PadSpec:

@@ -134,7 +134,7 @@ def test_criterion_2_pad_round_trip_bit_exact():
 
 def test_criterion_3_identity_pipeline_bit_exact():
     rng = np.random.default_rng(3)
-    spec = DenoiserSpec.identity()
+    spec = DenoiserSpec("identity")
     for pattern, work in PAIRS:
         img = RawImage(
             rng.integers(0, 65536, size=(24, 32), dtype=np.uint16),
@@ -229,7 +229,7 @@ def test_criterion_5_baseline_differential():
 
 
 def test_criterion_6_denoising_direction_and_equivariance():
-    spec = DenoiserSpec.gaussian(1.0)
+    spec = DenoiserSpec("gaussian", 1.0)
     params = NoiseParams(0.02, 0.04)
     improvements = []
     max_step_diff = 0

@@ -237,6 +237,31 @@ def test_plan_json_rejects_garbage():
         AugPlan.from_json("{not json")
     with pytest.raises(ParseError):
         AugPlan.from_json('{"seed": 0, "steps": [{"op": "rotate"}]}')
+    patch = '{"op": "patch", "top": 0, "left": 0, "height": 4, "width": 4'
+    for text in [
+        "[1, 2]",
+        '"plan"',
+        "null",
+        '{"steps": {"op": "hflip"}}',
+        '{"steps": [1]}',
+        '{"steps": ["hflip"]}',
+        '{"steps": [{"op": ["hflip"]}]}',
+        '{"steps": [{"top": 0}]}',
+        '{"steps": [{"op": "patch", "top": 0, "left": 0, "height": 4}]}',
+        '{"steps": [' + patch.replace('"height": 4', '"height": 4.9') + "}]}",
+        '{"steps": [' + patch.replace('"top": 0', '"top": true') + "}]}",
+        '{"steps": [' + patch.replace('"left": 0', '"left": "2"') + "}]}",
+        '{"steps": [' + patch.replace('"width": 4', '"width": null') + "}]}",
+        '{"seed": true, "steps": []}',
+        '{"seed": 4.9, "steps": []}',
+        '{"seed": "2", "steps": []}',
+    ]:
+        with pytest.raises(ParseError):
+            AugPlan.from_json(text)
+    # the same plan with integer fields parses
+    assert AugPlan.from_json('{"seed": 2, "steps": [' + patch + "}]}") == AugPlan(
+        (Patch(0, 0, 4, 4),), seed=2
+    )
 
 
 def test_plan_rejects_odd_patch():

@@ -94,6 +94,19 @@ def test_augment_plan_file(tmp_path, sample_pair):
     assert_same_image(loaded, apply_plan(img, plan))
 
 
+@pytest.mark.parametrize("payload", ["[1,2]", '{"steps": [{"op": "patch", "top": 0, '
+                                     '"left": 0, "height": 4.9, "width": 4}]}'])
+def test_augment_bad_plan_is_processing_error(tmp_path, sample_pair, capsys, payload):
+    _, path = sample_pair
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(payload)
+    out = tmp_path / "aug.pgm"
+    assert main(["augment", "--plan", str(plan_path), str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bayerkit: error: bad augmentation plan") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair):
     _, path = sample_pair
     with pytest.raises(SystemExit) as exc:
@@ -151,7 +164,7 @@ def test_denoise_command(tmp_path, sample_pair):
     assert main(["denoise", "--filter", "gaussian:1.0", "--work-pattern", "BGGR",
                  str(path), "-o", str(out)]) == 0
     loaded, _ = load_raw(out)
-    expected = denoise_pipeline(img, BayerPattern.BGGR, DenoiserSpec.gaussian(1.0))
+    expected = denoise_pipeline(img, BayerPattern.BGGR, DenoiserSpec("gaussian", 1.0))
     assert_same_image(loaded, expected)
 
 
@@ -219,3 +232,29 @@ def test_unknown_pattern_flag_is_usage_error(tmp_path, sample_pair):
         main(["unify", "--target", "rggb", "--mode", "crop", str(path),
               "-o", str(tmp_path / "x.pgm")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --pattern RGGB --size 16x16 --seed -3 -o {out}",
+        "simulate --pattern RGGB --size 16x16 --seed 1 --noise 0.02,0.04 --noise-seed -1 -o {out}",
+        "simulate --pattern RGGB --size 16x16 --seed 1 --noise nan,0 -o {out}",
+        "simulate --pattern RGGB --size 16x16 --seed 1 --noise inf,0 -o {out}",
+        "simulate --pattern RGGB --size 16x16 --seed 1 --noise=-1,0 -o {out}",
+        "simulate --pattern RGGB --size 16x16 --seed x -o {out}",
+        "augment --seed -1 --patch-size 4 {inp} -o {out}",
+        "baseline-demo --seed -1",
+    ],
+)
+def test_bad_numeric_argument_is_usage_error(tmp_path, sample_pair, capsys, argv):
+    _, path = sample_pair
+    out = tmp_path / "x.pgm"
+    argv = argv.format(inp=path, out=out).split()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"bayerkit {argv[0]}: error: argument --")
+    assert not out.exists()

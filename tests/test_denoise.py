@@ -6,7 +6,6 @@ import pytest
 from bayerkit import (
     BadFilterParam,
     BayerPattern,
-    DenoiserKind,
     DenoiserSpec,
     NoiseParams,
     add_noise,
@@ -25,12 +24,12 @@ PAIRS = list(itertools.product(ALL_PATTERNS, ALL_PATTERNS))
 
 
 def test_spec_parse():
-    assert DenoiserSpec.parse("identity").kind is DenoiserKind.IDENTITY
+    assert DenoiserSpec.parse("identity") == DenoiserSpec("identity")
     g = DenoiserSpec.parse("gaussian:1.5")
-    assert g.kind is DenoiserKind.GAUSSIAN and g.sigma == 1.5
+    assert g.name == "gaussian" and g.param == 1.5
     m = DenoiserSpec.parse("median:2")
-    assert m.kind is DenoiserKind.MEDIAN and m.radius == 2
-    assert DenoiserSpec.parse("gaussian:1.5").cli_name() == "gaussian:1.5"
+    assert m.name == "median" and m.param == 2
+    assert DenoiserSpec.parse("gaussian:1.5") == DenoiserSpec("gaussian", 1.5)
 
 
 @pytest.mark.parametrize(
@@ -46,13 +45,13 @@ def test_spec_parse_rejects(text):
 def test_identity_packed_is_bit_exact(rng):
     img = rand_raw(rng, 8, 8, BayerPattern.GRBG)
     p = pack(img)
-    assert denoise_packed(p, DenoiserSpec.identity()) is p
+    assert denoise_packed(p, DenoiserSpec("identity")) is p
 
 
 def test_gaussian_preserves_constant_planes():
     planes = np.full((4, 5, 7), 1234, dtype=np.uint16)
     p = PackedImage(planes, BayerPattern.RGGB)
-    out = denoise_packed(p, DenoiserSpec.gaussian(1.0))
+    out = denoise_packed(p, DenoiserSpec("gaussian", 1.0))
     np.testing.assert_array_equal(out.planes, planes)
     assert out.pattern is p.pattern
 
@@ -61,7 +60,7 @@ def test_median_removes_impulse():
     planes = np.full((4, 6, 6), 500, dtype=np.uint16)
     planes[2, 3, 3] = 65535
     p = PackedImage(planes, BayerPattern.BGGR)
-    out = denoise_packed(p, DenoiserSpec.median(1))
+    out = denoise_packed(p, DenoiserSpec("median", 1))
     # the 3x3 window at the impulse holds eight 500s and one outlier
     assert out.planes[2, 3, 3] == 500
     np.testing.assert_array_equal(out.planes[0], planes[0])
@@ -70,7 +69,7 @@ def test_median_removes_impulse():
 def test_filters_keep_shape_and_metadata(rng):
     img = rand_raw(rng, 12, 16, BayerPattern.GBRG, black=50, white=60000)
     p = pack(img)
-    for spec in (DenoiserSpec.gaussian(0.7), DenoiserSpec.median(2)):
+    for spec in (DenoiserSpec("gaussian", 0.7), DenoiserSpec("median", 2)):
         out = denoise_packed(p, spec)
         assert out.planes.shape == p.planes.shape
         assert out.pattern is p.pattern
@@ -78,14 +77,14 @@ def test_filters_keep_shape_and_metadata(rng):
 
 
 def test_identity_pipeline_is_bit_exact_for_all_pairs(rng):
-    spec = DenoiserSpec.identity()
+    spec = DenoiserSpec("identity")
     for pattern, work in PAIRS:
         img = rand_raw(rng, 10, 14, pattern)
         assert_same_image(denoise_pipeline(img, work, spec), img)
 
 
 def test_pipeline_preserves_shape_and_pattern(rng):
-    spec = DenoiserSpec.gaussian(1.0)
+    spec = DenoiserSpec("gaussian", 1.0)
     for pattern, work in PAIRS:
         img = rand_raw(rng, 10, 14, pattern)
         out = denoise_pipeline(img, work, spec)
@@ -97,7 +96,7 @@ def test_gaussian_pipeline_independent_of_work_pattern():
     # stronger than the acceptance tolerance: the choice of working pattern
     # must not leak into the output at all
     scene = gen_scene(21, 48, 64)
-    spec = DenoiserSpec.gaussian(1.0)
+    spec = DenoiserSpec("gaussian", 1.0)
     for pattern in ALL_PATTERNS:
         noisy = add_noise(mosaic(scene, pattern), NoiseParams(0.02, 0.04), 3)
         outs = [denoise_pipeline(noisy, wp, spec) for wp in ALL_PATTERNS]
@@ -109,14 +108,19 @@ def test_gaussian_pipeline_improves_psnr():
     scene = gen_scene(2, 96, 96)
     clean = mosaic(scene, BayerPattern.GRBG)
     noisy = add_noise(clean, NoiseParams(0.02, 0.04), 77)
-    out = denoise_pipeline(noisy, BayerPattern.BGGR, DenoiserSpec.gaussian(1.0))
+    out = denoise_pipeline(noisy, BayerPattern.BGGR, DenoiserSpec("gaussian", 1.0))
     assert psnr(out, clean) > psnr(noisy, clean) + 2.0
 
 
 def test_spec_validation():
     with pytest.raises(BadFilterParam):
-        DenoiserSpec.gaussian(0.0)
+        DenoiserSpec("gaussian", 0.0)
     with pytest.raises(BadFilterParam):
-        DenoiserSpec.median(3)
-    DenoiserSpec.median(1)
-    DenoiserSpec.median(2)
+        DenoiserSpec("median", 3)
+    for name, param in [("blur", 1), ("identity", 1), ("gaussian", None),
+                        ("gaussian", float("nan")), ("gaussian", True), ("median", 1.0),
+                        ("median", True)]:
+        with pytest.raises(BadFilterParam):
+            DenoiserSpec(name, param)
+    DenoiserSpec("median", 1)
+    DenoiserSpec("median", 2)
