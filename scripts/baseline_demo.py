@@ -15,42 +15,27 @@ import json
 
 import numpy as np
 
-from bayerkit import BayerPattern, gen_scene, mosaic
-from bayerkit.baselines import compare_flip_paths, compare_unify_paths
-
-QUANT_STEP = 1.0 / 65535.0
+from bayerkit.baselines import QUANTIZATION_STEP, sweep
 
 
 def run(seeds: int, height: int, width: int) -> dict:
-    patterns = list(BayerPattern)
-    unify_correct, unify_naive = [], []
-    flip_correct, flip_naive = [], []
-    for seed in range(seeds):
-        scene = gen_scene(seed, height, width)
-        for src in patterns:
-            img = mosaic(scene, src)
-            for target in patterns:
-                c, n = compare_unify_paths(img, target)
-                unify_correct.append(c)
-                unify_naive.append(n)
-            for axis in ("horizontal", "vertical"):
-                c, n = compare_flip_paths(img, axis)
-                flip_correct.append(c)
-                flip_naive.append(n)
+    tables = [sweep(seed, height, width) for seed in range(seeds)]
+
+    def stats(group: str) -> dict:
+        correct = [p["correct_rmse"] for t in tables for p in t[group]["pairs"]]
+        naive = [p["naive_rmse"] for t in tables for p in t[group]["pairs"]]
+        return {
+            "mean_correct_rmse": float(np.mean(correct)),
+            "mean_naive_rmse": float(np.mean(naive)),
+            "max_naive_rmse": float(np.max(naive)),
+        }
+
     return {
         "seeds": seeds,
         "size": [height, width],
-        "quantization_step": QUANT_STEP,
-        "unify": {
-            "mean_correct_rmse": float(np.mean(unify_correct)),
-            "mean_naive_rmse": float(np.mean(unify_naive)),
-            "max_naive_rmse": float(np.max(unify_naive)),
-        },
-        "flip": {
-            "mean_correct_rmse": float(np.mean(flip_correct)),
-            "mean_naive_rmse": float(np.mean(flip_naive)),
-            "max_naive_rmse": float(np.max(flip_naive)),
-        },
+        "quantization_step": QUANTIZATION_STEP,
+        "unify": stats("unify"),
+        "flip": stats("flip"),
     }
 
 
@@ -64,13 +49,13 @@ def main():
 
     table = run(args.seeds, height, width)
     print(f"{args.seeds} scenes at {height}x{width} "
-          f"(quantization step = {QUANT_STEP:.3e} normalized units)\n")
+          f"(quantization step = {QUANTIZATION_STEP:.3e} normalized units)\n")
     print(f"{'path':28s}{'mean RMSE':>14s}{'in quant steps':>16s}")
     for group in ("unify", "flip"):
         for kind in ("correct", "naive"):
             rmse = table[group][f"mean_{kind}_rmse"]
             label = f"{group} / {kind}"
-            print(f"{label:28s}{rmse:14.3e}{rmse / QUANT_STEP:16.1f}")
+            print(f"{label:28s}{rmse:14.3e}{rmse / QUANTIZATION_STEP:16.1f}")
     def ratio(group):
         correct = table[group]["mean_correct_rmse"]
         if correct == 0.0:

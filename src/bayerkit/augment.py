@@ -10,6 +10,12 @@ green, i.e. for RGGB and BGGR; for GRBG/GBRG it is refused outright.
 Patch extraction must start at even offsets with even sizes, otherwise the
 patch's pattern would silently shift.
 
+Each step's ``view`` maps a sample array to a view of it, so ``apply_plan``
+applies a whole plan as one strided slice of the source and copies the
+result once, into the one RawImage it returns. No step turns a valid mosaic
+into odd or sub-2 dimensions, so the intermediate views need no checks of
+their own.
+
 ``sample_plan`` draws a random combination of these primitives from a seed;
 the draw order is pinned (hflip, vflip, transpose, patch) and the generator
 is numpy's PCG64, so a given seed yields the same plan on every run.
@@ -31,6 +37,7 @@ from .errors import (
     OutOfBounds,
     ParseError,
     PatchTooLarge,
+    json_int,
 )
 from .image import RawImage
 from .patterns import transpose_is_legal, BayerPattern
@@ -38,26 +45,39 @@ from .patterns import transpose_is_legal, BayerPattern
 
 @dataclass(frozen=True)
 class HFlip:
+    """Mirror left-right and drop the boundary column pair: out(r, c) = a(r, w-2-c)."""
+
     op = "hflip"
 
-    def apply(self, img: RawImage) -> RawImage:
-        return flip_bayer(img, "horizontal")
+    def view(self, a: np.ndarray, pattern: BayerPattern) -> np.ndarray:
+        if a.shape[1] < 4:
+            raise ImageTooSmall(f"width {a.shape[1]} < 4: nothing would remain after flip+crop")
+        return a[:, -2:0:-1]
 
 
 @dataclass(frozen=True)
 class VFlip:
+    """Mirror top-bottom and drop the boundary row pair: out(r, c) = a(h-2-r, c)."""
+
     op = "vflip"
 
-    def apply(self, img: RawImage) -> RawImage:
-        return flip_bayer(img, "vertical")
+    def view(self, a: np.ndarray, pattern: BayerPattern) -> np.ndarray:
+        if a.shape[0] < 4:
+            raise ImageTooSmall(f"height {a.shape[0]} < 4: nothing would remain after flip+crop")
+        return a[-2:0:-1, :]
 
 
 @dataclass(frozen=True)
 class Transpose:
     op = "transpose"
 
-    def apply(self, img: RawImage) -> RawImage:
-        return transpose_bayer(img)
+    def view(self, a: np.ndarray, pattern: BayerPattern) -> np.ndarray:
+        if not transpose_is_legal(pattern):
+            raise IllegalTranspose(
+                f"transposing a {pattern.value} image would produce a different pattern",
+                pattern=pattern,
+            )
+        return a.T
 
 
 @dataclass(frozen=True)
@@ -72,24 +92,22 @@ class Patch:
         if any(v % 2 for v in (self.top, self.left, self.height, self.width)):
             raise OddOffset(f"patch offsets and sizes must be even: {self}")
 
-    def apply(self, img: RawImage) -> RawImage:
-        return crop_patch(img, self.top, self.left, self.height, self.width)
+    def view(self, a: np.ndarray, pattern: BayerPattern) -> np.ndarray:
+        top, left, height, width = self.top, self.left, self.height, self.width
+        if top < 0 or left < 0 or height < 2 or width < 2:
+            raise OutOfBounds(f"degenerate patch: top={top} left={left} {height}x{width}")
+        if top + height > a.shape[0] or left + width > a.shape[1]:
+            raise OutOfBounds(
+                f"patch {top}+{height} x {left}+{width} exceeds image {a.shape[0]}x{a.shape[1]}"
+            )
+        return a[top : top + height, left : left + width]
 
 
 Step = HFlip | VFlip | Transpose | Patch
 
 # JSON "op" name -> step class; a step's other JSON keys are its dataclass fields
 _STEPS = {kind.op: kind for kind in get_args(Step)}
-
-
-def _json_int(obj: dict, key: str, default: int | None = None) -> int:
-    """The integer at obj[key]; bool, float and string values are refused."""
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise ParseError(
-            f"bad augmentation plan: {key!r} must be a JSON integer, got {json.dumps(value)}"
-        )
-    return value
+_PLAN = "bad augmentation plan"
 
 
 @dataclass(frozen=True)
@@ -116,73 +134,45 @@ class AugPlan:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ParseError(f"bad augmentation plan: {e}") from e
+            raise ParseError(f"{_PLAN}: {e}") from e
         entries = payload.get("steps", []) if isinstance(payload, dict) else None
         if not isinstance(entries, list):
-            raise ParseError("bad augmentation plan: expected an object with a 'steps' list")
+            raise ParseError(f"{_PLAN}: expected an object with a 'steps' list")
         steps = []
         for i, entry in enumerate(entries):
             op = entry.get("op") if isinstance(entry, dict) else None
             kind = _STEPS.get(op) if isinstance(op, str) else None
             if kind is None:
-                raise ParseError(
-                    f"bad augmentation plan: step {i} has no known op: {json.dumps(entry)}"
-                )
-            steps.append(kind(*(_json_int(entry, f.name) for f in fields(kind))))
-        return cls(tuple(steps), seed=_json_int(payload, "seed", 0))
+                raise ParseError(f"{_PLAN}: step {i} has no known op: {json.dumps(entry)}")
+            steps.append(kind(*(json_int(entry, f.name, _PLAN) for f in fields(kind))))
+        return cls(tuple(steps), seed=json_int(payload, "seed", _PLAN, 0))
 
 
 def flip_bayer(img: RawImage, axis: str) -> RawImage:
-    """Flip and crop the boundary pair so the pattern is preserved.
+    """``HFlip`` (axis "horizontal") or ``VFlip`` (axis "vertical") of one image.
 
-    axis is "horizontal" or "vertical". Horizontal: out(r, c) =
-    img(r, width-2-c) and the output is 2 columns narrower; vertical is the
-    transposed statement. The flip alone would turn C1C2C3C4 into C2C1C4C3
-    (or C3C4C1C2); dropping the first and last column (row) of the flipped
-    image shifts the origin back.
+    The flip alone would turn C1C2C3C4 into C2C1C4C3 (or C3C4C1C2); dropping
+    the first and last column (row) of the flipped image shifts the origin back.
     """
-    if axis == "horizontal":
-        if img.width < 4:
-            raise ImageTooSmall(f"width {img.width} < 4: nothing would remain after flip+crop")
-        out = img.samples[:, ::-1][:, 1:-1]
-    elif axis == "vertical":
-        if img.height < 4:
-            raise ImageTooSmall(f"height {img.height} < 4: nothing would remain after flip+crop")
-        out = img.samples[::-1, :][1:-1, :]
-    else:
+    if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    return RawImage(out, img.pattern, img.black_level, img.white_level)
+    step = HFlip() if axis == "horizontal" else VFlip()
+    return img.with_samples(step.view(img.samples, img.pattern))
 
 
 def transpose_bayer(img: RawImage) -> RawImage:
     """Transpose the mosaic; only legal when the greens sit on the off-diagonal."""
-    if not transpose_is_legal(img.pattern):
-        raise IllegalTranspose(
-            f"transposing a {img.pattern.value} image would produce a different pattern",
-            pattern=img.pattern,
-        )
-    return RawImage(img.samples.T, img.pattern, img.black_level, img.white_level)
+    return img.with_samples(Transpose().view(img.samples, img.pattern))
 
 
 def crop_patch(img: RawImage, top: int, left: int, height: int, width: int) -> RawImage:
-    """Extract an even-aligned, even-sized patch; the pattern is unchanged.
+    """``Patch`` of one image; the pattern is unchanged and odd arguments raise OddOffset.
 
-    Odd arguments are refused: an odd offset is precisely the operation that
-    unification uses to CHANGE a pattern, and must never happen here.
+    An odd offset is precisely the operation that unification uses to CHANGE
+    a pattern, and must never happen here.
     """
-    if any(v % 2 for v in (top, left, height, width)):
-        raise OddOffset(
-            f"patch arguments must all be even, got top={top} left={left} "
-            f"height={height} width={width}"
-        )
-    if top < 0 or left < 0 or height < 2 or width < 2:
-        raise OutOfBounds(f"degenerate patch: top={top} left={left} {height}x{width}")
-    if top + height > img.height or left + width > img.width:
-        raise OutOfBounds(
-            f"patch {top}+{height} x {left}+{width} exceeds image {img.height}x{img.width}"
-        )
-    out = img.samples[top : top + height, left : left + width]
-    return RawImage(out, img.pattern, img.black_level, img.white_level)
+    patch = Patch(top, left, height, width)
+    return img.with_samples(patch.view(img.samples, img.pattern))
 
 
 def sample_plan(
@@ -229,14 +219,15 @@ def sample_plan(
 def apply_plan(img: RawImage, plan: AugPlan) -> RawImage:
     """Apply the plan's steps in order; the output pattern equals the input's.
 
-    Step errors propagate with the failing step index prepended to the
-    message.
+    Each step maps a view of the samples to a view, so the whole plan is one
+    strided slice of the source, copied once into the returned image. Step
+    errors propagate with the failing step index prepended to the message.
     """
-    out = img
+    samples = img.samples
     for i, step in enumerate(plan.steps):
         try:
-            out = step.apply(out)
+            samples = step.view(samples, img.pattern)
         except BayerKitError as e:
             e.args = (f"plan step {i} ({step.op}): {e}",)
             raise
-    return out
+    return img.with_samples(samples)

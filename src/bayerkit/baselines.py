@@ -26,6 +26,9 @@ from .packing import pack, unpack
 from .patterns import BayerPattern
 from .unify import unify_crop, unify_offsets
 
+# one 16-bit code value in the normalized [0, 1] units of the RMSE figures
+QUANTIZATION_STEP = 1.0 / 65535.0
+
 
 def _plane_channel_letters(pattern: BayerPattern) -> list[str]:
     return list(pattern.value)
@@ -125,3 +128,43 @@ def compare_flip_paths(img: RawImage, axis: str) -> tuple[float, float]:
     d_naive = demosaic_bilinear(unpack(naive_flip(pack(img), axis))).planes
     naive = _interior_rmse(d_naive, mirrored)
     return correct, naive
+
+
+def _summary(rows: list[dict]) -> dict:
+    correct = sum(r["correct_rmse"] for r in rows) / len(rows)
+    naive = sum(r["naive_rmse"] for r in rows) / len(rows)
+    return {
+        "mean_correct_rmse": correct,
+        "mean_naive_rmse": naive,
+        "ratio": (naive / correct) if correct > 0 else None,
+    }
+
+
+def sweep(seed: int, height: int, width: int) -> dict:
+    """Both comparisons on one seeded scene, mosaicked in each of the four patterns.
+
+    ``unify.pairs`` holds every (src, target) unification and ``flip.pairs``
+    every (pattern, axis) flip, each with its correct and naive RMSE; each
+    group also carries the means and their naive/correct ratio.
+    """
+    from .simulate import gen_scene, mosaic
+
+    scene = gen_scene(seed, height, width)
+    unify_rows, flip_rows = [], []
+    for src in BayerPattern:
+        img = mosaic(scene, src)
+        for target in BayerPattern:
+            correct, naive = compare_unify_paths(img, target)
+            unify_rows.append({"src": src.value, "target": target.value,
+                               "correct_rmse": correct, "naive_rmse": naive})
+        for axis in ("horizontal", "vertical"):
+            correct, naive = compare_flip_paths(img, axis)
+            flip_rows.append({"pattern": src.value, "axis": axis,
+                              "correct_rmse": correct, "naive_rmse": naive})
+    return {
+        "seed": seed,
+        "size": [height, width],
+        "quantization_step": QUANTIZATION_STEP,
+        "unify": {**_summary(unify_rows), "pairs": unify_rows},
+        "flip": {**_summary(flip_rows), "pairs": flip_rows},
+    }

@@ -231,52 +231,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_baseline_demo(args) -> int:
-    scene = gen_scene(args.seed, 128, 128)
-    patterns = list(BayerPattern)
-    unify_rows = []
-    for src in patterns:
-        img = mosaic(scene, src)
-        for target in patterns:
-            correct, naive = baselines.compare_unify_paths(img, target)
-            unify_rows.append(
-                {
-                    "src": src.value,
-                    "target": target.value,
-                    "correct_rmse": correct,
-                    "naive_rmse": naive,
-                }
-            )
-    flip_rows = []
-    for src in patterns:
-        img = mosaic(scene, src)
-        for axis in ("horizontal", "vertical"):
-            correct, naive = baselines.compare_flip_paths(img, axis)
-            flip_rows.append(
-                {
-                    "pattern": src.value,
-                    "axis": axis,
-                    "correct_rmse": correct,
-                    "naive_rmse": naive,
-                }
-            )
-
-    def summary(rows):
-        correct = sum(r["correct_rmse"] for r in rows) / len(rows)
-        naive = sum(r["naive_rmse"] for r in rows) / len(rows)
-        return {
-            "mean_correct_rmse": correct,
-            "mean_naive_rmse": naive,
-            "ratio": (naive / correct) if correct > 0 else None,
-        }
-
-    table = {
-        "seed": args.seed,
-        "size": [128, 128],
-        "quantization_step": 1.0 / 65535.0,
-        "unify": {**summary(unify_rows), "pairs": unify_rows},
-        "flip": {**summary(flip_rows), "pairs": flip_rows},
-    }
-    print(json.dumps(table, indent=2))
+    print(json.dumps(baselines.sweep(args.seed, 128, 128), indent=2))
     return 0
 
 

@@ -1,5 +1,7 @@
 """Exception types raised by bayerkit operations."""
 
+import json
+
 
 class BayerKitError(Exception):
     """Base class for all bayerkit errors."""
@@ -59,3 +61,12 @@ class UnknownPattern(BayerKitError):
 
 class MissingSidecar(BayerKitError):
     """The JSON sidecar for a raw file does not exist."""
+
+
+def json_int(obj: dict, key: str, prefix: str, default: int | None = None) -> int:
+    """The integer at obj[key], else ParseError(prefix: ...); unlike ``int()``,
+    it refuses 3.7, true, "1" and null instead of truncating or coercing them."""
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise ParseError(f"{prefix}: {key!r} must be a JSON integer, got {json.dumps(value)}")
+    return value

@@ -10,7 +10,11 @@ from .patterns import BayerPattern
 
 
 def _frozen_u16(samples, expect_ndim: int) -> np.ndarray:
-    arr = np.array(samples, dtype=np.uint16, copy=True)
+    src = np.asarray(samples)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
+        arr = np.array(src, dtype=np.uint16, copy=True)
+    if src.dtype != np.uint16 and not np.array_equal(arr, src):
+        raise ValueError("samples must be integers in [0, 65535]")
     if arr.ndim != expect_ndim:
         raise ValueError(f"expected a {expect_ndim}-D sample array, got shape {arr.shape}")
     arr.flags.writeable = False

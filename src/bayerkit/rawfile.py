@@ -7,10 +7,10 @@ The PGM is the strict binary flavor::
 followed by width*height big-endian 16-bit samples in row-major order.
 The sidecar shares the PGM's stem with a ``.json`` extension and carries
 "bayer_pattern" (required, one of the four uppercase names), "black_level"
-and "white_level" (optional, defaulting to 0 and 65535), and optionally a
-"pad" object recording reversible pad-unification. Anything that deviates
-from this layout is rejected rather than guessed at: the whole point of the
-format is that save -> load -> save is byte-identical.
+and "white_level" (optional JSON integers, defaulting to 0 and 65535), and
+optionally a "pad" object of JSON integers recording reversible pad-unification.
+Anything that deviates from this layout is rejected rather than guessed at:
+the whole point of the format is that save -> load -> save is byte-identical.
 
 Writes go through a temp file and an atomic rename.
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingSidecar, ParseError, UnknownPattern
+from .errors import MissingSidecar, ParseError, json_int
 from .image import RawImage
 from .patterns import BayerPattern
 from .simulate import RgbImage, round_half_away
@@ -91,19 +91,16 @@ def _parse_sidecar(text: str, origin: str) -> tuple[BayerPattern, int, int, PadS
     if "bayer_pattern" not in obj:
         raise ParseError(f"{origin}: sidecar is missing 'bayer_pattern'")
     pattern = BayerPattern.from_name(obj["bayer_pattern"])
-    try:
-        black = int(obj.get("black_level", 0))
-        white = int(obj.get("white_level", 65535))
-    except (TypeError, ValueError):
-        raise ParseError(f"{origin}: black/white levels must be integers") from None
+    black = json_int(obj, "black_level", origin, 0)
+    white = json_int(obj, "white_level", origin, 65535)
     pad = None
     if "pad" in obj:
         try:
             pad = PadSpec.from_json_dict(obj["pad"])
-        except UnknownPattern:
-            raise
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{origin}: bad pad record: {e}") from e
+        except ParseError as e:
+            raise ParseError(f"{origin}: {e}") from e
     return pattern, black, white, pad
 
 

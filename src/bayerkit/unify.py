@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImageTooSmall, InconsistentSpec
+from .errors import ImageTooSmall, InconsistentSpec, json_int
 from .image import RawImage
 from .patterns import BayerPattern, pattern_at_offset
 
@@ -55,13 +55,10 @@ class PadSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PadSpec":
-        return cls(
-            top=int(obj["top"]),
-            bottom=int(obj["bottom"]),
-            left=int(obj["left"]),
-            right=int(obj["right"]),
-            original_pattern=BayerPattern.from_name(obj["original_pattern"]),
-        )
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected an object, got {obj!r}")
+        sides = [json_int(obj, k, "bad pad record") for k in ("top", "bottom", "left", "right")]
+        return cls(*sides, BayerPattern.from_name(obj["original_pattern"]))
 
 
 def unify_offsets(src: BayerPattern, target: BayerPattern) -> tuple[int, int]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bayerkit import (
     AugPlan,
@@ -21,6 +21,7 @@ from bayerkit import (
     flip_bayer,
     sample_plan,
     transpose_bayer,
+    transpose_is_legal,
 )
 from bayerkit.errors import ParseError
 
@@ -209,6 +210,46 @@ def test_apply_plan_matches_index_oracle(rng):
         out = apply_plan(img, plan)
         assert out.pattern is pattern
         check_against_index_oracle(img, plan, out)
+
+
+@st.composite
+def arbitrary_plans(draw):
+    """A pattern, an image size and a valid plan of 1-6 steps in any order."""
+    pattern = draw(st.sampled_from(ALL_PATTERNS))
+    height, width = 2 * draw(st.integers(1, 10)), 2 * draw(st.integers(1, 10))
+    h, w, steps = height, width, []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = [Patch]
+        kinds += [HFlip] if w >= 4 else []
+        kinds += [VFlip] if h >= 4 else []
+        kinds += [Transpose] if transpose_is_legal(pattern) else []
+        kind = draw(st.sampled_from(kinds))
+        if kind is Patch:
+            ph, pw = 2 * draw(st.integers(1, h // 2)), 2 * draw(st.integers(1, w // 2))
+            top = 2 * draw(st.integers(0, (h - ph) // 2))
+            left = 2 * draw(st.integers(0, (w - pw) // 2))
+            steps.append(Patch(top, left, ph, pw))
+            h, w = ph, pw
+        else:
+            steps.append(kind())
+            h, w = {HFlip: (h, w - 2), VFlip: (h - 2, w), Transpose: (w, h)}[kind]
+    return pattern, height, width, AugPlan(tuple(steps))
+
+
+@given(arbitrary_plans(), st.integers(0, 2**32 - 1))
+@example((BayerPattern.RGGB, 12, 14, AugPlan((HFlip(), HFlip(), VFlip(), VFlip()))), 1)
+@example((BayerPattern.BGGR, 12, 14, AugPlan((Patch(2, 4, 8, 6), Transpose(), HFlip()))), 2)
+@example((BayerPattern.GRBG, 10, 12, AugPlan((Patch(0, 2, 8, 8), VFlip(), HFlip()))), 3)
+@example((BayerPattern.GBRG, 8, 8, AugPlan((VFlip(), Patch(2, 0, 4, 8), HFlip()))), 4)
+@settings(max_examples=150, deadline=None)
+def test_apply_plan_matches_index_oracle_for_any_step_order(case, seed):
+    pattern, height, width, plan = case
+    img = rand_raw(np.random.default_rng(seed), height, width, pattern)
+    out = apply_plan(img, plan)
+    assert out.pattern is pattern
+    check_against_index_oracle(img, plan, out)
+    # the patch is a copy: it never keeps the full frame alive
+    assert not np.shares_memory(out.samples, img.samples)
 
 
 def test_apply_plan_attaches_step_index(rng):

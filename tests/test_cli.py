@@ -107,6 +107,17 @@ def test_augment_bad_plan_is_processing_error(tmp_path, sample_pair, capsys, pay
     assert not out.exists()
 
 
+def test_non_integer_sidecar_level_is_processing_error(tmp_path, sample_pair, capsys):
+    _, path = sample_pair
+    sidecar = path.with_suffix(".json")
+    sidecar.write_text(json.dumps({"bayer_pattern": "GRBG", "white_level": 60000.9}))
+    out = tmp_path / "out.pgm"
+    assert main(["unify", "--target", "BGGR", "--mode", "crop", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bayerkit: error: {sidecar}: 'white_level' must be a JSON integer, got 60000.9\n"
+    assert not out.exists()
+
+
 def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair):
     _, path = sample_pair
     with pytest.raises(SystemExit) as exc:

@@ -130,3 +130,25 @@ def test_naive_flip_diverges_on_gradient():
 def test_naive_flip_rejects_unknown_axis(rng):
     with pytest.raises(ValueError):
         naive_flip(pack(rand_raw(rng, 4, 4, BayerPattern.RGGB)), "diag")
+
+
+@pytest.mark.parametrize("bad", [70000, -1, 3.7, 65535.5, np.nan, np.inf])
+def test_containers_reject_unrepresentable_samples(bad):
+    samples = np.array([[bad, 1], [2, 3]])
+    with pytest.raises(ValueError, match=r"integers in \[0, 65535\]"):
+        RawImage(samples, BayerPattern.RGGB)
+    with pytest.raises(ValueError, match=r"integers in \[0, 65535\]"):
+        PackedImage(np.stack([samples] * 4)[:, :1, :1], BayerPattern.RGGB)
+
+
+@given(st.lists(st.one_of(st.integers(-2**20, 2**20), st.floats()), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_raw_image_keeps_sample_values_or_rejects(values):
+    samples = np.array(values).reshape(2, 2)
+    try:
+        img = RawImage(samples, BayerPattern.GRBG)
+    except ValueError:
+        assert not all(float(v).is_integer() and 0 <= v <= 65535 for v in values)
+    else:
+        assert img.samples.dtype == np.uint16
+        np.testing.assert_array_equal(img.samples, samples)

@@ -175,6 +175,35 @@ def test_load_rejects_inverted_levels(tmp_path):
         load_raw(path)
 
 
+PAD = {"top": 1, "bottom": 1, "left": 0, "right": 0, "original_pattern": "GBRG"}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"black_level": 3.7},
+        {"black_level": True},
+        {"black_level": "1"},
+        {"black_level": None},
+        {"white_level": 60000.9},
+        {"white_level": True},
+        {"pad": {**PAD, "top": 1.0}},
+        {"pad": {**PAD, "bottom": True}},
+        {"pad": {**PAD, "left": "0"}},
+        {"pad": {k: v for k, v in PAD.items() if k != "right"}},
+        {"pad": 5},
+    ],
+)
+def test_load_rejects_non_integer_levels_and_pad_fields(tmp_path, fields):
+    path = write_pair(tmp_path, good_pgm(), {**GOOD_SIDECAR, **fields})
+    with pytest.raises(ParseError, match="img.json: "):
+        load_raw(path)
+    # the same sidecar with integer values loads
+    good = {"black_level": 1, "white_level": 60000, "pad": PAD}
+    path = write_pair(tmp_path, good_pgm(), {**GOOD_SIDECAR, **{k: good[k] for k in fields}})
+    load_raw(path)
+
+
 def test_write_ppm_layout(tmp_path):
     scene = gen_scene(1, 8, 10)
     path = tmp_path / "out.ppm"
