@@ -46,7 +46,7 @@ from .patterns import (
     pattern_transform,
     transpose_is_legal,
 )
-from .rawfile import RawFilePair, load_raw, save_raw, write_ppm
+from .rawfile import load_raw, save_raw, write_ppm
 from .simulate import (
     NoiseParams,
     RgbImage,

@@ -130,10 +130,11 @@ class AugPlan:
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "AugPlan":
+    def from_json(cls, text: str | bytes) -> "AugPlan":
+        """Parse a plan; bytes are decoded as UTF-8 inside the same error boundary."""
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as e:
+            payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except (ValueError, RecursionError) as e:
             raise ParseError(f"{_PLAN}: {e}") from e
         entries = payload.get("steps", []) if isinstance(payload, dict) else None
         if not isinstance(entries, list):

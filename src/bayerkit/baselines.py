@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .augment import flip_bayer
 from .image import PackedImage, RawImage
 from .packing import pack, unpack
 from .patterns import BayerPattern
+from .simulate import demosaic_bilinear, gen_scene, mosaic
 from .unify import unify_crop, unify_offsets
 
 # one 16-bit code value in the normalized [0, 1] units of the RMSE figures
 QUANTIZATION_STEP = 1.0 / 65535.0
-
-
-def _plane_channel_letters(pattern: BayerPattern) -> list[str]:
-    return list(pattern.value)
 
 
 def naive_unify(p: PackedImage, target: BayerPattern) -> PackedImage:
@@ -42,11 +40,10 @@ def naive_unify(p: PackedImage, target: BayerPattern) -> PackedImage:
     the spatial phase of every plane is not compensated, which is exactly
     the error this baseline exists to demonstrate.
     """
-    src_letters = _plane_channel_letters(p.pattern)
-    dst_letters = _plane_channel_letters(target)
+    src_letters = list(p.pattern.value)
     src_greens = [i for i, ch in enumerate(src_letters) if ch == "G"]
     order = []
-    for ch in dst_letters:
+    for ch in target.value:
         if ch == "G":
             order.append(src_greens.pop(0))
         else:
@@ -84,8 +81,6 @@ def compare_unify_paths(img: RawImage, target: BayerPattern) -> tuple[float, flo
     path is compared against the uncropped reference (it does not move the
     frame). Returns (correct_rmse, naive_rmse) in normalized units.
     """
-    from .simulate import demosaic_bilinear
-
     ref = demosaic_bilinear(img).planes
     dy, dx = unify_offsets(img.pattern, target)
     h, w = img.height, img.width
@@ -109,9 +104,6 @@ def compare_flip_paths(img: RawImage, axis: str) -> tuple[float, float]:
     reference minus its first and last column/row, the naive path against
     the full mirrored reference. Returns (correct_rmse, naive_rmse).
     """
-    from .augment import flip_bayer
-    from .simulate import demosaic_bilinear
-
     ref = demosaic_bilinear(img).planes
     if axis == "horizontal":
         mirrored = ref[:, :, ::-1]
@@ -147,8 +139,6 @@ def sweep(seed: int, height: int, width: int) -> dict:
     every (pattern, axis) flip, each with its correct and naive RMSE; each
     group also carries the means and their naive/correct ratio.
     """
-    from .simulate import gen_scene, mosaic
-
     scene = gen_scene(seed, height, width)
     unify_rows, flip_rows = [], []
     for src in BayerPattern:

@@ -165,7 +165,7 @@ def cmd_augment(args) -> int:
         raise UsageError("no augmentation requested")
     img, _ = load_raw(args.input)
     if args.plan is not None:
-        with open(args.plan) as fh:
+        with open(args.plan, "rb") as fh:
             plan = AugPlan.from_json(fh.read())
     elif args.seed is not None:
         if args.patch_size is None:

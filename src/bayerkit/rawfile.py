@@ -5,26 +5,27 @@ The PGM is the strict binary flavor::
     P5\\n<width> <height>\\n65535\\n
 
 followed by width*height big-endian 16-bit samples in row-major order.
-The sidecar shares the PGM's stem with a ``.json`` extension and carries
+The sidecar is ``<stem>.json`` beside the PGM, read as UTF-8, and carries
 "bayer_pattern" (required, one of the four uppercase names), "black_level"
 and "white_level" (optional JSON integers, defaulting to 0 and 65535), and
 optionally a "pad" object of JSON integers recording reversible pad-unification.
 Anything that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
+A fault in the sidecar is reported with the sidecar's path.
 
-Writes go through a temp file and an atomic rename.
+Every write goes to a temp file of its own beside the target, then is renamed over it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingSidecar, ParseError, json_int
+from .errors import BayerKitError, MissingSidecar, ParseError, json_int
 from .image import RawImage
 from .patterns import BayerPattern
 from .simulate import RgbImage, round_half_away
@@ -32,25 +33,15 @@ from .unify import PadSpec
 
 _PGM_MAGIC = b"P5\n"
 _MAXVAL_LINE = b"65535\n"
+_PAD = "bad pad record"
 
 
-@dataclass(frozen=True)
-class RawFilePair:
-    """A PGM path and its JSON sidecar (same stem, .json extension)."""
-
-    pgm_path: Path
-    sidecar_path: Path
-
-    @classmethod
-    def for_pgm(cls, path) -> "RawFilePair":
-        p = Path(path)
-        return cls(pgm_path=p, sidecar_path=p.with_suffix(".json"))
+def _sidecar_path(pgm: Path) -> Path:
+    return pgm.with_suffix(".json")
 
 
-def _coerce_pair(target) -> RawFilePair:
-    if isinstance(target, RawFilePair):
-        return target
-    return RawFilePair.for_pgm(target)
+def _pnm_header(magic: bytes, width: int, height: int) -> bytes:
+    return magic + f"{width} {height}\n".encode("ascii") + _MAXVAL_LINE
 
 
 def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
@@ -81,55 +72,67 @@ def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
     return samples.astype(np.uint16)
 
 
-def _parse_sidecar(text: str, origin: str) -> tuple[BayerPattern, int, int, PadSpec | None]:
+def _parse_pad(obj) -> PadSpec:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{_PAD}: expected an object, got {obj!r}")
+    sides = [json_int(obj, k, _PAD) for k in ("top", "bottom", "left", "right")]
+    if "original_pattern" not in obj:
+        raise ParseError(f"{_PAD}: 'original_pattern'")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
+        return PadSpec(*sides, BayerPattern.from_name(obj["original_pattern"]))
+    except ValueError as e:
+        raise ParseError(f"{_PAD}: {e}") from e
+
+
+def _parse_sidecar(data: bytes, origin: str) -> tuple[BayerPattern, int, int, PadSpec | None]:
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # ValueError covers bad UTF-8 and huge ints
         raise ParseError(f"{origin}: invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError(f"{origin}: sidecar must be a JSON object")
     if "bayer_pattern" not in obj:
         raise ParseError(f"{origin}: sidecar is missing 'bayer_pattern'")
-    pattern = BayerPattern.from_name(obj["bayer_pattern"])
+    try:
+        pattern = BayerPattern.from_name(obj["bayer_pattern"])
+        pad = _parse_pad(obj["pad"]) if "pad" in obj else None
+    except BayerKitError as e:
+        raise type(e)(f"{origin}: {e}") from e
     black = json_int(obj, "black_level", origin, 0)
     white = json_int(obj, "white_level", origin, 65535)
-    pad = None
-    if "pad" in obj:
-        try:
-            pad = PadSpec.from_json_dict(obj["pad"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{origin}: bad pad record: {e}") from e
-        except ParseError as e:
-            raise ParseError(f"{origin}: {e}") from e
     return pattern, black, white, pad
 
 
-def load_raw(target) -> tuple[RawImage, PadSpec | None]:
-    """Read a PGM + sidecar pair; returns the image and any recorded padding."""
-    pair = _coerce_pair(target)
-    if not pair.sidecar_path.exists():
-        raise MissingSidecar(f"no sidecar at {pair.sidecar_path}")
-    samples = _parse_pgm(pair.pgm_path.read_bytes(), str(pair.pgm_path))
-    pattern, black, white, pad = _parse_sidecar(
-        pair.sidecar_path.read_text(), str(pair.sidecar_path)
-    )
+def load_raw(path) -> tuple[RawImage, PadSpec | None]:
+    """Read a PGM and its ``<stem>.json`` sidecar; returns the image and any recorded padding."""
+    pgm = Path(path)
+    sidecar = _sidecar_path(pgm)
+    if not sidecar.exists():
+        raise MissingSidecar(f"no sidecar at {sidecar}")
+    samples = _parse_pgm(pgm.read_bytes(), str(pgm))
+    pattern, black, white, pad = _parse_sidecar(sidecar.read_bytes(), str(sidecar))
     try:
         img = RawImage(samples, pattern, black, white)
     except ValueError as e:
-        raise ParseError(f"{pair.pgm_path}: {e}") from e
+        raise ParseError(f"{pgm}: {e}") from e
     return img, pad
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # unlike mkstemp, keeps the umask's permission bits
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def save_raw(img: RawImage, pad: PadSpec | None, target) -> None:
-    """Write the PGM and sidecar; byte-stable across runs and platforms."""
-    pair = _coerce_pair(target)
-    header = _PGM_MAGIC + f"{img.width} {img.height}\n".encode("ascii") + _MAXVAL_LINE
+def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
+    """Write the PGM and its ``<stem>.json`` sidecar; byte-stable across runs and platforms."""
+    pgm = Path(path)
     payload = img.samples.astype(">u2").tobytes()
     sidecar: dict = {
         "bayer_pattern": img.pattern.value,
@@ -137,15 +140,14 @@ def save_raw(img: RawImage, pad: PadSpec | None, target) -> None:
         "white_level": img.white_level,
     }
     if pad is not None:
-        sidecar["pad"] = pad.to_json_dict()
+        sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    _atomic_write(pair.pgm_path, header + payload)
-    _atomic_write(pair.sidecar_path, text.encode("ascii"))
+    _atomic_write(pgm, _pnm_header(_PGM_MAGIC, img.width, img.height) + payload)
+    _atomic_write(_sidecar_path(pgm), text.encode("ascii"))
 
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    header = f"P6\n{rgb.width} {rgb.height}\n65535\n".encode("ascii")
     interleaved = np.moveaxis(rgb.planes, 0, -1)  # (H, W, 3)
     quantized = round_half_away(interleaved * 65535.0).astype(">u2")
-    _atomic_write(Path(path), header + quantized.tobytes())
+    _atomic_write(Path(path), _pnm_header(b"P6\n", rgb.width, rgb.height) + quantized.tobytes())

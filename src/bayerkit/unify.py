@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImageTooSmall, InconsistentSpec, json_int
+from .errors import ImageTooSmall, InconsistentSpec
 from .image import RawImage
 from .patterns import BayerPattern, pattern_at_offset
 
@@ -43,22 +43,6 @@ class PadSpec:
             raise ValueError("at most one padded row/column per side")
         if not isinstance(self.original_pattern, BayerPattern):
             raise TypeError("original_pattern must be a BayerPattern")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "top": self.top,
-            "bottom": self.bottom,
-            "left": self.left,
-            "right": self.right,
-            "original_pattern": self.original_pattern.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PadSpec":
-        if not isinstance(obj, dict):
-            raise TypeError(f"expected an object, got {obj!r}")
-        sides = [json_int(obj, k, "bad pad record") for k in ("top", "bottom", "left", "right")]
-        return cls(*sides, BayerPattern.from_name(obj["original_pattern"]))
 
 
 def unify_offsets(src: BayerPattern, target: BayerPattern) -> tuple[int, int]:
@@ -99,8 +83,6 @@ def unify_pad(img: RawImage, target: BayerPattern) -> tuple[RawImage, PadSpec]:
     The returned PadSpec is what disunify_crop needs to restore the input
     bit-exactly.
     """
-    if img.height < 2 or img.width < 2:
-        raise ImageTooSmall("reflect-101 padding needs at least 2 rows and columns")
     dy, dx = unify_offsets(img.pattern, target)
     spec = PadSpec(dy, dy, dx, dx, img.pattern)
     if (dy, dx) == (0, 0):

@@ -95,11 +95,11 @@ def test_augment_plan_file(tmp_path, sample_pair):
 
 
 @pytest.mark.parametrize("payload", ["[1,2]", '{"steps": [{"op": "patch", "top": 0, '
-                                     '"left": 0, "height": 4.9, "width": 4}]}'])
+                                     '"left": 0, "height": 4.9, "width": 4}]}', b"\xff\xfe"])
 def test_augment_bad_plan_is_processing_error(tmp_path, sample_pair, capsys, payload):
     _, path = sample_pair
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(payload)
+    plan_path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     out = tmp_path / "aug.pgm"
     assert main(["augment", "--plan", str(plan_path), str(path), "-o", str(out)]) == 1
     err = capsys.readouterr().err
@@ -116,6 +116,25 @@ def test_non_integer_sidecar_level_is_processing_error(tmp_path, sample_pair, ca
     err = capsys.readouterr().err
     assert err == f"bayerkit: error: {sidecar}: 'white_level' must be a JSON integer, got 60000.9\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar", [
+    json.dumps({"bayer_pattern": "GRBG", "pad": {"top": 0, "bottom": 0, "left": 0, "right": 0,
+                                                "original_pattern": "XYZW"}}).encode(),
+    json.dumps({"bayer_pattern": ["RGGB"]}).encode(),
+    json.dumps({"bayer_pattern": "GRBG",
+                "pad": {"top": 0, "bottom": 0, "left": 0, "right": 0}}).encode(),
+    b"\xff\xfe{",
+])
+def test_bad_sidecar_error_names_the_sidecar(tmp_path, sample_pair, capsys, sidecar):
+    _, ref = sample_pair
+    path = tmp_path / "b.pgm"
+    path.write_bytes(ref.read_bytes())
+    path.with_suffix(".json").write_bytes(sidecar)
+    assert main(["metrics", "--ref", str(ref), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bayerkit: error: {path.with_suffix('.json')}: ")
+    assert err.count("\n") == 1
 
 
 def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair):

@@ -1,14 +1,18 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import bayerkit.rawfile as rawfile
 from bayerkit import (
+    BayerKitError,
     BayerPattern,
     MissingSidecar,
     PadSpec,
     ParseError,
-    RawFilePair,
     UnknownPattern,
     gen_scene,
     load_raw,
@@ -17,11 +21,6 @@ from bayerkit import (
 )
 
 from conftest import assert_same_image, rand_raw
-
-
-def test_pair_paths(tmp_path):
-    pair = RawFilePair.for_pgm(tmp_path / "shot.pgm")
-    assert pair.sidecar_path == tmp_path / "shot.json"
 
 
 def test_save_load_round_trip(tmp_path, rng):
@@ -202,6 +201,76 @@ def test_load_rejects_non_integer_levels_and_pad_fields(tmp_path, fields):
     good = {"black_level": 1, "white_level": 60000, "pad": PAD}
     path = write_pair(tmp_path, good_pgm(), {**GOOD_SIDECAR, **{k: good[k] for k in fields}})
     load_raw(path)
+
+
+def test_failed_write_removes_its_temp_file(tmp_path, rng, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(rawfile.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_raw(rand_raw(rng, 4, 4, BayerPattern.RGGB), None, tmp_path / "img.pgm")
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_leaves_another_writers_temp_file_alone(tmp_path, rng):
+    img = rand_raw(rng, 4, 4, BayerPattern.RGGB)
+    path = tmp_path / "img.pgm"
+    other = tmp_path / "img.pgm.tmp"  # a fixed temp name another writer may be using
+    other.write_bytes(b"in flight")
+    save_raw(img, None, path)
+    assert other.read_bytes() == b"in flight"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.json", "img.pgm", "img.pgm.tmp"]
+    assert_same_image(load_raw(path)[0], img)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _maybe(good, values=JSON_VALUES):
+    return st.just(good) | values
+
+
+SIDECARS = st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(st.text(max_size=16), JSON_VALUES, max_size=4).map(json.dumps).map(str.encode),
+    st.fixed_dictionaries(
+        {"bayer_pattern": _maybe("RGGB", JSON_VALUES | st.sampled_from(["GBRG", "rggb", "XYZW"]))},
+        optional={
+            "black_level": _maybe(0, JSON_VALUES | st.integers(0, 65535)),
+            "white_level": _maybe(65535, JSON_VALUES | st.integers(0, 65535)),
+            "pad": _maybe(PAD) | st.fixed_dictionaries(
+                {},
+                optional={k: _maybe(v, JSON_VALUES | st.integers(-1, 2)) for k, v in PAD.items()},
+            ),
+        },
+    ).map(json.dumps).map(str.encode),
+)
+
+
+@given(SIDECARS)
+@example(b"\xff\xfe{")
+@example(json.dumps({**GOOD_SIDECAR, "pad": {**PAD, "original_pattern": "XYZW"}}).encode())
+@example(json.dumps({"bayer_pattern": ["RGGB"]}).encode())
+@example(json.dumps({**GOOD_SIDECAR, "pad": {k: v for k, v in PAD.items() if k != "original_pattern"}}).encode())
+@example(b"[" * 100_000)
+@settings(max_examples=300, deadline=None)
+def test_load_raw_loads_or_names_the_faulty_file(sidecar):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "img.pgm"
+        path.write_bytes(good_pgm())
+        path.with_suffix(".json").write_bytes(sidecar)
+        try:
+            load_raw(path)
+        except BayerKitError as e:
+            message = str(e)
+            assert message.splitlines() == [message]
+            assert message.startswith((f"{path.with_suffix('.json')}: ", f"{path}: "))
 
 
 def test_write_ppm_layout(tmp_path):

@@ -176,8 +176,6 @@ def test_padspec_validation():
         PadSpec(1, 0, 0, 0, BayerPattern.RGGB)  # asymmetric
     with pytest.raises(ValueError):
         PadSpec(2, 2, 0, 0, BayerPattern.RGGB)  # more than one row
-    spec = PadSpec(1, 1, 0, 0, BayerPattern.GRBG)
-    assert PadSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
 def test_crop_and_pad_agree_on_pattern_and_parity(rng):
