@@ -16,8 +16,9 @@ What this module actually guarantees is the plumbing around the filter:
   kernel, or mirror extension, sees different values near the border and the
   working pattern would leak into the result.
 
-Filter arithmetic is float64; the single round-and-clip back to 16 bits
-happens once per pipeline run.
+The Gaussian computes in float64 and rounds and clips back to 16 bits once
+per plane. The median is exact integer selection on uint16: a median of an
+odd count of samples is one of those samples, so it never leaves uint16.
 """
 
 from __future__ import annotations
@@ -46,24 +47,75 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
 def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
     # separable 3x3 kernel; edge-duplicated borders (see module docstring)
     w0, w1 = _gaussian_3tap(sigma)
-    p = np.pad(plane, ((1, 1), (0, 0)), mode="edge")
+    p = np.pad(plane.astype(np.float64), ((1, 1), (0, 0)), mode="edge")
     rows = w1 * p[:-2] + w0 * p[1:-1] + w1 * p[2:]
     p = np.pad(rows, ((0, 0), (1, 1)), mode="edge")
-    return w1 * p[:, :-2] + w0 * p[:, 1:-1] + w1 * p[:, 2:]
+    out = w1 * p[:, :-2] + w0 * p[:, 1:-1] + w1 * p[:, 2:]
+    return np.clip(round_half_away(out), 0, 65535).astype(np.uint16)
+
+
+def _batcher_pairs(n: int):
+    """Compare-exchanges (lo, hi) of Batcher's odd-even merge sort, truncated to n lanes.
+
+    Dropping every pair that touches a lane >= n leaves a sorting network for n
+    lanes: the missing lanes act as +inf, which no compare-exchange moves.
+    """
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield i + j, i + j + k
+            k //= 2
+        p *= 2
+
+
+def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The sort of n lanes pruned backwards to what the middle lane depends on.
+
+    Each step is (lo, hi, keep_min, keep_max): whether the min and the max it
+    writes to lanes lo and hi are still read later.
+    """
+    needed = {n // 2}
+    steps = []
+    for lo, hi in reversed(list(_batcher_pairs(n))):
+        if lo in needed or hi in needed:
+            steps.append((lo, hi, lo in needed, hi in needed))
+            needed |= {lo, hi}
+    return tuple(reversed(steps))
+
+
+# 3x3: 24 compare-exchanges, 5x5: 113 (of 28 and 140 in the full sorts)
+_MEDIAN_NETWORKS = {r: _median_network((2 * r + 1) ** 2) for r in (1, 2)}
 
 
 def _median_plane(plane: np.ndarray, radius: int) -> np.ndarray:
+    h, w = plane.shape
     size = 2 * radius + 1
     p = np.pad(plane, radius, mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(p, (size, size))
-    return np.median(windows, axis=(2, 3))
+    lanes = [p[dy : dy + h, dx : dx + w].copy() for dy in range(size) for dx in range(size)]
+    spare = np.empty_like(plane)
+    for lo, hi, keep_min, keep_max in _MEDIAN_NETWORKS[radius]:
+        a, b = lanes[lo], lanes[hi]
+        if keep_min and keep_max:
+            np.minimum(a, b, out=spare)
+            np.maximum(a, b, out=b)
+            lanes[lo], spare = spare, a
+        elif keep_min:
+            np.minimum(a, b, out=a)
+        else:
+            np.maximum(a, b, out=b)
+    return lanes[len(lanes) // 2]
 
 
 class _Filter(NamedTuple):
     parse_arg: Callable[[str], float | int] | None  # None: takes no argument
     accepts: Callable[[object], bool]
     expects: str  # what accepts() checks, for error messages
-    plane: Callable[[np.ndarray, float | int], np.ndarray] | None  # None: identity
+    # uint16 plane -> uint16 plane; None: identity
+    plane: Callable[[np.ndarray, float | int], np.ndarray] | None
 
 
 def _finite_positive(v) -> bool:
@@ -121,9 +173,7 @@ def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     plane_filter = _FILTERS[spec.name].plane
     if plane_filter is None:
         return p
-    planes = p.planes.astype(np.float64)
-    filtered = np.stack([plane_filter(pl, spec.param) for pl in planes])
-    out = np.clip(round_half_away(filtered), 0, 65535).astype(np.uint16)
+    out = np.stack([plane_filter(pl, spec.param) for pl in p.planes])
     return PackedImage(out, p.pattern, p.black_level, p.white_level)
 
 

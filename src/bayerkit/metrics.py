@@ -58,12 +58,15 @@ def mse(a: RawImage, b: RawImage) -> float:
     return float(np.mean(d * d))
 
 
-def psnr(a: RawImage, b: RawImage) -> float:
-    """10 * log10(1 / MSE) with peak 1; 99.0 dB when the images are identical."""
-    m = mse(a, b)
+def _psnr_db(m: float) -> float:
     if m == 0.0:
         return PSNR_CAP_DB
     return float(10.0 * np.log10(1.0 / m))
+
+
+def psnr(a: RawImage, b: RawImage) -> float:
+    """10 * log10(1 / MSE) with peak 1; 99.0 dB when the images are identical."""
+    return _psnr_db(mse(a, b))
 
 
 def _gaussian_window(n: int, sigma: float) -> np.ndarray:
@@ -106,4 +109,5 @@ def ssim(a: RawImage, b: RawImage) -> float:
 
 
 def metric_report(a: RawImage, b: RawImage) -> MetricReport:
-    return MetricReport(mse=mse(a, b), psnr_db=psnr(a, b), ssim=ssim(a, b))
+    m = mse(a, b)
+    return MetricReport(mse=m, psnr_db=_psnr_db(m), ssim=ssim(a, b))

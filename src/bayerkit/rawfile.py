@@ -11,7 +11,8 @@ and "white_level" (optional JSON integers, defaulting to 0 and 65535), and
 optionally a "pad" object of JSON integers recording reversible pad-unification.
 Anything that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
-A fault in the sidecar is reported with the sidecar's path.
+A fault in the sidecar is reported with the sidecar's path. A PGM path that
+ends in ``.json`` names its own sidecar and is refused before anything is written.
 
 Every write goes to a temp file of its own beside the target, then is renamed over it.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
 from .image import RawImage
 from .patterns import BayerPattern
-from .simulate import RgbImage, round_half_away
+from .simulate import RgbImage
 from .unify import PadSpec
 
 _PGM_MAGIC = b"P5\n"
@@ -118,12 +119,14 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     return img, pad
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, *chunks) -> None:
+    """Write the byte buffers in order to a temp file of its own, then rename it over path."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")  # unlike mkstemp, keeps the umask's permission bits
     try:
         with fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -133,7 +136,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
     """Write the PGM and its ``<stem>.json`` sidecar; byte-stable across runs and platforms."""
     pgm = Path(path)
-    payload = img.samples.astype(">u2").tobytes()
+    sidecar_path = _sidecar_path(pgm)
+    if sidecar_path == pgm:
+        raise BayerKitError(f"{pgm}: the PGM path ends in .json, which names its own sidecar")
     sidecar: dict = {
         "bayer_pattern": img.pattern.value,
         "black_level": img.black_level,
@@ -142,12 +147,18 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
     if pad is not None:
         sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    _atomic_write(pgm, _pnm_header(_PGM_MAGIC, img.width, img.height) + payload)
-    _atomic_write(_sidecar_path(pgm), text.encode("ascii"))
+    header = _pnm_header(_PGM_MAGIC, img.width, img.height)
+    _atomic_write(pgm, header, img.samples.astype(">u2", order="C"))  # C order: written as is
+    _atomic_write(sidecar_path, text.encode("ascii"))
 
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    interleaved = np.moveaxis(rgb.planes, 0, -1)  # (H, W, 3)
-    quantized = round_half_away(interleaved * 65535.0).astype(">u2")
-    _atomic_write(Path(path), _pnm_header(b"P6\n", rgb.width, rgb.height) + quantized.tobytes())
+    out = np.empty((rgb.height, rgb.width, 3), dtype=">u2")
+    scaled = np.empty((rgb.height, rgb.width))
+    for c in range(3):
+        # RGB lies in [0, 1], where floor(x + 0.5) is round_half_away(x)
+        np.multiply(rgb.planes[c], 65535.0, out=scaled)
+        scaled += 0.5
+        out[..., c] = np.floor(scaled, out=scaled)
+    _atomic_write(Path(path), _pnm_header(b"P6\n", rgb.width, rgb.height), out)

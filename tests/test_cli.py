@@ -180,6 +180,15 @@ def test_simulate_command(tmp_path):
     assert noisy.samples.shape == (32, 48)
 
 
+def test_json_output_path_is_refused_before_writing(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1",
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bayerkit: error: {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_without_noise_is_clean(tmp_path):
     out = tmp_path / "sim.pgm"
     assert main(["simulate", "--pattern", "RGGB", "--size", "16x16", "--seed", "0",

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bayerkit import (
     BadFilterParam,
@@ -64,6 +67,29 @@ def test_median_removes_impulse():
     # the 3x3 window at the impulse holds eight 500s and one outlier
     assert out.planes[2, 3, 3] == 500
     np.testing.assert_array_equal(out.planes[0], planes[0])
+
+
+def _median_oracle(plane: np.ndarray, radius: int) -> np.ndarray:
+    size = 2 * radius + 1
+    p = np.pad(plane.astype(np.float64), radius, mode="reflect")
+    return np.median(sliding_window_view(p, (size, size)), axis=(2, 3))
+
+
+# ties, both ends of the range and anything in between
+SAMPLES = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 3),
+                    st.integers(0, 65535))
+
+
+@given(st.integers(1, 24), st.integers(1, 24), st.sampled_from([1, 2]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_median_equals_np_median_of_reflected_windows(height, width, radius, data):
+    planes = data.draw(arrays(np.uint16, (4, height, width), elements=SAMPLES))
+    p = PackedImage(planes, BayerPattern.RGGB)
+    out = denoise_packed(p, DenoiserSpec("median", radius))
+    assert out.planes.dtype == np.uint16
+    want = np.stack([_median_oracle(pl, radius) for pl in planes])
+    np.testing.assert_array_equal(out.planes, want)
+    np.testing.assert_array_equal(p.planes, planes)
 
 
 def test_filters_keep_shape_and_metadata(rng):
