@@ -18,7 +18,7 @@ from .errors import BayerKitError
 from .metrics import metric_report
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .rawfile import load_raw, save_raw, write_ppm
+from .rawfile import load_raw, save_raw, sidecar_path, write_ppm
 from .simulate import NoiseParams, add_noise, demosaic_bilinear, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
 
@@ -198,6 +198,8 @@ def cmd_pack_roundtrip(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for path in filter(None, (args.clean, args.output)):
+        sidecar_path(path)  # refuses a bad output path before the first write
     height, width = args.size
     scene = gen_scene(args.seed, height, width)
     clean = mosaic(scene, args.pattern)

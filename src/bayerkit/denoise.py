@@ -16,9 +16,9 @@ What this module actually guarantees is the plumbing around the filter:
   kernel, or mirror extension, sees different values near the border and the
   working pattern would leak into the result.
 
-The Gaussian computes in float64 and rounds and clips back to 16 bits once
-per plane. The median is exact integer selection on uint16: a median of an
-odd count of samples is one of those samples, so it never leaves uint16.
+The Gaussian computes in float64, rounds by floor(x + 0.5) (half away from
+zero, as x >= 0) and clips to 16 bits once per plane. The median is exact
+selection on uint16: a median of an odd count of samples is one of them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import BadFilterParam
 from .image import PackedImage, RawImage
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .simulate import round_half_away
 from .unify import disunify_crop, unify_pad
 
 
@@ -51,7 +50,7 @@ def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
     rows = w1 * p[:-2] + w0 * p[1:-1] + w1 * p[2:]
     p = np.pad(rows, ((0, 0), (1, 1)), mode="edge")
     out = w1 * p[:, :-2] + w0 * p[:, 1:-1] + w1 * p[:, 2:]
-    return np.clip(round_half_away(out), 0, 65535).astype(np.uint16)
+    return np.clip(np.floor(out + 0.5), 0, 65535).astype(np.uint16)
 
 
 def _batcher_pairs(n: int):

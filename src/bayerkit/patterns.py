@@ -2,10 +2,10 @@
 
 A Bayer pattern is the 2x2 grid of color filters tiled across the sensor.
 Naming follows scan order within the block: top-left, top-right, bottom-left,
-bottom-right, so "GRBG" means G at (0,0), R at (0,1), B at (1,0), G at (1,1).
-Exactly four layouts exist on real sensors (one R, one B, two diagonal Gs),
-and the three geometric primitives that matter for raw processing (origin
-shifts, flips, transposition) act on them as pure functions implemented here.
+bottom-right, so "GRBG" means G at (0,0), R at (0,1), B at (1,0), G at (1,1);
+block position k = 2 * row + col indexes the name, as it indexes pack's planes.
+Exactly four layouts exist on real sensors (one R, one B, two diagonal Gs), and
+origin shifts, flips and transposition act on them by permuting positions.
 
 ``channel_at`` is deliberately the dumbest possible channel lookup; the rest
 of the library and the whole test suite treat it as ground truth.
@@ -57,10 +57,14 @@ class BayerPattern(enum.Enum):
             raise UnknownPattern(f"not a Bayer pattern name: {name!r}") from None
 
 
-_BY_CELLS = {p.cells: p for p in BayerPattern}
-
 # channel -> small int used by vectorized code (R=0, G=1, B=2)
 CHANNEL_INDEX = {ColorChannel.R: 0, ColorChannel.G: 1, ColorChannel.B: 2}
+# the input's block position read by each position of the result (see pattern_transform)
+_TRANSFORM_ORDERS = {
+    TransformKind.HFLIP: (1, 0, 3, 2),
+    TransformKind.VFLIP: (2, 3, 0, 1),
+    TransformKind.TRANSPOSE: (0, 2, 1, 3),
+}
 
 
 def channel_at(pattern: BayerPattern, row: int, col: int) -> ColorChannel:
@@ -87,6 +91,11 @@ def channel_index_grid(pattern: BayerPattern, height: int, width: int) -> np.nda
     return np.tile(block, reps)[:height, :width]
 
 
+def _permuted(pattern: BayerPattern, order: tuple[int, ...]) -> BayerPattern:
+    """The pattern whose position k holds the filter at pattern's position order[k]."""
+    return BayerPattern("".join(pattern.value[i] for i in order))
+
+
 def pattern_at_offset(pattern: BayerPattern, dy: int, dx: int) -> BayerPattern:
     """Pattern seen when the origin moves to (dy, dx), dy/dx in {0, 1}.
 
@@ -96,12 +105,7 @@ def pattern_at_offset(pattern: BayerPattern, dy: int, dx: int) -> BayerPattern:
     """
     if dy not in (0, 1) or dx not in (0, 1):
         raise ValueError("dy and dx must be 0 or 1")
-    cells = pattern.cells
-    shifted = (
-        (cells[dy % 2][dx % 2], cells[dy % 2][(dx + 1) % 2]),
-        (cells[(dy + 1) % 2][dx % 2], cells[(dy + 1) % 2][(dx + 1) % 2]),
-    )
-    return _BY_CELLS[shifted]
+    return _permuted(pattern, tuple(k ^ (2 * dy + dx) for k in range(4)))
 
 
 def pattern_transform(pattern: BayerPattern, kind: TransformKind) -> BayerPattern:
@@ -111,16 +115,9 @@ def pattern_transform(pattern: BayerPattern, kind: TransformKind) -> BayerPatter
     TRANSPOSE gives C1C3C2C4. Flip results assume even image dimensions,
     which RawImage guarantees.
     """
-    (c1, c2), (c3, c4) = pattern.cells
-    if kind is TransformKind.HFLIP:
-        cells = ((c2, c1), (c4, c3))
-    elif kind is TransformKind.VFLIP:
-        cells = ((c3, c4), (c1, c2))
-    elif kind is TransformKind.TRANSPOSE:
-        cells = ((c1, c3), (c2, c4))
-    else:
+    if not isinstance(kind, TransformKind):
         raise ValueError(f"unknown transform kind: {kind!r}")
-    return _BY_CELLS[cells]
+    return _permuted(pattern, _TRANSFORM_ORDERS[kind])
 
 
 def transpose_is_legal(pattern: BayerPattern) -> bool:
@@ -129,5 +126,4 @@ def transpose_is_legal(pattern: BayerPattern) -> bool:
     Transposing such an image swaps the two greens but keeps the pattern
     name; transposing GRBG or GBRG would swap R and B outright.
     """
-    cells = pattern.cells
-    return cells[0][1] is ColorChannel.G and cells[1][0] is ColorChannel.G
+    return pattern_transform(pattern, TransformKind.TRANSPOSE) is pattern

@@ -12,7 +12,7 @@ optionally a "pad" object of JSON integers recording reversible pad-unification.
 Anything that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
 A fault in the sidecar is reported with the sidecar's path. A PGM path that
-ends in ``.json`` names its own sidecar and is refused before anything is written.
+ends in ``.json`` names its own sidecar; load and save refuse it up front.
 
 Every write goes to a temp file of its own beside the target, then is renamed over it.
 """
@@ -37,7 +37,11 @@ _MAXVAL_LINE = b"65535\n"
 _PAD = "bad pad record"
 
 
-def _sidecar_path(pgm: Path) -> Path:
+def sidecar_path(path) -> Path:
+    """The ``<stem>.json`` beside a PGM path; a PGM path ending in .json is refused."""
+    pgm = Path(path)
+    if pgm.with_suffix(".json") == pgm:
+        raise BayerKitError(f"{pgm}: the PGM path ends in .json, which names its own sidecar")
     return pgm.with_suffix(".json")
 
 
@@ -107,7 +111,7 @@ def _parse_sidecar(data: bytes, origin: str) -> tuple[BayerPattern, int, int, Pa
 def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     """Read a PGM and its ``<stem>.json`` sidecar; returns the image and any recorded padding."""
     pgm = Path(path)
-    sidecar = _sidecar_path(pgm)
+    sidecar = sidecar_path(pgm)
     if not sidecar.exists():
         raise MissingSidecar(f"no sidecar at {sidecar}")
     samples = _parse_pgm(pgm.read_bytes(), str(pgm))
@@ -136,9 +140,7 @@ def _atomic_write(path: Path, *chunks) -> None:
 def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
     """Write the PGM and its ``<stem>.json`` sidecar; byte-stable across runs and platforms."""
     pgm = Path(path)
-    sidecar_path = _sidecar_path(pgm)
-    if sidecar_path == pgm:
-        raise BayerKitError(f"{pgm}: the PGM path ends in .json, which names its own sidecar")
+    sidecar_file = sidecar_path(pgm)  # refuses a .json path before anything is written
     sidecar: dict = {
         "bayer_pattern": img.pattern.value,
         "black_level": img.black_level,
@@ -149,7 +151,7 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     header = _pnm_header(_PGM_MAGIC, img.width, img.height)
     _atomic_write(pgm, header, img.samples.astype(">u2", order="C"))  # C order: written as is
-    _atomic_write(sidecar_path, text.encode("ascii"))
+    _atomic_write(sidecar_file, text.encode("ascii"))
 
 
 def write_ppm(rgb: RgbImage, path) -> None:
@@ -157,7 +159,7 @@ def write_ppm(rgb: RgbImage, path) -> None:
     out = np.empty((rgb.height, rgb.width, 3), dtype=">u2")
     scaled = np.empty((rgb.height, rgb.width))
     for c in range(3):
-        # RGB lies in [0, 1], where floor(x + 0.5) is round_half_away(x)
+        # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero
         np.multiply(rgb.planes[c], 65535.0, out=scaled)
         scaled += 0.5
         out[..., c] = np.floor(scaled, out=scaled)

@@ -10,7 +10,8 @@ channel misassignment upstream shows up as a large, localized demosaic error
 instead of vanishing into a clever reconstruction.
 
 All randomized functions are pure functions of their seed (numpy PCG64 with
-a pinned draw order).
+a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is
+round-half-away-from-zero for x >= 0, and add_noise clips every x < 0 to black.
 """
 
 from __future__ import annotations
@@ -22,13 +23,19 @@ import numpy as np
 
 from .errors import BadDimensions
 from .image import RawImage
-from .patterns import BayerPattern, channel_index_grid
+from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
 # the +/-0.02 jitter the channel means stay at least 0.11 apart: channel
 # misassignment must be numerically visible, not a coin toss.
 _BASE_LEVELS = np.array([0.35, 0.50, 0.65])
 _TERMS_PER_CHANNEL = 3
+# demosaic: (XOR taking a block position to its neighbors', their (dy, dx) in summation order)
+_NEIGHBORS = (
+    (2, ((-1, 0), (1, 0))),
+    (1, ((0, -1), (0, 1))),
+    (3, ((-1, -1), (-1, 1), (1, -1), (1, 1))),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +83,6 @@ class NoiseParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero, the quantization pinned for all 16-bit output."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def gen_scene(seed: int, height: int, width: int) -> RgbImage:
     """Smooth, chroma-rich synthetic scene, deterministic in the seed.
 
@@ -118,14 +120,16 @@ def mosaic(
 ) -> RawImage:
     """Sample the scene through a color filter array.
 
-    out(r, c) = round(rgb[channel at (r, c)](r, c) * (white - black)) + black,
-    with round-half-away-from-zero quantization.
+    out(r, c) = floor(rgb[channel at (r, c)](r, c) * (white - black) + 0.5) + black.
+    The scaled value is never negative, so this is round-half-away-from-zero.
     """
-    idx = channel_index_grid(pattern, rgb.height, rgb.width)
-    values = np.take_along_axis(rgb.planes, idx[None].astype(np.intp), axis=0)[0]
     scale = float(white_level - black_level)
-    quantized = round_half_away(values * scale) + black_level
-    return RawImage(quantized.astype(np.uint16), pattern, black_level, white_level)
+    out = np.empty((rgb.height, rgb.width), dtype=np.uint16)
+    for k, letter in enumerate(pattern.value):  # block position k = 2a + b
+        a, b = divmod(k, 2)
+        plane = rgb.planes[CHANNEL_INDEX[ColorChannel(letter)], a::2, b::2]
+        out[a::2, b::2] = np.floor(plane * scale + 0.5) + black_level
+    return RawImage(out, pattern, black_level, white_level)
 
 
 def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
@@ -142,7 +146,7 @@ def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
     var = params.sigma_read**2 + params.sigma_shot**2 * np.clip(x, 0.0, None)
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = x + rng.standard_normal(x.shape) * np.sqrt(var)
-    out = round_half_away(noisy * span) + img.black_level
+    out = np.floor(noisy * span + 0.5) + img.black_level
     out = np.clip(out, img.black_level, img.white_level)
     return RawImage(out.astype(np.uint16), img.pattern, img.black_level, img.white_level)
 
@@ -162,21 +166,16 @@ def demosaic_bilinear(img: RawImage) -> RgbImage:
     # samples outside [black, white] are legal in RawImage; clamp so the
     # normalized plane honors the [0, 1] contract
     norm = np.clip((img.samples.astype(np.float64) - img.black_level) / span, 0.0, 1.0)
-    idx = channel_index_grid(img.pattern, img.height, img.width)
-
-    out = np.empty((3, img.height, img.width))
-    for ch in range(3):
-        sparse = np.where(idx == ch, norm, 0.0)
-        p = np.pad(sparse, 1, mode="reflect")
-        center = p[1:-1, 1:-1]
-        up, down = p[:-2, 1:-1], p[2:, 1:-1]
-        left, right = p[1:-1, :-2], p[1:-1, 2:]
-        if ch == 1:  # green: 4 axial neighbors
-            out[ch] = (4.0 * center + (up + down + left + right)) / 4.0
-        else:  # red/blue: axial pairs at green sites, diagonals at the far site
-            ul, ur = p[:-2, :-2], p[:-2, 2:]
-            dl, dr = p[2:, :-2], p[2:, 2:]
-            out[ch] = (
-                4.0 * center + 2.0 * (up + down + left + right) + (ul + ur + dl + dr)
-            ) / 4.0
+    p = np.pad(norm, 1, mode="reflect")
+    h, w = img.height, img.width
+    shifted = {(dy, dx): p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+               for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+    out = np.empty((3, h, w))
+    for k, own in enumerate(img.pattern.value):  # block position k = 2a + b
+        a, b = divmod(k, 2)
+        for channel, ch in CHANNEL_INDEX.items():
+            groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
+            terms = [shifted[offset][a::2, b::2] for j, offsets in groups
+                     if img.pattern.value[k ^ j] == channel.value for offset in offsets]
+            out[ch, a::2, b::2] = sum(terms[1:], terms[0]) / len(terms)
     return RgbImage(out)

@@ -48,13 +48,9 @@ class PadSpec:
 def unify_offsets(src: BayerPattern, target: BayerPattern) -> tuple[int, int]:
     """The unique (dy, dx) in {0,1}^2 with pattern_at_offset(src, dy, dx) == target.
 
-    Always solvable: the offset action is transitive on the four patterns.
+    The offset moves block position k to k ^ (2 * dy + dx): the XOR of R's positions.
     """
-    for dy in (0, 1):
-        for dx in (0, 1):
-            if pattern_at_offset(src, dy, dx) is target:
-                return dy, dx
-    raise AssertionError("offset action must be transitive")  # unreachable
+    return divmod(src.value.index("R") ^ target.value.index("R"), 2)
 
 
 def unify_crop(img: RawImage, target: BayerPattern) -> RawImage:
@@ -103,8 +99,5 @@ def disunify_crop(img: RawImage, spec: PadSpec) -> RawImage:
             f"image pattern {img.pattern.value} does not match pad spec "
             f"(expected {expected.value} from {spec.original_pattern.value})"
         )
-    if (spec.top, spec.left) == (0, 0):
-        return img
-    h, w = img.height, img.width
-    out = img.samples[spec.top : h - spec.top, spec.left : w - spec.left]
-    return RawImage(out, spec.original_pattern, img.black_level, img.white_level)
+    # the checks above make (top, left) the offset back to the original pattern
+    return unify_crop(img, spec.original_pattern)

@@ -189,6 +189,14 @@ def test_json_output_path_is_refused_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("clean, output", [("c.pgm", "out.json"), ("c.json", "out.pgm")])
+def test_refused_output_path_leaves_no_other_output(tmp_path, capsys, clean, output):
+    assert main(["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1", "--noise",
+                 "0.01,0.01", "--clean", str(tmp_path / clean), "-o", str(tmp_path / output)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_without_noise_is_clean(tmp_path):
     out = tmp_path / "sim.pgm"
     assert main(["simulate", "--pattern", "RGGB", "--size", "16x16", "--seed", "0",

@@ -111,6 +111,12 @@ def test_flips_match_parity_shifts():
         assert pattern_transform(p, TransformKind.VFLIP) is pattern_at_offset(p, 1, 0)
 
 
+@pytest.mark.parametrize("kind", ["hflip", None, ["transpose"]])
+def test_pattern_transform_rejects_non_kinds(kind):
+    with pytest.raises(ValueError, match="unknown transform kind"):
+        pattern_transform(BayerPattern.RGGB, kind)
+
+
 def test_transpose_legality_is_diagonal_green():
     for p in ALL_PATTERNS:
         diag_green = (

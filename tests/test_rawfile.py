@@ -166,6 +166,14 @@ def test_load_missing_sidecar(tmp_path):
         load_raw(path)
 
 
+def test_load_refuses_a_json_path(tmp_path):
+    # a PGM path ending in .json would be its own sidecar, on load as on save
+    path = tmp_path / "img.json"
+    path.write_text(json.dumps(GOOD_SIDECAR))
+    with pytest.raises(BayerKitError, match="the PGM path ends in .json"):
+        load_raw(path)
+
+
 def test_load_rejects_inverted_levels(tmp_path):
     path = write_pair(
         tmp_path, good_pgm(), {"bayer_pattern": "RGGB", "black_level": 10, "white_level": 5}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bayerkit import (
     BadDimensions,
@@ -196,3 +197,107 @@ def test_rgb_image_validation():
         RgbImage(np.zeros((2, 4, 4)))
     with pytest.raises(ValueError):
         RgbImage(np.zeros((3, 5, 4)))
+
+
+# Oracles: the kernels as they were written before they became per-block-position
+# slices, with the round-half-away rule spelled sign(x) * floor(|x| + 0.5).
+def _round_half_away(x):
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _mosaic_oracle(rgb, pattern, black, white):
+    idx = channel_index_grid(pattern, rgb.height, rgb.width)
+    values = np.take_along_axis(rgb.planes, idx[None].astype(np.intp), axis=0)[0]
+    return (_round_half_away(values * float(white - black)) + black).astype(np.uint16)
+
+
+def _add_noise_oracle(img, params, seed):
+    span = float(img.white_level - img.black_level)
+    x = (img.samples.astype(np.float64) - img.black_level) / span
+    var = params.sigma_read**2 + params.sigma_shot**2 * np.clip(x, 0.0, None)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    noisy = x + rng.standard_normal(x.shape) * np.sqrt(var)
+    out = _round_half_away(noisy * span) + img.black_level
+    return np.clip(out, img.black_level, img.white_level).astype(np.uint16)
+
+
+def _demosaic_oracle(img):
+    span = float(img.white_level - img.black_level)
+    norm = np.clip((img.samples.astype(np.float64) - img.black_level) / span, 0.0, 1.0)
+    idx = channel_index_grid(img.pattern, img.height, img.width)
+    out = np.empty((3, img.height, img.width))
+    for ch in range(3):
+        p = np.pad(np.where(idx == ch, norm, 0.0), 1, mode="reflect")
+        center = p[1:-1, 1:-1]
+        up, down = p[:-2, 1:-1], p[2:, 1:-1]
+        left, right = p[1:-1, :-2], p[1:-1, 2:]
+        if ch == 1:
+            out[ch] = (4.0 * center + (up + down + left + right)) / 4.0
+        else:
+            ul, ur = p[:-2, :-2], p[:-2, 2:]
+            dl, dr = p[2:, :-2], p[2:, 2:]
+            out[ch] = (
+                4.0 * center + 2.0 * (up + down + left + right) + (ul + ur + dl + dr)
+            ) / 4.0
+    return out
+
+
+@st.composite
+def levels(draw):
+    """(black, white); a power-of-two span makes k / (2 * span) land exactly on .5."""
+    span = draw(st.one_of(st.integers(1, 65535), st.sampled_from([2**k for k in range(1, 16)])))
+    black = draw(st.integers(0, 65535 - span))
+    return black, black + span
+
+
+EVEN_SIDES = st.integers(2, 12).map(lambda n: 2 * n)
+
+
+@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_demosaic_equals_sparse_plane_stencil(height, width, pattern, lv, seed):
+    rng = np.random.default_rng(seed)
+    black, white = lv
+    # samples beyond [black, white] on both sides, and the levels themselves
+    samples = rng.choice([0, black, white, 65535, *rng.integers(0, 65536, 8)],
+                         size=(height, width)).astype(np.uint16)
+    img = RawImage(samples, pattern, black, white)
+    want = _demosaic_oracle(img)
+    np.testing.assert_array_equal(demosaic_bilinear(img).planes, want)
+
+
+@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(), st.integers(0, 2**32))
+@example(4, 4, BayerPattern.GRBG, (0, 2), 0)
+@settings(max_examples=200, deadline=None)
+def test_mosaic_equals_index_grid_oracle(height, width, pattern, lv, seed):
+    rng = np.random.default_rng(seed)
+    black, white = lv
+    span = white - black
+    halves = rng.integers(0, 2 * span + 1, size=(3, height, width)) / (2 * span)
+    planes = np.where(rng.random((3, height, width)) < 0.5, halves, rng.random((3, height, width)))
+    planes[:, 0, 0] = 0.5 / span  # scales to exactly 0.5 at least when span is a power of two
+    rgb = RgbImage(planes)
+    out = mosaic(rgb, pattern, black, white)
+    np.testing.assert_array_equal(out.samples, _mosaic_oracle(rgb, pattern, black, white))
+
+
+@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), st.integers(1, 30000),
+       st.floats(0.05, 2.0), st.floats(0.0, 2.0), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_add_noise_equals_round_half_away_oracle(height, width, pattern, black, read, shot, seed):
+    rng = np.random.default_rng(seed)
+    white = int(rng.integers(black + 1, 65536))
+    samples = rng.integers(0, 65536, size=(height, width), dtype=np.uint16)
+    img = RawImage(samples, pattern, black, white)
+    params = NoiseParams(read, shot)
+    out = add_noise(img, params, seed)
+    np.testing.assert_array_equal(out.samples, _add_noise_oracle(img, params, seed))
+
+
+def test_add_noise_oracle_case_clips_many_samples():
+    # heavy noise at black > 0 drives many values below zero before the clip
+    img = RawImage(np.full((32, 32), 1100, dtype=np.uint16), BayerPattern.GBRG, 1000, 5000)
+    params = NoiseParams(0.5, 0.5)
+    out = add_noise(img, params, 3)
+    np.testing.assert_array_equal(out.samples, _add_noise_oracle(img, params, 3))
+    assert (out.samples == 1000).mean() > 0.3
