@@ -73,6 +73,17 @@ def _interior_rmse(a: np.ndarray, b: np.ndarray, margin: int = 2) -> float:
     return float(np.sqrt(np.mean((da - db) ** 2)))
 
 
+def _compare(img: RawImage, correct: RawImage, naive: PackedImage, view, crop):
+    """Interior demosaic RMSEs (correct, naive) against cuts of the input's demosaic.
+
+    With ref the (3, H, W) demosaic of img, the naive path is held against
+    ref[view] and the correct path against ref[view][crop].
+    """
+    ref = demosaic_bilinear(img).planes[view]
+    return (_interior_rmse(demosaic_bilinear(correct).planes, ref[crop]),
+            _interior_rmse(demosaic_bilinear(unpack(naive)).planes, ref))
+
+
 def compare_unify_paths(img: RawImage, target: BayerPattern) -> tuple[float, float]:
     """Interior demosaic RMSE of the correct crop path vs the plane permutation.
 
@@ -81,19 +92,10 @@ def compare_unify_paths(img: RawImage, target: BayerPattern) -> tuple[float, flo
     path is compared against the uncropped reference (it does not move the
     frame). Returns (correct_rmse, naive_rmse) in normalized units.
     """
-    ref = demosaic_bilinear(img).planes
     dy, dx = unify_offsets(img.pattern, target)
     h, w = img.height, img.width
-
-    cropped = unify_crop(img, target)
-    d_crop = demosaic_bilinear(cropped).planes
-    ref_crop = ref[:, dy : h - dy, dx : w - dx]
-    correct = _interior_rmse(d_crop, ref_crop)
-
-    relabeled = unpack(naive_unify(pack(img), target))
-    d_naive = demosaic_bilinear(relabeled).planes
-    naive = _interior_rmse(d_naive, ref)
-    return correct, naive
+    return _compare(img, unify_crop(img, target), naive_unify(pack(img), target),
+                    np.s_[:], np.s_[:, dy : h - dy, dx : w - dx])
 
 
 def compare_flip_paths(img: RawImage, axis: str) -> tuple[float, float]:
@@ -104,22 +106,12 @@ def compare_flip_paths(img: RawImage, axis: str) -> tuple[float, float]:
     reference minus its first and last column/row, the naive path against
     the full mirrored reference. Returns (correct_rmse, naive_rmse).
     """
-    ref = demosaic_bilinear(img).planes
+    correct = flip_bayer(img, axis)  # refuses an unknown axis
     if axis == "horizontal":
-        mirrored = ref[:, :, ::-1]
-        ref_correct = mirrored[:, :, 1:-1]
-    elif axis == "vertical":
-        mirrored = ref[:, ::-1, :]
-        ref_correct = mirrored[:, 1:-1, :]
+        view, crop = np.s_[:, :, ::-1], np.s_[:, :, 1:-1]
     else:
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-
-    d_correct = demosaic_bilinear(flip_bayer(img, axis)).planes
-    correct = _interior_rmse(d_correct, ref_correct)
-
-    d_naive = demosaic_bilinear(unpack(naive_flip(pack(img), axis))).planes
-    naive = _interior_rmse(d_naive, mirrored)
-    return correct, naive
+        view, crop = np.s_[:, ::-1], np.s_[:, 1:-1]
+    return _compare(img, correct, naive_flip(pack(img), axis), view, crop)
 
 
 def _summary(rows: list[dict]) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import baselines
@@ -198,8 +199,9 @@ def cmd_pack_roundtrip(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    for path in filter(None, (args.clean, args.output)):
-        sidecar_path(path)  # refuses a bad output path before the first write
+    sidecars = {os.path.realpath(sidecar_path(p)) for p in filter(None, (args.clean, args.output))}
+    if args.clean and len(sidecars) == 1:  # bad outputs are refused before the first write
+        raise BayerKitError(f"{args.output}: -o and --clean would share one sidecar")
     height, width = args.size
     scene = gen_scene(args.seed, height, width)
     clean = mosaic(scene, args.pattern)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadFilterParam
-from .image import PackedImage, RawImage
+from .image import PackedImage, RawImage, _adopt
 from .packing import pack, unpack
 from .patterns import BayerPattern
 from .unify import disunify_crop, unify_pad
@@ -38,7 +38,7 @@ from .unify import disunify_crop, unify_pad
 
 def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     """Center and side weights of the radius-1 discrete Gaussian."""
-    g1 = math.exp(-0.5 / (sigma * sigma))
+    g1 = math.exp(-0.5 / max(sigma * sigma, 1e-300))  # 0.0 for any sigma < 0.0259 anyway
     total = 1.0 + 2.0 * g1
     return 1.0 / total, g1 / total
 
@@ -173,7 +173,7 @@ def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     if plane_filter is None:
         return p
     out = np.stack([plane_filter(pl, spec.param) for pl in p.planes])
-    return PackedImage(out, p.pattern, p.black_level, p.white_level)
+    return _adopt(PackedImage, out, p.pattern, p.black_level, p.white_level)
 
 
 def denoise_pipeline(

@@ -9,14 +9,12 @@ import numpy as np
 from .patterns import BayerPattern
 
 
-def _frozen_u16(samples, expect_ndim: int) -> np.ndarray:
+def _frozen_u16(samples) -> np.ndarray:
     src = np.asarray(samples)
     with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
         arr = np.array(src, dtype=np.uint16, copy=True)
     if src.dtype != np.uint16 and not np.array_equal(arr, src):
         raise ValueError("samples must be integers in [0, 65535]")
-    if arr.ndim != expect_ndim:
-        raise ValueError(f"expected a {expect_ndim}-D sample array, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
@@ -28,6 +26,17 @@ def _check_metadata(pattern, black_level: int, white_level: int) -> None:
         raise ValueError(f"need 0 <= black < white <= 65535, got {black_level}, {white_level}")
 
 
+def _adopt(cls, arr: np.ndarray, pattern, black_level: int, white_level: int):
+    """A ``cls`` over the uint16 ``arr`` itself, frozen in place: O(1) checks, no copy.
+    In-package only, for an array no caller can write: a frozen view, or a fresh result."""
+    assert arr.dtype == np.uint16
+    arr.flags.writeable = False
+    img = object.__new__(cls)
+    vars(img).update(pattern=pattern, black_level=black_level, white_level=white_level)
+    img._store(arr)
+    return img
+
+
 @dataclass(frozen=True, eq=False)
 class RawImage:
     """An H x W single-plane Bayer mosaic with 16-bit samples.
@@ -35,8 +44,8 @@ class RawImage:
     Dimensions must be even and at least 2; every real Bayer sensor satisfies
     this, and it keeps the pattern algebra total. Sample values may lie
     anywhere in the 16-bit range; only add_noise clips to [black, white].
-    The sample array is copied and frozen, so instances are immutable values
-    and safe to share across threads.
+    Constructors copy and freeze the samples, so instances are immutable and thread-safe;
+    in-package results may share a frozen source's memory (a unify_crop crop is a view).
     """
 
     samples: np.ndarray
@@ -45,10 +54,12 @@ class RawImage:
     white_level: int = 65535
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_u16(self.samples, 2))
-        h, w = self.samples.shape
-        if h < 2 or w < 2 or h % 2 or w % 2:
-            raise ValueError(f"mosaic dimensions must be even and >= 2, got {h}x{w}")
+        self._store(_frozen_u16(self.samples))
+
+    def _store(self, arr: np.ndarray) -> None:
+        object.__setattr__(self, "samples", arr)
+        if arr.ndim != 2 or any(n < 2 or n % 2 for n in arr.shape):
+            raise ValueError(f"need a 2-D mosaic, sides even and >= 2, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
 
     @property
@@ -60,7 +71,7 @@ class RawImage:
         return self.samples.shape[1]
 
     def with_samples(self, samples) -> "RawImage":
-        """New image with the same metadata and different sample values."""
+        """New image with the same metadata and a copy of the given samples."""
         return RawImage(samples, self.pattern, self.black_level, self.white_level)
 
 
@@ -73,7 +84,8 @@ class PackedImage:
     regardless of which colors those positions carry; the pattern tag says
     what they carry. Keeping the order positional (instead of canonical
     R,G,G,B) is what lets the plane-permutation baseline exist as a distinct,
-    observably wrong operation.
+    observably wrong operation. The constructor copies and freezes the planes;
+    in-package results may share a frozen source's memory.
     """
 
     planes: np.ndarray  # (4, H/2, W/2) uint16
@@ -82,9 +94,12 @@ class PackedImage:
     white_level: int = 65535
 
     def __post_init__(self):
-        object.__setattr__(self, "planes", _frozen_u16(self.planes, 3))
-        if self.planes.shape[0] != 4:
-            raise ValueError(f"expected 4 planes, got {self.planes.shape[0]}")
+        self._store(_frozen_u16(self.planes))
+
+    def _store(self, arr: np.ndarray) -> None:
+        object.__setattr__(self, "planes", arr)
+        if arr.ndim != 3 or arr.shape[0] != 4:
+            raise ValueError(f"expected (4, H/2, W/2) planes, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
 
     @property

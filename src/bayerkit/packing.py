@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import PackedImage, RawImage
+from .image import PackedImage, RawImage, _adopt
 
 
 def pack(img: RawImage) -> PackedImage:
@@ -17,9 +17,10 @@ def pack(img: RawImage) -> PackedImage:
 
     planes[2a + b][r, c] == img.samples[2r + a, 2c + b] for a, b in {0, 1}.
     """
-    s = img.samples
-    planes = np.stack([s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]])
-    return PackedImage(planes, img.pattern, img.black_level, img.white_level)
+    h, w = img.height // 2, img.width // 2
+    # one copy in C order: plane 2a + b is samples[a::2, b::2], C-contiguous
+    planes = img.samples.reshape(h, 2, w, 2).transpose(1, 3, 0, 2).copy().reshape(4, h, w)
+    return _adopt(PackedImage, planes, img.pattern, img.black_level, img.white_level)
 
 
 def unpack(p: PackedImage) -> RawImage:
@@ -30,4 +31,4 @@ def unpack(p: PackedImage) -> RawImage:
     mosaic[0::2, 1::2] = p.planes[1]
     mosaic[1::2, 0::2] = p.planes[2]
     mosaic[1::2, 1::2] = p.planes[3]
-    return RawImage(mosaic, p.pattern, p.black_level, p.white_level)
+    return _adopt(RawImage, mosaic, p.pattern, p.black_level, p.white_level)

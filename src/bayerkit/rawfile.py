@@ -40,6 +40,8 @@ _PAD = "bad pad record"
 def sidecar_path(path) -> Path:
     """The ``<stem>.json`` beside a PGM path; a PGM path ending in .json is refused."""
     pgm = Path(path)
+    if not pgm.name:
+        raise BayerKitError(f"{str(path)!r} names no file")
     if pgm.with_suffix(".json") == pgm:
         raise BayerKitError(f"{pgm}: the PGM path ends in .json, which names its own sidecar")
     return pgm.with_suffix(".json")
@@ -125,6 +127,8 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
 
 def _atomic_write(path: Path, *chunks) -> None:
     """Write the byte buffers in order to a temp file of its own, then rename it over path."""
+    if not path.name:
+        raise BayerKitError(f"{str(path)!r} names no file")
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")  # unlike mkstemp, keeps the umask's permission bits
     try:

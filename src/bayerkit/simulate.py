@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .image import RawImage
+from .image import RawImage, _adopt
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -79,8 +79,8 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("sigma_read", "sigma_shot"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            if not math.isfinite(v * v) or v < 0:  # add_noise squares it
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {v}")
 
 
 def gen_scene(seed: int, height: int, width: int) -> RgbImage:
@@ -129,7 +129,7 @@ def mosaic(
         a, b = divmod(k, 2)
         plane = rgb.planes[CHANNEL_INDEX[ColorChannel(letter)], a::2, b::2]
         out[a::2, b::2] = np.floor(plane * scale + 0.5) + black_level
-    return RawImage(out, pattern, black_level, white_level)
+    return _adopt(RawImage, out, pattern, black_level, white_level)
 
 
 def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
@@ -148,7 +148,7 @@ def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
     noisy = x + rng.standard_normal(x.shape) * np.sqrt(var)
     out = np.floor(noisy * span + 0.5) + img.black_level
     out = np.clip(out, img.black_level, img.white_level)
-    return RawImage(out.astype(np.uint16), img.pattern, img.black_level, img.white_level)
+    return _adopt(RawImage, out.astype(np.uint16), img.pattern, img.black_level, img.white_level)
 
 
 def demosaic_bilinear(img: RawImage) -> RgbImage:

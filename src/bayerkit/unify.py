@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImageTooSmall, InconsistentSpec
-from .image import RawImage
+from .image import RawImage, _adopt
 from .patterns import BayerPattern, pattern_at_offset
 
 
@@ -58,7 +58,7 @@ def unify_crop(img: RawImage, target: BayerPattern) -> RawImage:
 
     Removes the first AND last row when a row shift is needed (and likewise
     for columns), so output dimensions stay even. Output pixel (r, c) is
-    input pixel (r + dy, c + dx); no value is modified.
+    input pixel (r + dy, c + dx): the result is a view of the input's frozen samples.
     """
     dy, dx = unify_offsets(img.pattern, target)
     if dy and img.height < 4:
@@ -69,7 +69,7 @@ def unify_crop(img: RawImage, target: BayerPattern) -> RawImage:
         return img
     h, w = img.height, img.width
     out = img.samples[dy : h - dy, dx : w - dx]
-    return RawImage(out, target, img.black_level, img.white_level)
+    return _adopt(RawImage, out, target, img.black_level, img.white_level)
 
 
 def unify_pad(img: RawImage, target: BayerPattern) -> tuple[RawImage, PadSpec]:
@@ -84,7 +84,7 @@ def unify_pad(img: RawImage, target: BayerPattern) -> tuple[RawImage, PadSpec]:
     if (dy, dx) == (0, 0):
         return img, spec
     padded = np.pad(img.samples, ((dy, dy), (dx, dx)), mode="reflect")
-    return RawImage(padded, target, img.black_level, img.white_level), spec
+    return _adopt(RawImage, padded, target, img.black_level, img.white_level), spec
 
 
 def disunify_crop(img: RawImage, spec: PadSpec) -> RawImage:

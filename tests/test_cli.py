@@ -197,6 +197,16 @@ def test_refused_output_path_leaves_no_other_output(tmp_path, capsys, clean, out
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("output", ["x.pgm", "./x.pgm", "x.ppm"])
+def test_clean_and_output_on_one_sidecar_are_refused(tmp_path, monkeypatch, capsys, output):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1", "--noise",
+                 "0.1,0.1", "--clean", "x.pgm", "-o", output]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bayerkit: error: {output}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_without_noise_is_clean(tmp_path):
     out = tmp_path / "sim.pgm"
     assert main(["simulate", "--pattern", "RGGB", "--size", "16x16", "--seed", "0",

@@ -59,6 +59,14 @@ def test_gaussian_preserves_constant_planes():
     assert out.pattern is p.pattern
 
 
+@pytest.mark.parametrize("sigma", [0.02, 1e-160, 5e-324])
+def test_gaussian_below_its_underflow_is_the_identity(rng, sigma):
+    # the side weight exp(-0.5 / sigma^2) is 0.0 once sigma < 0.0259, even where sigma^2 is 0.0
+    p = PackedImage(rng.integers(0, 65536, size=(4, 5, 7), dtype=np.uint16), BayerPattern.RGGB)
+    np.testing.assert_array_equal(denoise_packed(p, DenoiserSpec("gaussian", sigma)).planes,
+                                  p.planes)
+
+
 def test_median_removes_impulse():
     planes = np.full((4, 6, 6), 500, dtype=np.uint16)
     planes[2, 3, 3] = 65535

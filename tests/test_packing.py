@@ -4,7 +4,22 @@ from hypothesis import given, settings, strategies as st
 
 from bayerkit import BayerPattern, PackedImage, RawImage, pack, unpack
 from bayerkit.baselines import naive_flip, naive_unify
-from bayerkit import channel_index_grid, flip_bayer, unify_crop
+from bayerkit import (
+    AugPlan,
+    DenoiserSpec,
+    NoiseParams,
+    Transpose,
+    add_noise,
+    apply_plan,
+    channel_index_grid,
+    denoise_packed,
+    flip_bayer,
+    gen_scene,
+    mosaic,
+    transpose_is_legal,
+    unify_crop,
+    unify_pad,
+)
 
 from conftest import ALL_PATTERNS, assert_same_image, rand_raw
 
@@ -152,3 +167,50 @@ def test_raw_image_keeps_sample_values_or_rejects(values):
     else:
         assert img.samples.dtype == np.uint16
         np.testing.assert_array_equal(img.samples, samples)
+
+
+@given(st.sampled_from(ALL_PATTERNS), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from(["fresh", "transposed", "cropped"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_pack_makes_one_frozen_c_contiguous_copy(pattern, half_h, half_w, source, seed):
+    img = rand_raw(np.random.default_rng(seed), 2 * half_h + 2, 2 * half_w + 2, pattern)
+    if source == "transposed" and transpose_is_legal(pattern):
+        img = apply_plan(img, AugPlan((Transpose(),)))  # an F-ordered patch
+        assert img.samples.flags.f_contiguous
+    elif source == "cropped":
+        img = unify_crop(img, BayerPattern.RGGB)  # a strided view of a frame
+    s = img.samples
+    p = pack(img)
+    np.testing.assert_array_equal(
+        p.planes, np.stack([s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]]))
+    assert p.planes.flags.c_contiguous and not p.planes.flags.writeable
+    assert not np.shares_memory(p.planes, s)
+    assert (p.pattern, p.black_level, p.white_level) == (img.pattern, 0, 65535)
+
+
+def test_public_constructors_copy_their_input(rng):
+    arr = rng.integers(0, 65536, size=(4, 6), dtype=np.uint16)
+    planes = rng.integers(0, 65536, size=(4, 2, 3), dtype=np.uint16)
+    img = RawImage(arr, BayerPattern.GBRG)
+    held = [(img.samples, arr.copy()), (img.with_samples(arr).samples, arr.copy()),
+            (PackedImage(planes, BayerPattern.GBRG).planes, planes.copy())]
+    arr ^= 0xFFFF  # every value changes; the caller's arrays are still writable
+    planes ^= 0xFFFF
+    for got, want in held:
+        np.testing.assert_array_equal(got, want)
+
+
+RESULTS = {
+    "unify_pad": lambda img: unify_pad(img, BayerPattern.BGGR)[0].samples,
+    "unpack": lambda img: unpack(pack(img)).samples,
+    "denoise_packed": lambda img: denoise_packed(pack(img), DenoiserSpec("gaussian", 1.0)).planes,
+    "mosaic": lambda img: mosaic(gen_scene(1, 8, 8), BayerPattern.GBRG).samples,
+    "add_noise": lambda img: add_noise(img, NoiseParams(0.01, 0.02), 3).samples,
+}
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_in_package_results_refuse_writes(rng, name):
+    arr = RESULTS[name](rand_raw(rng, 8, 8, BayerPattern.RGGB))
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1

@@ -90,6 +90,19 @@ def test_add_noise_zero_params_is_identity(rng):
     assert out is img
 
 
+@pytest.mark.parametrize("read, shot", [(1e155, 0.0), (0.0, 1e155), (float("nan"), 0.0),
+                                        (0.0, float("inf")), (-0.1, 0.0)])
+def test_noise_params_refuse_a_sigma_add_noise_cannot_square(read, shot):
+    with pytest.raises(ValueError, match="finite square"):
+        NoiseParams(read, shot)
+
+
+def test_add_noise_with_huge_sigmas_clips_to_the_levels(rng):
+    img = rand_raw(rng, 8, 8, BayerPattern.RGGB, black=100, white=300)
+    out = add_noise(img, NoiseParams(1e150, 1e150), 1)
+    assert set(np.unique(out.samples)) <= {100, 300}
+
+
 def test_add_noise_deterministic_and_clipped():
     img = RawImage(np.full((16, 16), 200, dtype=np.uint16), BayerPattern.BGGR,
                    black_level=100, white_level=300)

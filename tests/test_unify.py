@@ -188,3 +188,16 @@ def test_crop_and_pad_agree_on_pattern_and_parity(rng):
         assert padded.samples.shape[0] % 2 == 0
         assert padded.samples.shape[1] % 2 == 0
         assert cropped.pattern is padded.pattern is target
+
+
+@pytest.mark.parametrize("src, target", [(s, t) for s, t in PAIRS if unify_offsets(s, t) != (0, 0)])
+def test_crops_are_frozen_views_of_their_frame(rng, src, target):
+    img = rand_raw(rng, 8, 10, src)
+    crop = unify_crop(img, target)
+    padded, spec = unify_pad(img, target)
+    back = disunify_crop(padded, spec)
+    for out, frame in ((crop, img), (back, padded)):
+        assert np.shares_memory(out.samples, frame.samples)
+        assert not out.samples.flags.writeable
+        with pytest.raises(ValueError):
+            out.samples[0, 0] = 1
