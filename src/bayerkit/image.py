@@ -15,7 +15,6 @@ def _frozen_u16(samples) -> np.ndarray:
         arr = np.array(src, dtype=np.uint16, copy=True)
     if src.dtype != np.uint16 and not np.array_equal(arr, src):
         raise ValueError("samples must be integers in [0, 65535]")
-    arr.flags.writeable = False
     return arr
 
 
@@ -26,15 +25,18 @@ def _check_metadata(pattern, black_level: int, white_level: int) -> None:
         raise ValueError(f"need 0 <= black < white <= 65535, got {black_level}, {white_level}")
 
 
-def _adopt(cls, arr: np.ndarray, pattern, black_level: int, white_level: int):
-    """A ``cls`` over the uint16 ``arr`` itself, frozen in place: O(1) checks, no copy.
-    In-package only, for an array no caller can write: a frozen view, or a fresh result."""
-    assert arr.dtype == np.uint16
-    arr.flags.writeable = False
+def _adopt(cls, arr: np.ndarray, *metadata):
+    """A ``cls`` over ``arr`` itself, no copy; ``metadata`` fills the later fields in order and
+    ``_store`` validates and freezes. In-package only, for a frozen view or a fresh result."""
     img = object.__new__(cls)
-    vars(img).update(pattern=pattern, black_level=black_level, white_level=white_level)
+    vars(img).update(zip(cls.__match_args__[1:], metadata))
     img._store(arr)
     return img
+
+
+def _reduce(self):
+    """Pickle and copy rebuild through the public constructor, so the copy is frozen too."""
+    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +59,14 @@ class RawImage:
         self._store(_frozen_u16(self.samples))
 
     def _store(self, arr: np.ndarray) -> None:
-        object.__setattr__(self, "samples", arr)
+        assert arr.dtype == np.uint16
         if arr.ndim != 2 or any(n < 2 or n % 2 for n in arr.shape):
             raise ValueError(f"need a 2-D mosaic, sides even and >= 2, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
+        arr.flags.writeable = False
+        object.__setattr__(self, "samples", arr)
+
+    __reduce__ = _reduce
 
     @property
     def height(self) -> int:
@@ -97,10 +103,14 @@ class PackedImage:
         self._store(_frozen_u16(self.planes))
 
     def _store(self, arr: np.ndarray) -> None:
-        object.__setattr__(self, "planes", arr)
+        assert arr.dtype == np.uint16
         if arr.ndim != 3 or arr.shape[0] != 4:
             raise ValueError(f"expected (4, H/2, W/2) planes, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
+        arr.flags.writeable = False
+        object.__setattr__(self, "planes", arr)
+
+    __reduce__ = _reduce
 
     @property
     def plane_height(self) -> int:

@@ -5,6 +5,11 @@ single grayscale plane. PSNR uses peak 1 and caps at 99 dB for bit-identical
 inputs so reports stay total. SSIM follows the reference formulation:
 11-tap Gaussian window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the
 mean is taken over windows that fit entirely inside the frame (no padding).
+
+Both are computed in one pass over horizontal strips of the uint16 inputs, so
+memory is bounded by the strip, not the frame. Each strip owns _STRIP_ROWS
+rows and reads _SSIM_WINDOW - 1 more, so every fully interior window lies in
+exactly one strip. Sums accumulate per strip and are divided once at the end.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+_STRIP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,9 @@ def _check_comparable(a: RawImage, b: RawImage) -> None:
         raise ShapeMismatch("black/white levels differ")
 
 
-def _normalized(img: RawImage) -> np.ndarray:
-    span = float(img.white_level - img.black_level)
-    return (img.samples.astype(np.float64) - img.black_level) / span
-
-
 def mse(a: RawImage, b: RawImage) -> float:
     """Mean squared error in normalized units."""
-    _check_comparable(a, b)
-    d = _normalized(a) - _normalized(b)
-    return float(np.mean(d * d))
+    return _strip_pass(a, b, with_ssim=False)[0]
 
 
 def _psnr_db(m: float) -> float:
@@ -76,38 +75,50 @@ def _gaussian_window(n: int, sigma: float) -> np.ndarray:
 
 
 def _windowed_mean(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted local mean over every fully interior window (valid mode)."""
+    """Weighted local mean over every fully interior window (valid mode), transposed:
+    (W-n+1, H-n+1). Both passes are then one matrix-vector product per output line."""
     n = w.size
-    rows = np.lib.stride_tricks.sliding_window_view(x, n, axis=0)
-    rows = rows @ w  # (H-n+1, W)
-    cols = np.lib.stride_tricks.sliding_window_view(rows, n, axis=1)
-    return cols @ w  # (H-n+1, W-n+1)
+    rows = np.lib.stride_tricks.sliding_window_view(x, n, axis=0) @ w  # (H-n+1, W)
+    return np.lib.stride_tricks.sliding_window_view(rows.T, n, axis=0) @ w
+
+
+def _ssim_map_sum(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """Sum of the SSIM map over the fully interior windows of x and y."""
+    c1 = _SSIM_K1 * _SSIM_K1  # L = 1
+    c2 = _SSIM_K2 * _SSIM_K2
+    mu_x, mu_y = _windowed_mean(x, w), _windowed_mean(y, w)
+    mu_xy, mu_sq = mu_x * mu_y, mu_x * mu_x + mu_y * mu_y
+    del mu_x, mu_y  # the strip's peak: three window-sized arrays are held from here on
+    num = (2.0 * mu_xy + c1) * (2.0 * (_windowed_mean(x * y, w) - mu_xy) + c2)
+    # var_x + var_y appears only as a sum, so x*x + y*y is filtered once
+    num /= (mu_sq + c1) * ((_windowed_mean(x * x + y * y, w) - mu_sq) + c2)
+    return float(np.sum(num))
+
+
+def _strip_pass(a: RawImage, b: RawImage, with_ssim: bool) -> tuple[float, float | None]:
+    """(MSE, SSIM or None) from one pass over row strips of the two mosaics."""
+    _check_comparable(a, b)
+    if with_ssim and min(a.height, a.width) < _SSIM_WINDOW:
+        raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
+    windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
+    w = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
+    black, span = a.black_level, float(a.white_level - a.black_level)
+    sq_sum = map_sum = 0.0
+    for top in range(0, a.height, _STRIP_ROWS):
+        rows = slice(top, top + _STRIP_ROWS + _SSIM_WINDOW - 1)
+        x, y = ((img.samples[rows].astype(np.float64) - black) / span for img in (a, b))
+        d = x[:_STRIP_ROWS] - y[:_STRIP_ROWS]
+        sq_sum += float(np.sum(d * d))
+        if with_ssim and len(x) >= _SSIM_WINDOW:
+            map_sum += _ssim_map_sum(x, y, w)
+    return sq_sum / a.samples.size, (map_sum / windows if with_ssim else None)
 
 
 def ssim(a: RawImage, b: RawImage) -> float:
     """Mean local structural similarity of the two mosaics as gray planes."""
-    _check_comparable(a, b)
-    if a.height < _SSIM_WINDOW or a.width < _SSIM_WINDOW:
-        raise TooSmall(
-            f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}"
-        )
-    x = _normalized(a)
-    y = _normalized(b)
-    w = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
-
-    mu_x = _windowed_mean(x, w)
-    mu_y = _windowed_mean(y, w)
-    var_x = _windowed_mean(x * x, w) - mu_x * mu_x
-    var_y = _windowed_mean(y * y, w) - mu_y * mu_y
-    cov = _windowed_mean(x * y, w) - mu_x * mu_y
-
-    c1 = _SSIM_K1 * _SSIM_K1  # L = 1
-    c2 = _SSIM_K2 * _SSIM_K2
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    return _strip_pass(a, b, with_ssim=True)[1]
 
 
 def metric_report(a: RawImage, b: RawImage) -> MetricReport:
-    m = mse(a, b)
-    return MetricReport(mse=m, psnr_db=_psnr_db(m), ssim=ssim(a, b))
+    m, s = _strip_pass(a, b, with_ssim=True)
+    return MetricReport(mse=m, psnr_db=_psnr_db(m), ssim=s)

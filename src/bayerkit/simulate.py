@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .image import RawImage, _adopt
+from .image import RawImage, _adopt, _reduce
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -40,21 +40,26 @@ _NEIGHBORS = (
 
 @dataclass(frozen=True, eq=False)
 class RgbImage:
-    """Three full-resolution float planes (R, G, B) with values in [0, 1]."""
+    """Three full-resolution float planes (R, G, B) with values in [0, 1]. The constructor
+    copies and freezes them; demosaic_bilinear freezes its fresh result instead."""
 
     planes: np.ndarray  # (3, H, W) float64
 
     def __post_init__(self):
-        arr = np.array(self.planes, dtype=np.float64, copy=True)
+        self._store(np.array(self.planes, dtype=np.float64, copy=True))
+
+    def _store(self, arr: np.ndarray) -> None:
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise ValueError(f"expected (3, H, W) planes, got shape {arr.shape}")
         h, w = arr.shape[1:]
         if h < 2 or w < 2 or h % 2 or w % 2:
             raise ValueError(f"dimensions must be even and >= 2, got {h}x{w}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("RGB values must lie in [0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "planes", arr)
+
+    __reduce__ = _reduce
 
     @property
     def height(self) -> int:
@@ -81,6 +86,9 @@ class NoiseParams:
             v = getattr(self, name)
             if not math.isfinite(v * v) or v < 0:  # add_noise squares it
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {v}")
+        # add_noise sees a normalized signal of at most 65535 (span 1)
+        if not math.isfinite(self.sigma_read**2 + self.sigma_shot**2 * 65535):
+            raise ValueError("sigma_read**2 + sigma_shot**2 * 65535 must be finite")
 
 
 def gen_scene(seed: int, height: int, width: int) -> RgbImage:
@@ -178,4 +186,4 @@ def demosaic_bilinear(img: RawImage) -> RgbImage:
             terms = [shifted[offset][a::2, b::2] for j, offsets in groups
                      if img.pattern.value[k ^ j] == channel.value for offset in offsets]
             out[ch, a::2, b::2] = sum(terms[1:], terms[0]) / len(terms)
-    return RgbImage(out)
+    return _adopt(RgbImage, out)

@@ -299,6 +299,7 @@ def test_unknown_pattern_flag_is_usage_error(tmp_path, sample_pair):
         "simulate --pattern RGGB --size 16x16 --seed 1 --noise nan,0 -o {out}",
         "simulate --pattern RGGB --size 16x16 --seed 1 --noise inf,0 -o {out}",
         "simulate --pattern RGGB --size 16x16 --seed 1 --noise=-1,0 -o {out}",
+        "simulate --pattern RGGB --size 16x16 --seed 1 --noise 1e154,1e154 -o {out}",
         "simulate --pattern RGGB --size 16x16 --seed x -o {out}",
         "augment --seed -1 --patch-size 4 {inp} -o {out}",
         "baseline-demo --seed -1",

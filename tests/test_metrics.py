@@ -1,6 +1,11 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bayerkit import metrics
 from bayerkit import (
     BayerPattern,
     PSNR_CAP_DB,
@@ -134,3 +139,67 @@ def test_metric_report_json(rng):
     assert report.psnr_db == PSNR_CAP_DB
     assert report.ssim == 1.0
     assert report.to_json() == '{"mse": 0.000000, "psnr_db": 99.000000, "ssim": 1.000000}'
+
+
+def full_frame_oracle(a: RawImage, b: RawImage) -> tuple[float, float]:
+    """MSE and SSIM as computed before strips: whole normalized frames, five
+    windowed means in (H-10, W-10) layout, and np.mean over each map."""
+    span = float(a.white_level - a.black_level)
+    x = (a.samples.astype(np.float64) - a.black_level) / span
+    y = (b.samples.astype(np.float64) - b.black_level) / span
+    offsets = np.arange(11, dtype=np.float64) - 5.0
+    w = np.exp(-(offsets**2) / (2.0 * 1.5 * 1.5))
+    w /= w.sum()
+
+    def windowed_mean(v):
+        rows = np.lib.stride_tricks.sliding_window_view(v, 11, axis=0) @ w
+        return np.lib.stride_tricks.sliding_window_view(rows, 11, axis=1) @ w
+
+    mu_x, mu_y = windowed_mean(x), windowed_mean(y)
+    var_x = windowed_mean(x * x) - mu_x * mu_x
+    var_y = windowed_mean(y * y) - mu_y * mu_y
+    cov = windowed_mean(x * y) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + 1e-4) * (2.0 * cov + 9e-4)
+    den = (mu_x * mu_x + mu_y * mu_y + 1e-4) * (var_x + var_y + 9e-4)
+    d = x - y
+    return float(np.mean(d * d)), float(np.mean(num / den))
+
+
+@given(st.integers(6, 45).map(lambda n: 2 * n), st.integers(6, 24).map(lambda n: 2 * n),
+       st.integers(1, 20), st.integers(0, 2**32 - 1))
+@example(12, 12, 64, 0)  # the smallest frame SSIM takes, inside one strip
+@example(12, 16, 1, 1)  # one window row, twelve strips
+@example(16, 12, 5, 2)  # the second strip reads exactly 11 rows: one window row
+@example(74, 14, 64, 3)  # a full strip, then a partial one of 10 rows and no window
+@settings(max_examples=80, deadline=None)
+def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, seed):
+    rng = np.random.default_rng(seed)
+    black = int(rng.integers(0, 30000))
+    white = int(rng.integers(black + 1, 65536))
+    clean = rng.integers(black, white + 1, size=(height, width))
+    amplitude = int(rng.integers(0, white - black + 1))
+    noisy = np.clip(clean + rng.integers(-amplitude, amplitude + 1, size=clean.shape), black, white)
+    a, b = (RawImage(v, BayerPattern.GRBG, black, white) for v in (clean, noisy))
+    with patch.object(metrics, "_STRIP_ROWS", strip_rows):
+        got = mse(a, b), ssim(a, b), metric_report(a, b), psnr(a, b)
+    want_mse, want_ssim = full_frame_oracle(a, b)
+    for m, s in (got[:2], (got[2].mse, got[2].ssim)):
+        assert abs(m - want_mse) <= 1e-12
+        assert abs(s - want_ssim) <= 1e-12
+    assert got[2].psnr_db == got[3]
+
+
+def test_ssim_memory_is_bounded_by_a_strip_not_the_frame(rng):
+    peaks = []
+    for height in (1024, 2048):
+        a = rand_raw(rng, height, 1536, BayerPattern.RGGB)
+        b = rand_raw(rng, height, 1536, BayerPattern.RGGB)
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    frame_bytes = 1024 * 1536 * 8  # one full-frame float64 array of the smaller pair
+    assert peaks[0] < 0.75 * frame_bytes
+    assert peaks[1] < 1.05 * peaks[0]  # twice the rows, the same strips

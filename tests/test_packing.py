@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +16,7 @@ from bayerkit import (
     add_noise,
     apply_plan,
     channel_index_grid,
+    demosaic_bilinear,
     denoise_packed,
     flip_bayer,
     gen_scene,
@@ -206,6 +211,8 @@ RESULTS = {
     "denoise_packed": lambda img: denoise_packed(pack(img), DenoiserSpec("gaussian", 1.0)).planes,
     "mosaic": lambda img: mosaic(gen_scene(1, 8, 8), BayerPattern.GBRG).samples,
     "add_noise": lambda img: add_noise(img, NoiseParams(0.01, 0.02), 3).samples,
+    "gen_scene": lambda img: gen_scene(1, 8, 8).planes,
+    "demosaic_bilinear": lambda img: demosaic_bilinear(img).planes,
 }
 
 
@@ -214,3 +221,33 @@ def test_in_package_results_refuse_writes(rng, name):
     arr = RESULTS[name](rand_raw(rng, 8, 8, BayerPattern.RGGB))
     with pytest.raises(ValueError):
         arr[0, 0] = 1
+
+
+CONTAINERS = {
+    "RawImage": lambda img: img,
+    "crop view": lambda img: unify_crop(img, BayerPattern.BGGR),
+    "PackedImage": pack,
+    "RgbImage": demosaic_bilinear,
+}
+CLONES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("clone", CLONES)
+@pytest.mark.parametrize("container", CONTAINERS)
+def test_copies_of_a_container_are_frozen_equal_copies(rng, container, clone):
+    img = CONTAINERS[container](rand_raw(rng, 8, 10, BayerPattern.GRBG, 5, 60000))
+    got = CLONES[clone](img)
+    assert type(got) is type(img)
+    for field in dataclasses.fields(img):
+        want, value = getattr(img, field.name), getattr(got, field.name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(value, want)
+            assert not np.shares_memory(value, want)
+            with pytest.raises(ValueError):
+                value[0, 0] = 1
+        else:
+            assert value == want

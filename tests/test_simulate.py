@@ -212,6 +212,35 @@ def test_rgb_image_validation():
         RgbImage(np.zeros((3, 5, 4)))
 
 
+@pytest.mark.parametrize("planes", [np.full((3, 4, 4), -1e-9), np.full((3, 4, 4), np.nan),
+                                    np.zeros((4, 4)), np.zeros((3, 4, 2, 2)), np.zeros((3, 0, 4))])
+def test_rgb_image_rejects_out_of_range_values_and_bad_shapes(planes):
+    with pytest.raises(ValueError):
+        RgbImage(planes)
+
+
+def test_rgb_image_copies_its_input():
+    planes = np.full((3, 4, 6), 0.5)
+    rgb = RgbImage(planes)
+    planes[:] = 0.25  # the caller's array stays writable and is not shared
+    assert not np.shares_memory(rgb.planes, planes)
+    assert (rgb.planes == 0.5).all() and not rgb.planes.flags.writeable
+
+
+@pytest.mark.parametrize("read, shot", [(1e154, 1e154), (0.0, 1e152), (1e154, 3.9e151)])
+def test_noise_params_refuse_a_variance_add_noise_cannot_hold(read, shot):
+    with pytest.raises(ValueError, match="65535 must be finite"):
+        NoiseParams(read, shot)
+
+
+def test_add_noise_at_the_largest_variance_raises_no_warning():
+    # span 1 puts a sample at the largest normalized signal, 65535; the suite
+    # turns any numpy RuntimeWarning into an error
+    img = RawImage(np.array([[0, 1], [65535, 9]], dtype=np.uint16), BayerPattern.RGGB, 0, 1)
+    out = add_noise(img, NoiseParams(1e154, 3e151), 4)
+    assert set(np.unique(out.samples)) <= {0, 1}
+
+
 # Oracles: the kernels as they were written before they became per-block-position
 # slices, with the round-half-away rule spelled sign(x) * floor(|x| + 0.5).
 def _round_half_away(x):
