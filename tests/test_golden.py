@@ -1,7 +1,8 @@
 """Golden corpus: the bytes every CLI subcommand produces must not move.
 
 A fixed sequence of ``bayerkit`` invocations runs in one scratch directory on
-64x96 inputs that the sequence itself simulates. For each invocation the test
+64x96 inputs that the sequence itself simulates, plus one 260x200 input whose
+padded planes span several Gaussian row strips. For each invocation the test
 pins the exit code, the sha256 of the captured stdout, and the sha256 of every
 file the invocation wrote (PGM, sidecar, PPM). Refactors and optimisations of
 the library are gated by these hashes: a change that moves one output byte is
@@ -79,6 +80,15 @@ CASES = [
                               "noisy_RGGB.pgm", "-o", "den_median2_GBRG.pgm"]),
     ("denoise-median2-RGGB", ["denoise", "--filter", "median:2", "--work-pattern", "RGGB",
                               "noisy_RGGB.pgm", "-o", "den_median2_RGGB.pgm"]),
+    # 260x200 pads to planes of 131 rows: two full 64-row Gaussian strips and a partial one
+    ("simulate-strips-GBRG", ["simulate", "--pattern", "GBRG", "--size", "260x200", "--seed", "4",
+                              "--noise", "0.02,0.04", "--noise-seed", "14", "-o", "big_GBRG.pgm"]),
+    ("denoise-gaussian-strips-GRBG", ["denoise", "--filter", "gaussian:1.0", "--work-pattern",
+                                      "GRBG", "big_GBRG.pgm", "-o", "den_big_GRBG.pgm"]),
+    ("denoise-gaussian-strips-RGGB", ["denoise", "--filter", "gaussian:1.0", "--work-pattern",
+                                      "RGGB", "big_GBRG.pgm", "-o", "den_big_RGGB.pgm"]),
+    ("denoise-gaussian-strips-GBRG", ["denoise", "--filter", "gaussian:1.0", "--work-pattern",
+                                      "GBRG", "big_GBRG.pgm", "-o", "den_big_GBRG.pgm"]),
     ("denoise-bad-filter", ["denoise", "--filter", "median:3", "--work-pattern", "RGGB",
                             "noisy_RGGB.pgm", "-o", "never.pgm"]),
     ("demosaic-GRBG", ["demosaic", "noisy_GRBG.pgm", "-o", "rgb_GRBG.ppm"]),
@@ -208,6 +218,22 @@ EXPECTED = {
     "denoise-median2-RGGB": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
         "den_median2_RGGB.json": "8501c076e1e27393854223b70c2f0d1919fae0a8ae297e1d41427f17b5a9921d",
         "den_median2_RGGB.pgm": "00d3875369f2e37963eef92470e8a07981b043da2d02f0088b96444b4ca178a3",
+    }),
+    "simulate-strips-GBRG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "big_GBRG.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
+        "big_GBRG.pgm": "75c09e004109f30c403f0f8f3176933b42bd518510327534db02d76f313451ae",
+    }),
+    "denoise-gaussian-strips-GRBG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "den_big_GRBG.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
+        "den_big_GRBG.pgm": "bdf320e5f7df1ef62e53c8869bf4d040c5dbb53b826c72ff4f97c3b8c7d5d7ec",
+    }),
+    "denoise-gaussian-strips-RGGB": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "den_big_RGGB.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
+        "den_big_RGGB.pgm": "bdf320e5f7df1ef62e53c8869bf4d040c5dbb53b826c72ff4f97c3b8c7d5d7ec",
+    }),
+    "denoise-gaussian-strips-GBRG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "den_big_GBRG.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
+        "den_big_GBRG.pgm": "bdf320e5f7df1ef62e53c8869bf4d040c5dbb53b826c72ff4f97c3b8c7d5d7ec",
     }),
     "denoise-bad-filter": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
     }),
