@@ -17,8 +17,11 @@ What this module actually guarantees is the plumbing around the filter:
   working pattern would leak into the result.
 
 The Gaussian computes in float64, rounds by floor(x + 0.5) (half away from
-zero, as x >= 0) and clips to 16 bits once per plane. The median is exact
-selection on uint16: a median of an odd count of samples is one of them.
+zero, as x >= 0) and clips to 16 bits once per plane. It runs in 64-row strips
+of the plane through reused buffers; each sample takes the same float64 steps
+as in the whole-plane formula, so the strip size never shows in the bytes.
+The median is exact selection on uint16: a median of an odd count of samples
+is one of them.
 """
 
 from __future__ import annotations
@@ -43,14 +46,33 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     return 1.0 / total, g1 / total
 
 
+_STRIP_ROWS = 64  # plane rows per Gaussian strip; its two float64 buffers stay in cache
+
+
 def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
-    # separable 3x3 kernel; edge-duplicated borders (see module docstring)
+    # separable 3x3 kernel; edge-duplicated borders (see module docstring). Each sample
+    # takes the float64 steps (w1*up + w0*mid) + w1*down, then the same along the row.
     w0, w1 = _gaussian_3tap(sigma)
-    p = np.pad(plane.astype(np.float64), ((1, 1), (0, 0)), mode="edge")
-    rows = w1 * p[:-2] + w0 * p[1:-1] + w1 * p[2:]
-    p = np.pad(rows, ((0, 0), (1, 1)), mode="edge")
-    out = w1 * p[:, :-2] + w0 * p[:, 1:-1] + w1 * p[:, 2:]
-    return np.clip(np.floor(out + 0.5), 0, 65535).astype(np.uint16)
+    h, w = plane.shape
+    out = np.empty_like(plane)
+    x = np.empty((min(_STRIP_ROWS, h) + 2, w))  # a strip, one row above and one below
+    rows = np.empty((min(_STRIP_ROWS, h), w + 2))  # row pass, duplicated edge columns
+    for r0 in range(0, h, _STRIP_ROWS):
+        n = min(_STRIP_ROWS, h - r0)
+        xs, rs = x[: n + 2], rows[:n]
+        xs[...] = plane[np.arange(r0 - 1, r0 + n + 1).clip(0, h - 1)]
+        mid = np.multiply(w0, xs[1:-1], out=rs[:, 1:-1])
+        xs *= w1
+        mid += xs[:-2]
+        mid += xs[2:]
+        rs[:, 0], rs[:, -1] = rs[:, 1], rs[:, -2]
+        acc = np.multiply(w0, mid, out=xs[:n])
+        rs *= w1
+        acc += rs[:, :-2]
+        acc += rs[:, 2:]
+        acc += 0.5
+        out[r0 : r0 + n] = np.clip(np.floor(acc, out=acc), 0, 65535, out=acc)
+    return out
 
 
 def _batcher_pairs(n: int):

@@ -11,8 +11,10 @@ and "white_level" (optional JSON integers, defaulting to 0 and 65535), and
 optionally a "pad" object of JSON integers recording reversible pad-unification.
 Anything that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
-A fault in the sidecar is reported with the sidecar's path. A PGM path that
-ends in ``.json`` names its own sidecar; load and save refuse it up front.
+``load_raw`` decodes the payload straight from the file's bytes into a fresh
+native array and adopts it without another copy. A fault in the sidecar is
+reported with the sidecar's path. A PGM path that ends in ``.json`` names its
+own sidecar; load and save refuse it up front.
 
 Every write goes to a temp file of its own beside the target, then is renamed over it.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from .image import RawImage
+from .image import RawImage, _adopt
 from .patterns import BayerPattern
 from .simulate import RgbImage
 from .unify import PadSpec
@@ -52,12 +54,13 @@ def _pnm_header(magic: bytes, width: int, height: int) -> bytes:
 
 
 def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
+    """The samples as a fresh native uint16 array, decoded in place from ``data``."""
     if not data.startswith(_PGM_MAGIC):
         raise ParseError(f"{origin}: not a binary PGM (bad magic)")
-    rest = data[len(_PGM_MAGIC) :]
-    dims, sep, rest = rest.partition(b"\n")
-    if not sep:
+    eol = data.find(b"\n", len(_PGM_MAGIC))
+    if eol < 0:
         raise ParseError(f"{origin}: header ends before the dimension line")
+    dims = data[len(_PGM_MAGIC) : eol]
     parts = dims.split(b" ")
     if len(parts) != 2:
         raise ParseError(f"{origin}: dimension line must be '<width> <height>'")
@@ -67,16 +70,15 @@ def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
         raise ParseError(f"{origin}: non-integer dimensions {dims!r}") from None
     if width < 2 or height < 2 or width % 2 or height % 2:
         raise ParseError(f"{origin}: dimensions must be even and >= 2, got {width}x{height}")
-    if not rest.startswith(_MAXVAL_LINE):
+    if not data.startswith(_MAXVAL_LINE, eol + 1):
         raise ParseError(f"{origin}: maxval must be 65535")
-    payload = rest[len(_MAXVAL_LINE) :]
+    start = eol + 1 + len(_MAXVAL_LINE)
     expected = width * height * 2
-    if len(payload) != expected:
+    if len(data) - start != expected:
         raise ParseError(
-            f"{origin}: payload is {len(payload)} bytes, expected {expected}"
+            f"{origin}: payload is {len(data) - start} bytes, expected {expected}"
         )
-    samples = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    return samples.astype(np.uint16)
+    return np.frombuffer(data, ">u2", offset=start).reshape(height, width).astype(np.uint16)
 
 
 def _parse_pad(obj) -> PadSpec:
@@ -119,7 +121,7 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     samples = _parse_pgm(pgm.read_bytes(), str(pgm))
     pattern, black, white, pad = _parse_sidecar(sidecar.read_bytes(), str(sidecar))
     try:
-        img = RawImage(samples, pattern, black, white)
+        img = _adopt(RawImage, samples, pattern, black, white)  # samples: a fresh array
     except ValueError as e:
         raise ParseError(f"{pgm}: {e}") from e
     return img, pad

@@ -84,10 +84,15 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("sigma_read", "sigma_shot"):
             v = getattr(self, name)
-            if not math.isfinite(v * v) or v < 0:  # add_noise squares it
+            try:  # add_noise squares it
+                ok = math.isfinite(v * v) and v >= 0
+            except OverflowError:  # an int whose square is beyond float range
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {v}")
-        # add_noise sees a normalized signal of at most 65535 (span 1)
-        if not math.isfinite(self.sigma_read**2 + self.sigma_shot**2 * 65535):
+        # add_noise sees a normalized signal of at most 65535 (span 1); past the loop both
+        # squares fit a float, and float arithmetic overflows to inf, not OverflowError
+        if not math.isfinite(float(self.sigma_read**2) + float(self.sigma_shot**2) * 65535):
             raise ValueError("sigma_read**2 + sigma_shot**2 * 65535 must be finite")
 
 

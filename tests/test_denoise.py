@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from bayerkit import (
     pack,
     psnr,
 )
+import bayerkit.denoise as denoise
 from bayerkit.image import PackedImage
 
 from conftest import ALL_PATTERNS, assert_same_image, rand_raw
@@ -98,6 +101,54 @@ def test_median_equals_np_median_of_reflected_windows(height, width, radius, dat
     want = np.stack([_median_oracle(pl, radius) for pl in planes])
     np.testing.assert_array_equal(out.planes, want)
     np.testing.assert_array_equal(p.planes, planes)
+
+
+def _whole_plane_gaussian(plane: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian as one whole-plane formula: edge rows by np.pad, three terms, then columns."""
+    w0, w1 = denoise._gaussian_3tap(sigma)
+    p = np.pad(plane.astype(np.float64), ((1, 1), (0, 0)), mode="edge")
+    rows = w1 * p[:-2] + w0 * p[1:-1] + w1 * p[2:]
+    p = np.pad(rows, ((0, 0), (1, 1)), mode="edge")
+    out = w1 * p[:, :-2] + w0 * p[:, 1:-1] + w1 * p[:, 2:]
+    return np.clip(np.floor(out + 0.5), 0, 65535).astype(np.uint16)
+
+
+# both sides of the side weight's underflow at sigma ~ 0.0259, up to 1e6
+SIGMAS = st.one_of(st.sampled_from([5e-324, 0.02, 0.0258, 0.026, 0.3, 1.0, 2.5, 1e6]),
+                   st.floats(1e-3, 0.0258), st.floats(0.026, 1e6))
+
+
+@given(st.integers(1, 4), st.data(), st.integers(1, 9), SIGMAS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_strip_gaussian_equals_the_whole_plane_formula(strip, data, width, sigma, strided):
+    # heights of 1 and 2, whole multiples of the strip and a partial last strip
+    height = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 5).map(strip.__mul__),
+                                 st.integers(1, 5 * strip + 3)))
+    wide = data.draw(arrays(np.uint16, (height, 2 * width), elements=SAMPLES))
+    plane = wide[:, ::2] if strided else wide[:, :width]  # pack hands out strided planes
+    with mock.patch.object(denoise, "_STRIP_ROWS", strip):
+        got = denoise._smooth_plane(plane, sigma)
+    np.testing.assert_array_equal(got, _whole_plane_gaussian(plane, sigma))
+    assert got.dtype == np.uint16
+
+
+def test_gaussian_working_set_stays_below_one_float64_plane():
+    h, w = 1024, 1536
+    planes = np.random.default_rng(5).integers(0, 65536, size=(4, h, w), dtype=np.uint16)
+    p = PackedImage(planes, BayerPattern.RGGB)
+    tracemalloc.start()
+    try:
+        out = denoise_packed(p, DenoiserSpec("gaussian", 1.0))
+        packed_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        one = denoise._smooth_plane(planes[0], 1.0)
+        plane_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # beyond the uint16 outputs: the four plane results, then their stack
+    assert packed_peak - 2 * out.planes.nbytes < h * w * 8
+    assert plane_peak - one.nbytes < h * w * 8
 
 
 def test_filters_keep_shape_and_metadata(rng):

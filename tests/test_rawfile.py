@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -178,8 +179,90 @@ def test_load_rejects_inverted_levels(tmp_path):
     path = write_pair(
         tmp_path, good_pgm(), {"bayer_pattern": "RGGB", "black_level": 10, "white_level": 5}
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as e:
         load_raw(path)
+    assert str(e.value) == f"{path}: need 0 <= black < white <= 65535, got 10, 5"
+
+
+@pytest.mark.parametrize("header, payload_bytes, message", [
+    (b"P6\n4 4\n65535\n", 32, "not a binary PGM (bad magic)"),
+    (b"P5 4 4 65535", 0, "not a binary PGM (bad magic)"),
+    (b"P5\n4 4", 0, "header ends before the dimension line"),
+    (b"P5\n4\n65535\n", 32, "dimension line must be '<width> <height>'"),
+    (b"P5\n4 4 4\n65535\n", 32, "dimension line must be '<width> <height>'"),
+    (b"P5\n4  4\n65535\n", 32, "dimension line must be '<width> <height>'"),
+    (b"P5\nfour 4\n65535\n", 32, "non-integer dimensions b'four 4'"),
+    (b"P5\n4 4.0\n65535\n", 32, "non-integer dimensions b'4 4.0'"),
+    (b"P5\n3 4\n65535\n", 24, "dimensions must be even and >= 2, got 3x4"),
+    (b"P5\n4 0\n65535\n", 0, "dimensions must be even and >= 2, got 4x0"),
+    (b"P5\n-2 4\n65535\n", 16, "dimensions must be even and >= 2, got -2x4"),
+    (b"P5\n4 4\n255\n", 16, "maxval must be 65535"),
+    (b"P5\n4 4\n65535", 0, "maxval must be 65535"),
+    (b"P5\n4 4\n65535\n", 30, "payload is 30 bytes, expected 32"),
+    (b"P5\n4 4\n65535\n", 0, "payload is 0 bytes, expected 32"),
+    (b"P5\n4 4\n65535\n", 33, "payload is 33 bytes, expected 32"),
+])
+def test_load_pgm_faults_name_the_file_and_the_fault(tmp_path, header, payload_bytes, message):
+    path = write_pair(tmp_path, header + b"\x00" * payload_bytes, GOOD_SIDECAR)
+    with pytest.raises(ParseError) as e:
+        load_raw(path)
+    assert str(e.value) == f"{path}: {message}"
+
+
+def test_loaded_samples_are_native_read_only_and_own_their_memory(tmp_path, rng):
+    img = rand_raw(rng, 6, 8, BayerPattern.GBRG)
+    save_raw(img, None, tmp_path / "img.pgm")
+    samples = load_raw(tmp_path / "img.pgm")[0].samples
+    assert samples.dtype == np.uint16 and samples.dtype.isnative
+    assert not samples.flags.writeable
+    assert samples.flags.owndata and samples.base is None  # does not pin the file's bytes
+    np.testing.assert_array_equal(samples, img.samples)
+
+
+DIMENSION_LINES = st.one_of(
+    st.binary(max_size=12),
+    st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(lambda t: b"%d %d" % t),
+)
+PGM_HEADERS = st.one_of(
+    st.binary(max_size=24),
+    st.tuples(
+        st.sampled_from([b"P5\n", b"P6\n", b"P5", b"p5\n"]) | st.binary(max_size=4),
+        DIMENSION_LINES,
+        st.sampled_from([b"\n65535\n", b"\n255\n", b"\n65535", b"\n", b" 65535\n"]),
+    ).map(b"".join),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda t: b"P5\n%d %d\n65535\n" % (2 * t[0], 2 * t[1])),  # well-formed
+)
+
+
+@st.composite
+def pgm_files(draw):
+    header = draw(PGM_HEADERS)
+    dims = re.fullmatch(rb"P5\n(\d+) (\d+)\n65535\n", header)
+    size = min(int(dims[1]) * int(dims[2]) * 2, 256) if dims else 0
+    # a payload of the header's own size, that size give or take a byte, or any other
+    return header + draw(st.one_of(st.binary(min_size=size, max_size=size),
+                                   st.binary(min_size=max(size - 1, 0), max_size=size + 1),
+                                   st.binary(max_size=40)))
+
+
+@given(pgm_files())
+@example(b"P5\n2 2\n65535\n" + b"\x01\x02" * 4)
+@example(b"P5\n2 2\n65535\n" + b"\x01\x02" * 5)
+@settings(max_examples=300, deadline=None)
+def test_load_raw_returns_an_image_or_raises_parse_error(pgm):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "img.pgm"
+        path.write_bytes(pgm)
+        path.with_suffix(".json").write_text(json.dumps(GOOD_SIDECAR))
+        try:
+            img, _ = load_raw(path)
+        except ParseError:
+            return
+    header = rawfile._pnm_header(b"P5\n", img.width, img.height)
+    assert pgm.startswith(header)
+    want = np.frombuffer(pgm, ">u2", offset=len(header)).reshape(img.height, img.width)
+    np.testing.assert_array_equal(img.samples, want)
 
 
 PAD = {"top": 1, "bottom": 1, "left": 0, "right": 0, "original_pattern": "GBRG"}

@@ -91,7 +91,9 @@ def test_add_noise_zero_params_is_identity(rng):
 
 
 @pytest.mark.parametrize("read, shot", [(1e155, 0.0), (0.0, 1e155), (float("nan"), 0.0),
-                                        (0.0, float("inf")), (-0.1, 0.0)])
+                                        (0.0, float("inf")), (-0.1, 0.0),
+                                        pytest.param(10**400, 0, id="int-read-beyond-float"),
+                                        pytest.param(0, 10**400, id="int-shot-beyond-float")])
 def test_noise_params_refuse_a_sigma_add_noise_cannot_square(read, shot):
     with pytest.raises(ValueError, match="finite square"):
         NoiseParams(read, shot)
@@ -227,7 +229,9 @@ def test_rgb_image_copies_its_input():
     assert (rgb.planes == 0.5).all() and not rgb.planes.flags.writeable
 
 
-@pytest.mark.parametrize("read, shot", [(1e154, 1e154), (0.0, 1e152), (1e154, 3.9e151)])
+@pytest.mark.parametrize("read, shot", [(1e154, 1e154), (0.0, 1e152), (1e154, 3.9e151),
+                                        # each square fits a float, the weighted sum does not
+                                        pytest.param(10**154, 10**154, id="int-squares")])
 def test_noise_params_refuse_a_variance_add_noise_cannot_hold(read, shot):
     with pytest.raises(ValueError, match="65535 must be finite"):
         NoiseParams(read, shot)
