@@ -85,10 +85,10 @@ class NoiseParams:
         for name in ("sigma_read", "sigma_shot"):
             v = getattr(self, name)
             try:  # add_noise squares it
-                ok = math.isfinite(v * v) and v >= 0
+                finite = math.isfinite(v * v)
             except OverflowError:  # an int whose square is beyond float range
-                ok = False
-            if not ok:
+                finite = False
+            if not finite or v < 0:
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {v}")
         # add_noise sees a normalized signal of at most 65535 (span 1); past the loop both
         # squares fit a float, and float arithmetic overflows to inf, not OverflowError
