@@ -2,7 +2,8 @@
 
 A fixed sequence of ``bayerkit`` invocations runs in one scratch directory on
 64x96 inputs that the sequence itself simulates, plus one 260x200 input whose
-padded planes span several Gaussian row strips. For each invocation the test
+padded planes span several Gaussian row strips and whose rows span several
+demosaic row strips. For each invocation the test
 pins the exit code, the sha256 of the captured stdout, and the sha256 of every
 file the invocation wrote (PGM, sidecar, PPM). Refactors and optimisations of
 the library are gated by these hashes: a change that moves one output byte is
@@ -93,6 +94,9 @@ CASES = [
                             "noisy_RGGB.pgm", "-o", "never.pgm"]),
     ("demosaic-GRBG", ["demosaic", "noisy_GRBG.pgm", "-o", "rgb_GRBG.ppm"]),
     ("demosaic-BGGR", ["demosaic", "clean_BGGR.pgm", "-o", "rgb_BGGR.ppm"]),
+    # 260 rows: four full 64-row demosaic strips and a 4-row tail
+    ("demosaic-strips-GBRG", ["demosaic", "big_GBRG.pgm", "-o", "rgb_big_GBRG.ppm"]),
+    ("demosaic-strips-GRBG", ["demosaic", "den_big_GRBG.pgm", "-o", "rgb_den_big_GRBG.ppm"]),
     ("metrics-noisy-RGGB", ["metrics", "--ref", "clean_RGGB.pgm", "noisy_RGGB.pgm"]),
     ("metrics-denoised-GBRG", ["metrics", "--ref", "clean_GBRG.pgm", "den_gaussian_BGGR.pgm"]),
     ("metrics-median-BGGR", ["metrics", "--ref", "clean_BGGR.pgm", "den_median1_GRBG.pgm"]),
@@ -242,6 +246,12 @@ EXPECTED = {
     }),
     "demosaic-BGGR": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
         "rgb_BGGR.ppm": "c4444ebd9944c9308d910f48178c3eff9363595ca326b7536d35520f0676e4d2",
+    }),
+    "demosaic-strips-GBRG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "rgb_big_GBRG.ppm": "21665cee319fab1f638d1f5a226562c4fa442f8f9791fbaeb6576a10e15d6ecd",
+    }),
+    "demosaic-strips-GRBG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "rgb_den_big_GRBG.ppm": "97c3a213dbedd9a71c165273e6c8825a4d3ba75a729afc5f305e2c57f485229f",
     }),
     "metrics-noisy-RGGB": (0, "bdd868d3bbba86441980edc25cc57889309d309241f178ba167b793aafef3623", {
     }),
