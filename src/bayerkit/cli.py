@@ -19,8 +19,8 @@ from .errors import BayerKitError
 from .metrics import metric_report
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .rawfile import load_raw, save_raw, sidecar_path, write_ppm
-from .simulate import NoiseParams, add_noise, demosaic_bilinear, gen_scene, mosaic
+from .rawfile import _write_ppm_strips, load_raw, save_raw, sidecar_path
+from .simulate import NoiseParams, _demosaic_strips, add_noise, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
 
 
@@ -223,7 +223,8 @@ def cmd_denoise(args) -> int:
 
 def cmd_demosaic(args) -> int:
     img, _ = load_raw(args.input)
-    write_ppm(demosaic_bilinear(img), args.output)
+    # the float frame is never built: each strip is quantized and written as it is made
+    _write_ppm_strips(args.output, img.height, img.width, _demosaic_strips(img))
     return 0
 
 

@@ -194,7 +194,9 @@ def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     plane_filter = _FILTERS[spec.name].plane
     if plane_filter is None:
         return p
-    out = np.stack([plane_filter(pl, spec.param) for pl in p.planes])
+    out = np.empty_like(p.planes)
+    for k, pl in enumerate(p.planes):
+        out[k] = plane_filter(pl, spec.param)
     return _adopt(PackedImage, out, p.pattern, p.black_level, p.white_level)
 
 

@@ -104,7 +104,7 @@ class PackedImage:
 
     def _store(self, arr: np.ndarray) -> None:
         assert arr.dtype == np.uint16
-        if arr.ndim != 3 or arr.shape[0] != 4:
+        if arr.ndim != 3 or arr.shape[0] != 4 or min(arr.shape) < 1:
             raise ValueError(f"expected (4, H/2, W/2) planes, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
         arr.flags.writeable = False

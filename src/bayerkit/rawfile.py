@@ -17,6 +17,8 @@ reported with the sidecar's path. A PGM path that ends in ``.json`` names its
 own sidecar; load and save refuse it up front.
 
 Every write goes to a temp file of its own beside the target, then is renamed over it.
+A PPM is written in row strips: each is quantized into one reused 16-bit buffer and
+written before the next is made, so a streamed demosaic never holds its float frame.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
 from .image import RawImage, _adopt
 from .patterns import BayerPattern
-from .simulate import RgbImage
+from .simulate import _STRIP_ROWS, RgbImage
 from .unify import PadSpec
 
 _PGM_MAGIC = b"P5\n"
@@ -127,8 +129,9 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     return img, pad
 
 
-def _atomic_write(path: Path, *chunks) -> None:
-    """Write the byte buffers in order to a temp file of its own, then rename it over path."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write an iterable of byte buffers in order to a temp file of its own, then rename it
+    over path. The chunks are written as they come; on any exception the temp file goes."""
     if not path.name:
         raise BayerKitError(f"{str(path)!r} names no file")
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -156,17 +159,36 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
         sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     header = _pnm_header(_PGM_MAGIC, img.width, img.height)
-    _atomic_write(pgm, header, img.samples.astype(">u2", order="C"))  # C order: written as is
-    _atomic_write(sidecar_file, text.encode("ascii"))
+    _atomic_write(pgm, (header, img.samples.astype(">u2", order="C")))  # C order: written as is
+    _atomic_write(sidecar_file, (text.encode("ascii"),))
 
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    out = np.empty((rgb.height, rgb.width, 3), dtype=">u2")
-    scaled = np.empty((rgb.height, rgb.width))
-    for c in range(3):
-        # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero
-        np.multiply(rgb.planes[c], 65535.0, out=scaled)
-        scaled += 0.5
-        out[..., c] = np.floor(scaled, out=scaled)
-    _atomic_write(Path(path), _pnm_header(b"P6\n", rgb.width, rgb.height), out)
+    h = rgb.height
+    _write_ppm_strips(path, h, rgb.width,
+                      (rgb.planes[:, r0 : r0 + _STRIP_ROWS] for r0 in range(0, h, _STRIP_ROWS)))
+
+
+def _write_ppm_strips(path, height: int, width: int, strips) -> None:
+    """Write (3, n, width) float strips in [0, 1] that hold height rows, top to bottom, as a PPM.
+
+    Each strip is quantized into one reused interleaved buffer and written before the next
+    is asked for; the strips themselves are only read.
+    """
+
+    def chunks():
+        yield _pnm_header(b"P6\n", width, height)
+        out = scaled = np.empty(0)
+        for strip in strips:
+            n = strip.shape[1]
+            if n > len(out):
+                out, scaled = np.empty((n, width, 3), dtype=">u2"), np.empty((n, width))
+            for c in range(3):
+                # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero
+                x = np.multiply(strip[c], 65535.0, out=scaled[:n])
+                x += 0.5
+                out[:n, :, c] = np.floor(x, out=x)
+            yield out[:n]
+
+    _atomic_write(Path(path), chunks())

@@ -9,6 +9,11 @@ is bit-exact. Those three properties make it a sharp structural oracle: any
 channel misassignment upstream shows up as a large, localized demosaic error
 instead of vanishing into a clever reconstruction.
 
+The demosaic runs over 64-row strips of the frame, each read with one
+reflect-101 halo row above and below; every sample takes the whole-frame
+float64 steps in the same order, so the strip height never shows in the
+bytes. ``bayerkit demosaic`` writes the strips to its PPM as they are made.
+
 All randomized functions are pure functions of their seed (numpy PCG64 with
 a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is
 round-half-away-from-zero for x >= 0, and add_noise clips every x < 0 to black.
@@ -30,6 +35,7 @@ from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 # misassignment must be numerically visible, not a coin toss.
 _BASE_LEVELS = np.array([0.35, 0.50, 0.65])
 _TERMS_PER_CHANNEL = 3
+_STRIP_ROWS = 64  # frame rows per demosaic strip; its float64 buffers stay in cache
 # demosaic: (XOR taking a block position to its neighbors', their (dy, dx) in summation order)
 _NEIGHBORS = (
     (2, ((-1, 0), (1, 0))),
@@ -173,22 +179,51 @@ def demosaic_bilinear(img: RawImage) -> RgbImage:
     reflect-101 neighbor indexing, which preserves index parity and hence
     channel identity. Output is normalized to [0, 1] by the image levels.
     """
-    if img.height < 4 or img.width < 4:
-        raise BadDimensions(f"demosaic needs at least 4x4, got {img.height}x{img.width}")
-    span = float(img.white_level - img.black_level)
-    # samples outside [black, white] are legal in RawImage; clamp so the
-    # normalized plane honors the [0, 1] contract
-    norm = np.clip((img.samples.astype(np.float64) - img.black_level) / span, 0.0, 1.0)
-    p = np.pad(norm, 1, mode="reflect")
-    h, w = img.height, img.width
-    shifted = {(dy, dx): p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-               for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
-    out = np.empty((3, h, w))
-    for k, own in enumerate(img.pattern.value):  # block position k = 2a + b
-        a, b = divmod(k, 2)
-        for channel, ch in CHANNEL_INDEX.items():
-            groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
-            terms = [shifted[offset][a::2, b::2] for j, offsets in groups
-                     if img.pattern.value[k ^ j] == channel.value for offset in offsets]
-            out[ch, a::2, b::2] = sum(terms[1:], terms[0]) / len(terms)
+    out = np.empty((3, img.height, img.width))
+    r0 = 0
+    for strip in _demosaic_strips(img):
+        out[:, r0 : r0 + strip.shape[1]] = strip
+        r0 += strip.shape[1]
     return _adopt(RgbImage, out)
+
+
+def _demosaic_strips(img: RawImage):
+    """The bilinear demosaic as (3, n, W) float64 strips of the frame's rows, top to bottom.
+
+    Checks the size at the call, before the first strip. Each strip is a view of
+    one buffer that the next strip overwrites; read it before asking for the next.
+    """
+    h, w = img.height, img.width
+    if h < 4 or w < 4:
+        raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
+    span = float(img.white_level - img.black_level)
+    rows = min(_STRIP_ROWS, h)
+    x = np.empty((rows + 2, w + 2))  # normalized strip, one reflect-101 row and column each side
+    buf = np.empty((3, rows, w))
+
+    def strips():
+        for r0 in range(0, h, _STRIP_ROWS):
+            n = min(_STRIP_ROWS, h - r0)
+            xs, strip = x[: n + 2], buf[:, :n]
+            src = h - 1 - np.abs(h - 1 - np.abs(np.arange(r0 - 1, r0 + n + 1)))  # reflect-101
+            body = xs[:, 1:-1]
+            body[...] = img.samples[src]
+            body -= img.black_level
+            body /= span
+            # samples outside [black, white] are legal in RawImage; clamp so the
+            # normalized plane honors the [0, 1] contract
+            np.clip(body, 0.0, 1.0, out=body)
+            xs[:, 0], xs[:, -1] = xs[:, 2], xs[:, -3]
+            shifted = {(dy, dx): xs[1 + dy : 1 + dy + n, 1 + dx : 1 + dx + w]
+                       for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+            for k, own in enumerate(img.pattern.value):  # block position k = 2a + b
+                a, b = divmod(k, 2)
+                a0 = (a - r0) % 2  # the strip's first row of position k: parity of the frame row
+                for channel, ch in CHANNEL_INDEX.items():
+                    groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
+                    terms = [shifted[offset][a0::2, b::2] for j, offsets in groups
+                             if img.pattern.value[k ^ j] == channel.value for offset in offsets]
+                    strip[ch, a0::2, b::2] = sum(terms[1:], terms[0]) / len(terms)
+            yield strip
+
+    return strips()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -240,6 +241,26 @@ def test_demosaic_command(tmp_path, sample_pair):
     data = out.read_bytes()
     assert data.startswith(b"P6\n16 16\n65535\n")
     assert len(data) == len(b"P6\n16 16\n65535\n") + 16 * 16 * 3 * 2
+
+
+def test_demosaic_too_small_writes_nothing(tmp_path, rng, capsys):
+    save_raw(rand_raw(rng, 2, 2, BayerPattern.RGGB), None, tmp_path / "in.pgm")
+    assert main(["demosaic", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.ppm")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "demosaic needs at least 4x4, got 2x2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "in.pgm"]
+
+
+def test_demosaic_command_never_holds_a_float_frame_plane(tmp_path, rng):
+    h, w = 1024, 1536
+    save_raw(rand_raw(rng, h, w, BayerPattern.GBRG), None, tmp_path / "in.pgm")
+    tracemalloc.start()
+    try:
+        assert main(["demosaic", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.ppm")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h * w * 8
 
 
 def test_metrics_command(tmp_path, sample_pair, capsys):

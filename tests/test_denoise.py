@@ -146,9 +146,22 @@ def test_gaussian_working_set_stays_below_one_float64_plane():
         plane_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # beyond the uint16 outputs: the four plane results, then their stack
+    # beyond twice the uint16 outputs
     assert packed_peak - 2 * out.planes.nbytes < h * w * 8
     assert plane_peak - one.nbytes < h * w * 8
+
+
+def test_denoise_packed_holds_its_output_once():
+    planes = np.random.default_rng(6).integers(0, 65536, size=(4, 1024, 1536), dtype=np.uint16)
+    p = PackedImage(planes, BayerPattern.GBRG)
+    tracemalloc.start()
+    try:
+        out = denoise_packed(p, DenoiserSpec("gaussian", 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, one plane's result before it is stored and the strip buffers
+    assert peak < 1.5 * out.planes.nbytes
 
 
 def test_filters_keep_shape_and_metadata(rng):

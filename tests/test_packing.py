@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bayerkit import BayerPattern, PackedImage, RawImage, pack, unpack
 from bayerkit.baselines import naive_flip, naive_unify
+from bayerkit.image import _adopt
 from bayerkit import (
     AugPlan,
     DenoiserSpec,
@@ -159,6 +160,17 @@ def test_containers_reject_unrepresentable_samples(bad):
         RawImage(samples, BayerPattern.RGGB)
     with pytest.raises(ValueError, match=r"integers in \[0, 65535\]"):
         PackedImage(np.stack([samples] * 4)[:, :1, :1], BayerPattern.RGGB)
+
+
+@pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (4, 0, 0)])
+@pytest.mark.parametrize("build", ["constructor", "_adopt"])
+def test_packed_image_refuses_a_plane_side_of_zero(shape, build):
+    planes = np.zeros(shape, np.uint16)
+    with pytest.raises(ValueError, match=r"expected \(4, H/2, W/2\) planes"):
+        if build == "constructor":
+            PackedImage(planes, BayerPattern.RGGB)
+        else:
+            _adopt(PackedImage, planes, BayerPattern.RGGB, 0, 65535)
 
 
 @given(st.lists(st.one_of(st.integers(-2**20, 2**20), st.floats()), min_size=4, max_size=4))

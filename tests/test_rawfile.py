@@ -14,6 +14,7 @@ from bayerkit import (
     MissingSidecar,
     PadSpec,
     ParseError,
+    RgbImage,
     UnknownPattern,
     gen_scene,
     load_raw,
@@ -305,6 +306,17 @@ def test_failed_write_removes_its_temp_file(tmp_path, rng, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_chunks_raising_after_the_header_leave_nothing(tmp_path):
+    def chunks():
+        yield b"P6\n4 4\n65535\n"
+        assert list(tmp_path.glob("*.tmp")), "chunks are written as they come"
+        raise RuntimeError("strip failed")
+
+    with pytest.raises(RuntimeError, match="strip failed"):
+        rawfile._atomic_write(tmp_path / "out.ppm", chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_leaves_another_writers_temp_file_alone(tmp_path, rng):
     img = rand_raw(rng, 4, 4, BayerPattern.RGGB)
     path = tmp_path / "img.pgm"
@@ -362,6 +374,21 @@ def test_load_raw_loads_or_names_the_faulty_file(sidecar):
             message = str(e)
             assert message.splitlines() == [message]
             assert message.startswith((f"{path.with_suffix('.json')}: ", f"{path}: "))
+
+
+@pytest.mark.parametrize("height", [2, 64, 66, 130])
+def test_write_ppm_quantizes_every_strip_and_leaves_its_input(tmp_path, height):
+    planes = np.random.default_rng(height).random((3, height, 6))
+    planes[:, 0, :3] = [0.0, 0.5 / 65535, 1.0]  # both ends, and a value that scales to .5
+    rgb = RgbImage(planes)
+    path = tmp_path / "out.ppm"
+    write_ppm(rgb, path)
+    header = f"P6\n6 {height}\n65535\n".encode()
+    data = path.read_bytes()
+    assert data[: len(header)] == header
+    want = np.floor(planes * 65535 + 0.5).transpose(1, 2, 0).astype(">u2")
+    assert data[len(header):] == want.tobytes()
+    np.testing.assert_array_equal(rgb.planes, planes)
 
 
 def test_write_ppm_layout(tmp_path):

@@ -1,3 +1,7 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +17,10 @@ from bayerkit import (
     demosaic_bilinear,
     gen_scene,
     mosaic,
+    save_raw,
 )
+import bayerkit.simulate as simulate
+from bayerkit.cli import main
 
 from conftest import ALL_PATTERNS, rand_raw
 
@@ -310,6 +317,54 @@ def test_demosaic_equals_sparse_plane_stencil(height, width, pattern, lv, seed):
     img = RawImage(samples, pattern, black, white)
     want = _demosaic_oracle(img)
     np.testing.assert_array_equal(demosaic_bilinear(img).planes, want)
+
+
+@st.composite
+def strip_frames(draw):
+    """(strip rows, RawImage) with heights up to 40: odd strips, one-row tails, one strip."""
+    strip = draw(st.integers(1, 6))
+    height = 2 * draw(st.integers(2, 20))
+    width = 2 * draw(st.integers(2, 8))
+    black, white = draw(levels())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    samples = rng.choice([0, black, white, 65535, *rng.integers(0, 65536, 8)],
+                         size=(height, width)).astype(np.uint16)
+    return strip, RawImage(samples, draw(st.sampled_from(ALL_PATTERNS)), black, white)
+
+
+def _frame(strip, height, width, pattern=BayerPattern.GBRG):
+    samples = np.random.default_rng(height).integers(0, 65536, (height, width), dtype=np.uint16)
+    return strip, RawImage(samples, pattern, 100, 60000)
+
+
+@given(strip_frames())
+@example(_frame(3, 4, 6))  # a 3-row strip and a 1-row tail
+@example(_frame(5, 16, 4, BayerPattern.RGGB))  # odd strips: the tail starts on an odd row
+@example(_frame(1, 6, 8, BayerPattern.BGGR))  # every strip is one row
+@example(_frame(6, 6, 4))  # the whole frame in one strip
+@settings(max_examples=150, deadline=None)
+def test_demosaic_in_strips_equals_the_oracle(case):
+    strip, img = case
+    with mock.patch.object(simulate, "_STRIP_ROWS", strip):
+        got = demosaic_bilinear(img).planes
+    np.testing.assert_array_equal(got, _demosaic_oracle(img))
+
+
+@given(strip_frames())
+@example(_frame(3, 4, 6))
+@example(_frame(5, 16, 4, BayerPattern.RGGB))
+@settings(max_examples=60, deadline=None)
+def test_streamed_demosaic_ppm_equals_the_whole_frame_quantized(case):
+    strip, img = case
+    want = np.floor(_demosaic_oracle(img) * 65535 + 0.5).transpose(1, 2, 0).astype(">u2")
+    with tempfile.TemporaryDirectory() as d:
+        src, out = Path(d) / "in.pgm", Path(d) / "out.ppm"
+        save_raw(img, None, src)
+        with mock.patch.object(simulate, "_STRIP_ROWS", strip):
+            assert main(["demosaic", str(src), "-o", str(out)]) == 0
+        data = out.read_bytes()
+    header = f"P6\n{img.width} {img.height}\n65535\n".encode()
+    assert data == header + want.tobytes()
 
 
 @given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(), st.integers(0, 2**32))
