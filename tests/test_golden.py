@@ -3,7 +3,7 @@
 A fixed sequence of ``bayerkit`` invocations runs in one scratch directory on
 64x96 inputs that the sequence itself simulates, plus one 260x200 input whose
 padded planes span several Gaussian row strips and whose rows span several
-demosaic row strips. For each invocation the test
+demosaic and metric row strips. For each invocation the test
 pins the exit code, the sha256 of the captured stdout, and the sha256 of every
 file the invocation wrote (PGM, sidecar, PPM). Refactors and optimisations of
 the library are gated by these hashes: a change that moves one output byte is
@@ -100,6 +100,8 @@ CASES = [
     ("metrics-noisy-RGGB", ["metrics", "--ref", "clean_RGGB.pgm", "noisy_RGGB.pgm"]),
     ("metrics-denoised-GBRG", ["metrics", "--ref", "clean_GBRG.pgm", "den_gaussian_BGGR.pgm"]),
     ("metrics-median-BGGR", ["metrics", "--ref", "clean_BGGR.pgm", "den_median1_GRBG.pgm"]),
+    # 260 rows: four full 64-row metric strips and a 4-row tail that holds no SSIM window
+    ("metrics-strips-GBRG", ["metrics", "--ref", "big_GBRG.pgm", "den_big_GRBG.pgm"]),
     ("pack-roundtrip-GBRG", ["pack-roundtrip", "noisy_GBRG.pgm"]),
     ("pack-roundtrip-padded", ["pack-roundtrip", "pad_RGGB.pgm"]),
     ("baseline-demo", ["baseline-demo", "--seed", "0"]),
@@ -258,6 +260,8 @@ EXPECTED = {
     "metrics-denoised-GBRG": (0, "24fd171c3b1ecfa2bbd4f90aa8b7c959cd9c7be3343118b301d67c0fdf32982f", {
     }),
     "metrics-median-BGGR": (0, "830fb4e1771d7c1ce42904f44b268e7be3dcbd2edfc6c7a4b933cbb7abfc9b83", {
+    }),
+    "metrics-strips-GBRG": (0, "95af780379e79d4e6cb2d72be2d1e9fa23bd8cd8740ea4ff2c3abf0163e3cb3c", {
     }),
     "pack-roundtrip-GBRG": (0, "a35c4835372587ffe4d64966afa89e582ac479a8e6548ea2190a982f3f995768", {
     }),
