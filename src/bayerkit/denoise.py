@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadFilterParam
-from .image import PackedImage, RawImage, _adopt
+from . import image
+from .image import PackedImage, RawImage, _adopt, _row_strips
 from .packing import pack, unpack
 from .patterns import BayerPattern
 from .unify import disunify_crop, unify_pad
@@ -46,21 +47,17 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     return 1.0 / total, g1 / total
 
 
-_STRIP_ROWS = 64  # plane rows per Gaussian strip; its two float64 buffers stay in cache
-
-
 def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
     # separable 3x3 kernel; edge-duplicated borders (see module docstring). Each sample
     # takes the float64 steps (w1*up + w0*mid) + w1*down, then the same along the row.
     w0, w1 = _gaussian_3tap(sigma)
     h, w = plane.shape
     out = np.empty_like(plane)
-    x = np.empty((min(_STRIP_ROWS, h) + 2, w))  # a strip, one row above and one below
-    rows = np.empty((min(_STRIP_ROWS, h), w + 2))  # row pass, duplicated edge columns
-    for r0 in range(0, h, _STRIP_ROWS):
-        n = min(_STRIP_ROWS, h - r0)
+    x = np.empty((min(image.STRIP_ROWS, h) + 2, w))  # a strip, one row above and one below
+    rows = np.empty((min(image.STRIP_ROWS, h), w + 2))  # row pass, duplicated edge columns
+    for r0, n, src in _row_strips(h, (1, 1), "edge"):
         xs, rs = x[: n + 2], rows[:n]
-        xs[...] = plane[np.arange(r0 - 1, r0 + n + 1).clip(0, h - 1)]
+        xs[...] = plane[src]
         mid = np.multiply(w0, xs[1:-1], out=rs[:, 1:-1])
         xs *= w1
         mid += xs[:-2]

@@ -8,6 +8,17 @@ import numpy as np
 
 from .patterns import BayerPattern
 
+STRIP_ROWS = 64  # rows per strip of every full-frame kernel; its float64 buffers stay in cache
+
+
+def _row_strips(h: int, halo=(0, 0), mode=None):
+    """(r0, n, rows) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1
+    and reads the frame rows ``rows``, its own plus halo (above, below). Halo rows past the
+    frame follow ``np.pad``'s ``mode``, or are dropped when mode is None (needs above == 0)."""
+    src = np.arange(h) if mode is None else np.pad(np.arange(h), halo, mode=mode)
+    for r0 in range(0, h, STRIP_ROWS):
+        yield r0, min(STRIP_ROWS, h - r0), src[r0 : r0 + STRIP_ROWS + sum(halo)]
+
 
 def _frozen_u16(samples) -> np.ndarray:
     src = np.asarray(samples)

@@ -6,10 +6,10 @@ inputs so reports stay total. SSIM follows the reference formulation:
 11-tap Gaussian window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the
 mean is taken over windows that fit entirely inside the frame (no padding).
 
-Both are computed in one pass over horizontal strips of the uint16 inputs, so
-memory is bounded by the strip, not the frame. Each strip owns _STRIP_ROWS
-rows and reads _SSIM_WINDOW - 1 more, so every fully interior window lies in
-exactly one strip. Sums accumulate per strip and are divided once at the end.
+Both are computed in one pass over the row strips of image._row_strips on the
+uint16 inputs, so memory is bounded by the strip, not the frame. Each strip
+reads _SSIM_WINDOW - 1 rows below its own, so every fully interior window lies
+in exactly one strip. Sums accumulate per strip and are divided once at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, TooSmall
-from .image import RawImage
+from .image import RawImage, _row_strips
 
 PSNR_CAP_DB = 99.0
 
@@ -27,7 +27,6 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-_STRIP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,9 @@ def _strip_pass(a: RawImage, b: RawImage, with_ssim: bool) -> tuple[float, float
     w = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
     black, span = a.black_level, float(a.white_level - a.black_level)
     sq_sum = map_sum = 0.0
-    for top in range(0, a.height, _STRIP_ROWS):
-        rows = slice(top, top + _STRIP_ROWS + _SSIM_WINDOW - 1)
+    for _, n, rows in _row_strips(a.height, (0, _SSIM_WINDOW - 1)):
         x, y = ((img.samples[rows].astype(np.float64) - black) / span for img in (a, b))
-        d = x[:_STRIP_ROWS] - y[:_STRIP_ROWS]
+        d = x[:n] - y[:n]
         sq_sum += float(np.sum(d * d))
         if with_ssim and len(x) >= _SSIM_WINDOW:
             map_sum += _ssim_map_sum(x, y, w)

@@ -31,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from .image import RawImage, _adopt
+from . import image
+from .image import RawImage, _adopt, _row_strips
 from .patterns import BayerPattern
-from .simulate import _STRIP_ROWS, RgbImage
+from .simulate import RgbImage
 from .unify import PadSpec
 
 _PGM_MAGIC = b"P5\n"
@@ -165,25 +166,23 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    h = rgb.height
-    _write_ppm_strips(path, h, rgb.width,
-                      (rgb.planes[:, r0 : r0 + _STRIP_ROWS] for r0 in range(0, h, _STRIP_ROWS)))
+    strips = (rgb.planes[:, r0 : r0 + n] for r0, n, _ in _row_strips(rgb.height))
+    _write_ppm_strips(path, rgb.height, rgb.width, strips)
 
 
 def _write_ppm_strips(path, height: int, width: int, strips) -> None:
     """Write (3, n, width) float strips in [0, 1] that hold height rows, top to bottom, as a PPM.
 
-    Each strip is quantized into one reused interleaved buffer and written before the next
-    is asked for; the strips themselves are only read.
+    Each strip, of at most image.STRIP_ROWS rows, is quantized into one reused interleaved
+    buffer and written before the next is asked for; the strips themselves are only read.
     """
 
     def chunks():
         yield _pnm_header(b"P6\n", width, height)
-        out = scaled = np.empty(0)
+        rows = min(image.STRIP_ROWS, height)
+        out, scaled = np.empty((rows, width, 3), dtype=">u2"), np.empty((rows, width))
         for strip in strips:
             n = strip.shape[1]
-            if n > len(out):
-                out, scaled = np.empty((n, width, 3), dtype=">u2"), np.empty((n, width))
             for c in range(3):
                 # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero
                 x = np.multiply(strip[c], 65535.0, out=scaled[:n])

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .image import RawImage, _adopt, _reduce
+from . import image
+from .image import RawImage, _adopt, _reduce, _row_strips
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -35,7 +36,6 @@ from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 # misassignment must be numerically visible, not a coin toss.
 _BASE_LEVELS = np.array([0.35, 0.50, 0.65])
 _TERMS_PER_CHANNEL = 3
-_STRIP_ROWS = 64  # frame rows per demosaic strip; its float64 buffers stay in cache
 # demosaic: (XOR taking a block position to its neighbors', their (dy, dx) in summation order)
 _NEIGHBORS = (
     (2, ((-1, 0), (1, 0))),
@@ -180,10 +180,8 @@ def demosaic_bilinear(img: RawImage) -> RgbImage:
     channel identity. Output is normalized to [0, 1] by the image levels.
     """
     out = np.empty((3, img.height, img.width))
-    r0 = 0
-    for strip in _demosaic_strips(img):
-        out[:, r0 : r0 + strip.shape[1]] = strip
-        r0 += strip.shape[1]
+    for (r0, n, _), strip in zip(_row_strips(img.height), _demosaic_strips(img)):
+        out[:, r0 : r0 + n] = strip
     return _adopt(RgbImage, out)
 
 
@@ -197,15 +195,12 @@ def _demosaic_strips(img: RawImage):
     if h < 4 or w < 4:
         raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
     span = float(img.white_level - img.black_level)
-    rows = min(_STRIP_ROWS, h)
-    x = np.empty((rows + 2, w + 2))  # normalized strip, one reflect-101 row and column each side
-    buf = np.empty((3, rows, w))
+    x = np.empty((min(image.STRIP_ROWS, h) + 2, w + 2))  # one reflect-101 row/column each side
+    buf = np.empty((3, min(image.STRIP_ROWS, h), w))
 
     def strips():
-        for r0 in range(0, h, _STRIP_ROWS):
-            n = min(_STRIP_ROWS, h - r0)
+        for r0, n, src in _row_strips(h, (1, 1), "reflect"):  # numpy's reflect is reflect-101
             xs, strip = x[: n + 2], buf[:, :n]
-            src = h - 1 - np.abs(h - 1 - np.abs(np.arange(r0 - 1, r0 + n + 1)))  # reflect-101
             body = xs[:, 1:-1]
             body[...] = img.samples[src]
             body -= img.black_level

@@ -22,6 +22,7 @@ from bayerkit import (
     psnr,
 )
 import bayerkit.denoise as denoise
+import bayerkit.image as image
 from bayerkit.image import PackedImage
 
 from conftest import ALL_PATTERNS, assert_same_image, rand_raw
@@ -126,7 +127,7 @@ def test_strip_gaussian_equals_the_whole_plane_formula(strip, data, width, sigma
                                  st.integers(1, 5 * strip + 3)))
     wide = data.draw(arrays(np.uint16, (height, 2 * width), elements=SAMPLES))
     plane = wide[:, ::2] if strided else wide[:, :width]  # pack hands out strided planes
-    with mock.patch.object(denoise, "_STRIP_ROWS", strip):
+    with mock.patch.object(image, "STRIP_ROWS", strip):
         got = denoise._smooth_plane(plane, sigma)
     np.testing.assert_array_equal(got, _whole_plane_gaussian(plane, sigma))
     assert got.dtype == np.uint16

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bayerkit import metrics
+from bayerkit import image
 from bayerkit import (
     BayerPattern,
     PSNR_CAP_DB,
@@ -180,7 +180,7 @@ def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, see
     amplitude = int(rng.integers(0, white - black + 1))
     noisy = np.clip(clean + rng.integers(-amplitude, amplitude + 1, size=clean.shape), black, white)
     a, b = (RawImage(v, BayerPattern.GRBG, black, white) for v in (clean, noisy))
-    with patch.object(metrics, "_STRIP_ROWS", strip_rows):
+    with patch.object(image, "STRIP_ROWS", strip_rows):
         got = mse(a, b), ssim(a, b), metric_report(a, b), psnr(a, b)
     want_mse, want_ssim = full_frame_oracle(a, b)
     for m, s in (got[:2], (got[2].mse, got[2].ssim)):

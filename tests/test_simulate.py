@@ -19,7 +19,7 @@ from bayerkit import (
     mosaic,
     save_raw,
 )
-import bayerkit.simulate as simulate
+import bayerkit.image as image
 from bayerkit.cli import main
 
 from conftest import ALL_PATTERNS, rand_raw
@@ -345,7 +345,7 @@ def _frame(strip, height, width, pattern=BayerPattern.GBRG):
 @settings(max_examples=150, deadline=None)
 def test_demosaic_in_strips_equals_the_oracle(case):
     strip, img = case
-    with mock.patch.object(simulate, "_STRIP_ROWS", strip):
+    with mock.patch.object(image, "STRIP_ROWS", strip):
         got = demosaic_bilinear(img).planes
     np.testing.assert_array_equal(got, _demosaic_oracle(img))
 
@@ -360,7 +360,7 @@ def test_streamed_demosaic_ppm_equals_the_whole_frame_quantized(case):
     with tempfile.TemporaryDirectory() as d:
         src, out = Path(d) / "in.pgm", Path(d) / "out.ppm"
         save_raw(img, None, src)
-        with mock.patch.object(simulate, "_STRIP_ROWS", strip):
+        with mock.patch.object(image, "STRIP_ROWS", strip):
             assert main(["demosaic", str(src), "-o", str(out)]) == 0
         data = out.read_bytes()
     header = f"P6\n{img.width} {img.height}\n65535\n".encode()
