@@ -164,6 +164,8 @@ def cmd_augment(args) -> int:
         raise UsageError("choose one of --plan, --seed, or explicit step flags")
     if modes == 0:
         raise UsageError("no augmentation requested")
+    if args.patch_size is not None and args.seed is None:
+        raise UsageError("--patch-size requires --seed")
     img, _ = load_raw(args.input)
     if args.plan is not None:
         with open(args.plan, "rb") as fh:

@@ -138,12 +138,18 @@ def test_bad_sidecar_error_names_the_sidecar(tmp_path, sample_pair, capsys, side
     assert err.count("\n") == 1
 
 
-def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair):
+def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair, capsys):
     _, path = sample_pair
-    with pytest.raises(SystemExit) as exc:
-        main(["augment", "--hflip", "--seed", "3", "--patch-size", "4",
-              str(path), "-o", str(tmp_path / "x.pgm")])
-    assert exc.value.code == 2
+    for flags, message in [("--hflip --seed 3 --patch-size 4", "choose one of --plan, --seed, "
+                                                               "or explicit step flags"),
+                           ("--hflip --patch-size 4", "--patch-size requires --seed"),
+                           ("--plan p.json --patch-size 4", "--patch-size requires --seed"),
+                           ("--seed 3", "--seed requires --patch-size")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", *flags.split(), str(path), "-o", str(tmp_path / "x.pgm")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_augment_without_steps_is_usage_error(tmp_path, sample_pair):
