@@ -16,7 +16,8 @@ native array and adopts it without another copy. A fault in the sidecar is
 reported with the sidecar's path. A PGM path that ends in ``.json`` names its
 own sidecar; load and save refuse it up front.
 
-Every write goes to a temp file of its own beside the target, then is renamed over it.
+Every write goes to a temp file of its own beside the target, then is renamed over it;
+``save_raw`` completes both temp files of the PGM+sidecar pair before it renames either.
 A PPM is written in row strips: each is quantized into one reused 16-bit buffer and
 written before the next is made, so a streamed demosaic never holds its float frame.
 """
@@ -130,20 +131,25 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     return img, pad
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write an iterable of byte buffers in order to a temp file of its own, then rename it
-    over path. The chunks are written as they come; on any exception the temp file goes."""
-    if not path.name:
-        raise BayerKitError(f"{str(path)!r} names no file")
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")  # unlike mkstemp, keeps the umask's permission bits
+def _atomic_write(*files) -> None:
+    """Write each (path, chunks) pair's iterable of byte buffers in order to a temp file of
+    its own, then, once every temp file is complete, rename each over its path in order.
+    The chunks are written as they come; on any exception every temp file goes."""
+    tmps = []
     try:
-        with fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            if not path.name:
+                raise BayerKitError(f"{str(path)!r} names no file")
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            with open(tmp, "xb") as fh:  # unlike mkstemp, keeps the umask's permission bits
+                tmps.append(tmp)
+                for chunk in chunks:
+                    fh.write(chunk)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:  # a renamed one is gone already
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -160,8 +166,8 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
         sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     header = _pnm_header(_PGM_MAGIC, img.width, img.height)
-    _atomic_write(pgm, (header, img.samples.astype(">u2", order="C")))  # C order: written as is
-    _atomic_write(sidecar_file, (text.encode("ascii"),))
+    _atomic_write((pgm, (header, img.samples.astype(">u2", order="C"))),  # C order: written as is
+                  (sidecar_file, (text.encode("ascii"),)))
 
 
 def write_ppm(rgb: RgbImage, path) -> None:
@@ -190,4 +196,4 @@ def _write_ppm_strips(path, height: int, width: int, strips) -> None:
                 out[:n, :, c] = np.floor(x, out=x)
             yield out[:n]
 
-    _atomic_write(Path(path), chunks())
+    _atomic_write((Path(path), chunks()))

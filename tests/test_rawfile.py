@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -306,6 +309,48 @@ def test_failed_write_removes_its_temp_file(tmp_path, rng, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_sidecar_write_leaves_the_old_pair(tmp_path, rng, monkeypatch):
+    path = tmp_path / "img.pgm"
+    save_raw(rand_raw(rng, 4, 4, BayerPattern.RGGB), None, path)
+    old_pair = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class FullDisk(io.BufferedWriter):
+        def write(self, chunk):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_(file, mode):  # the sidecar's temp file is created, then its write fails
+        raw = io.FileIO(file, mode)
+        return FullDisk(raw) if Path(file).name.startswith("img.json.") else io.BufferedWriter(raw)
+
+    monkeypatch.setattr(rawfile, "open", open_, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_raw(rand_raw(rng, 4, 4, BayerPattern.GBRG, 16, 4000), None, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old_pair  # and no *.tmp
+
+
+def test_a_failed_second_rename_leaves_no_temp_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "img.pgm"
+    save_raw(rand_raw(rng, 4, 4, BayerPattern.RGGB), None, path)
+    old_sidecar = (tmp_path / "img.json").read_bytes()
+    new = rand_raw(rng, 4, 4, BayerPattern.GBRG, 16, 4000)
+    renamed, real_replace = [], os.replace
+
+    def replace(src, dst):
+        if renamed:
+            raise OSError("rename failed")
+        renamed.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(rawfile.os, "replace", replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save_raw(new, None, path)
+    assert renamed == ["img.pgm"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.json", "img.pgm"]
+    # the window no two-file rename can close: the new PGM beside the old sidecar
+    assert (tmp_path / "img.json").read_bytes() == old_sidecar
+    np.testing.assert_array_equal(load_raw(path)[0].samples, new.samples)
+
+
 def test_chunks_raising_after_the_header_leave_nothing(tmp_path):
     def chunks():
         yield b"P6\n4 4\n65535\n"
@@ -313,7 +358,7 @@ def test_chunks_raising_after_the_header_leave_nothing(tmp_path):
         raise RuntimeError("strip failed")
 
     with pytest.raises(RuntimeError, match="strip failed"):
-        rawfile._atomic_write(tmp_path / "out.ppm", chunks())
+        rawfile._atomic_write((tmp_path / "out.ppm", chunks()))
     assert list(tmp_path.iterdir()) == []
 
 
