@@ -164,6 +164,8 @@ def cmd_augment(args) -> int:
         raise UsageError("choose one of --plan, --seed, or explicit step flags")
     if modes == 0:
         raise UsageError("no augmentation requested")
+    if args.seed is not None and args.patch_size is None:
+        raise UsageError("--seed requires --patch-size")
     if args.patch_size is not None and args.seed is None:
         raise UsageError("--patch-size requires --seed")
     img, _ = load_raw(args.input)
@@ -171,8 +173,6 @@ def cmd_augment(args) -> int:
         with open(args.plan, "rb") as fh:
             plan = AugPlan.from_json(fh.read())
     elif args.seed is not None:
-        if args.patch_size is None:
-            raise UsageError("--seed requires --patch-size")
         plan = sample_plan(args.seed, args.patch_size, img.height, img.width, img.pattern)
     else:
         # the flag of each argument-free step is named after its op

@@ -140,15 +140,17 @@ def test_bad_sidecar_error_names_the_sidecar(tmp_path, sample_pair, capsys, side
 
 def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair, capsys):
     _, path = sample_pair
-    for flags, message in [("--hflip --seed 3 --patch-size 4", "choose one of --plan, --seed, "
-                                                               "or explicit step flags"),
-                           ("--hflip --patch-size 4", "--patch-size requires --seed"),
-                           ("--plan p.json --patch-size 4", "--patch-size requires --seed"),
-                           ("--seed 3", "--seed requires --patch-size")]:
-        with pytest.raises(SystemExit) as exc:
-            main(["augment", *flags.split(), str(path), "-o", str(tmp_path / "x.pgm")])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    for flags, message in [
+        ("--hflip --seed 3 --patch-size 4", "choose one of --plan, --seed, or explicit step flags"),
+        ("--hflip --patch-size 4", "--patch-size requires --seed"),
+        ("--plan p.json --patch-size 4", "--patch-size requires --seed"),
+        ("--seed 3", "--seed requires --patch-size"),
+    ]:
+        for inp in (path, tmp_path / "absent.pgm"):  # a usage error comes before any I/O
+            with pytest.raises(SystemExit) as exc:
+                main(["augment", *flags.split(), str(inp), "-o", str(tmp_path / "x.pgm")])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
     assert not (tmp_path / "x.pgm").exists()
 
 
