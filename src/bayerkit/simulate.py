@@ -119,15 +119,24 @@ def gen_scene(seed: int, height: int, width: int) -> RgbImage:
     yy = np.arange(height, dtype=np.float64)[:, None] / height
     xx = np.arange(width, dtype=np.float64)[None, :] / width
     planes = np.empty((3, height, width))
-    for c in range(3):
-        plane = np.full((height, width), bases[c])
+    buf = np.empty((min(image.STRIP_ROWS, height), width))
+    for plane, base in zip(planes, bases):
+        plane[...] = base
         for _ in range(_TERMS_PER_CHANNEL):
-            k = int(rng.integers(1, 16))  # (ky, kx) in {0..3}^2 minus (0,0)
-            ky, kx = divmod(k, 4)
+            ky, kx = divmod(int(rng.integers(1, 16)), 4)  # (ky, kx) in {0..3}^2 minus (0,0)
             amp = rng.uniform(0.04, 0.10)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            plane = plane + amp * np.sin(2.0 * np.pi * (kx * xx + ky * yy) + phase)
-        planes[c] = plane
+            if not (kx and ky):  # one row or column, broadcast: 0 * xx + v adds 0.0 to v >= 0
+                plane += amp * np.sin(2.0 * np.pi * (kx * xx if kx else ky * yy) + phase)
+                continue
+            for r0, n, _ in _row_strips(height):  # the whole-frame steps, in the same order
+                b = buf[:n]
+                np.add(kx * xx, ky * yy[r0 : r0 + n], out=b)
+                b *= 2.0 * np.pi
+                b += phase
+                np.sin(b, out=b)
+                b *= amp
+                plane[r0 : r0 + n] += b
     return RgbImage(np.clip(planes, 0.0, 1.0))
 
 

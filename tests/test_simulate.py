@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -97,6 +98,56 @@ def test_add_noise_zero_params_is_identity(rng):
     assert out is img
 
 
+
+def _gen_scene_oracle(seed, height, width):
+    """gen_scene as a whole-frame expression per term, as it was before its strips."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bases = rng.permutation(np.array([0.35, 0.50, 0.65])) + rng.uniform(-0.02, 0.02, size=3)
+    yy = np.arange(height, dtype=np.float64)[:, None] / height
+    xx = np.arange(width, dtype=np.float64)[None, :] / width
+    planes = np.empty((3, height, width))
+    for c in range(3):
+        plane = np.full((height, width), bases[c])
+        for _ in range(3):
+            ky, kx = divmod(int(rng.integers(1, 16)), 4)
+            amp = rng.uniform(0.04, 0.10)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            plane = plane + amp * np.sin(2.0 * np.pi * (kx * xx + ky * yy) + phase)
+        planes[c] = plane
+    return np.clip(planes, 0.0, 1.0)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32), st.integers(4, 40).map(lambda n: 2 * n),
+       st.integers(4, 40).map(lambda n: 2 * n))
+@example(5, 3, 22, 26)  # seed 3: 7 of 9 terms are axis-only; a 2-row tail
+@example(4, 4, 30, 14)  # seed 4: 7 of 9 terms are diagonal; widths not a multiple of 8
+@example(6, 4, 8, 10)  # the whole frame in two strips, the second of 2 rows
+@example(1, 3, 80, 78)  # every strip is one row
+@settings(max_examples=150, deadline=None)
+def test_gen_scene_in_strips_equals_the_whole_frame_oracle(strip, seed, height, width):
+    with mock.patch.object(image, "STRIP_ROWS", strip):
+        got = gen_scene(seed, height, width).planes
+    assert np.array_equal(got, _gen_scene_oracle(seed, height, width))
+
+
+def _peak_planes(call, height, width):
+    """The tracemalloc peak of call() in float64 planes of height x width."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (height * width * 8)
+
+
+def test_gen_scene_peak_stays_below_nine_and_a_half_planes():
+    # its planes, the clipped planes and their public copy, 3 each, and one strip buffer;
+    # the whole-frame sum of the terms took 10
+    ratio = _peak_planes(lambda: gen_scene(1, 1024, 1536), 1024, 1536)
+    assert ratio < 9.5
+    assert _peak_planes(lambda: gen_scene(1, 2048, 1536), 2048, 1536) <= ratio
+
 @pytest.mark.parametrize("read, shot", [(1e155, 0.0), (0.0, 1e155), (float("nan"), 0.0),
                                         (0.0, float("inf")), (-0.1, 0.0),
                                         pytest.param(10**400, 0, id="int-read-beyond-float"),
@@ -122,6 +173,7 @@ def test_add_noise_deterministic_and_clipped():
     assert a.samples.max() <= 300
     c = add_noise(img, NoiseParams(0.2, 0.1), 6)
     assert (a.samples != c.samples).any()
+
 
 
 def test_add_noise_empirical_std():
