@@ -170,13 +170,20 @@ def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
     if params.sigma_read == 0.0 and params.sigma_shot == 0.0:
         return img
     span = float(img.white_level - img.black_level)
-    x = (img.samples.astype(np.float64) - img.black_level) / span
-    var = params.sigma_read**2 + params.sigma_shot**2 * np.clip(x, 0.0, None)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noisy = x + rng.standard_normal(x.shape) * np.sqrt(var)
-    out = np.floor(noisy * span + 0.5) + img.black_level
-    out = np.clip(out, img.black_level, img.white_level)
-    return _adopt(RawImage, out.astype(np.uint16), img.pattern, img.black_level, img.white_level)
+    x = np.subtract(img.samples, img.black_level, dtype=np.float64)  # the one working plane
+    x /= span
+    s = np.clip(x, 0.0, None)  # then the standard deviation, then the noise
+    s *= params.sigma_shot**2
+    s += params.sigma_read**2
+    np.sqrt(s, out=s)
+    s *= np.random.Generator(np.random.PCG64(seed)).standard_normal(x.shape)
+    x += s
+    x *= span
+    x += 0.5
+    np.floor(x, out=x)
+    x += img.black_level
+    np.clip(x, img.black_level, img.white_level, out=x)
+    return _adopt(RawImage, x.astype(np.uint16), img.pattern, img.black_level, img.white_level)
 
 
 def demosaic_bilinear(img: RawImage) -> RgbImage:
@@ -211,8 +218,7 @@ def _demosaic_strips(img: RawImage):
         for r0, n, src in _row_strips(h, (1, 1), "reflect"):  # numpy's reflect is reflect-101
             xs, strip = x[: n + 2], buf[:, :n]
             body = xs[:, 1:-1]
-            body[...] = img.samples[src]
-            body -= img.black_level
+            np.subtract(img.samples[src], img.black_level, out=body, dtype=np.float64)
             body /= span
             # samples outside [black, white] are legal in RawImage; clamp so the
             # normalized plane honors the [0, 1] contract

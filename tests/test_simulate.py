@@ -176,6 +176,12 @@ def test_add_noise_deterministic_and_clipped():
 
 
 
+def test_add_noise_peak_stays_below_three_and_a_half_planes(rng):
+    # the working plane, the deviations, the normals; the whole-array formula took 5
+    h, w = 1024, 1536
+    img = rand_raw(rng, h, w, BayerPattern.GRBG, black=64, white=16383)
+    assert _peak_planes(lambda: add_noise(img, NoiseParams(0.01, 0.05), 1), h, w) < 3.5
+
 def test_add_noise_empirical_std():
     img = RawImage(np.full((1000, 2000), 32768, dtype=np.uint16), BayerPattern.RGGB)
     params = NoiseParams(0.02, 0.04)
