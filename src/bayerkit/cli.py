@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_baseline_demo)
 
+    for p in sub.choices.values():  # a command's UsageError is reported under its own usage
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -248,7 +250,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as e:
-        parser.error(str(e))  # exits 2
+        args.parser.error(str(e))  # exits 2
     except (BayerKitError, OSError) as e:
         print(f"bayerkit: error: {e}", file=sys.stderr)
         return 1

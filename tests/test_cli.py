@@ -150,7 +150,7 @@ def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair, capsys)
             with pytest.raises(SystemExit) as exc:
                 main(["augment", *flags.split(), str(inp), "-o", str(tmp_path / "x.pgm")])
             assert exc.value.code == 2
-            assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+            assert capsys.readouterr().err.splitlines()[-1] == f"bayerkit augment: error: {message}"
     assert not (tmp_path / "x.pgm").exists()
 
 
