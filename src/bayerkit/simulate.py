@@ -9,10 +9,15 @@ is bit-exact. Those three properties make it a sharp structural oracle: any
 channel misassignment upstream shows up as a large, localized demosaic error
 instead of vanishing into a clever reconstruction.
 
-The demosaic runs over 64-row strips of the frame, each read with one
-reflect-101 halo row above and below; every sample takes the whole-frame
-float64 steps in the same order, so the strip height never shows in the
-bytes. ``bayerkit demosaic`` writes the strips to its PPM as they are made.
+gen_scene and the demosaic run over 64-row strips of the frame. A scene
+term along one axis takes the sine of one row or column and broadcasts it;
+a term along both axes fills one reused strip buffer per strip. The
+demosaic reads each strip with one reflect-101 halo row above and below.
+Every sample takes the whole-frame float64 steps in the same order, so the
+strip height never shows in the bytes. ``bayerkit demosaic`` writes the
+strips to its PPM as they are made; gen_scene's planes still go through
+the copying ``RgbImage`` constructor. add_noise works in place: one
+float64 working plane, plus one for the deviations and one for the normals.
 
 All randomized functions are pure functions of their seed (numpy PCG64 with
 a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is

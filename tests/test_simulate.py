@@ -98,7 +98,6 @@ def test_add_noise_zero_params_is_identity(rng):
     assert out is img
 
 
-
 def _gen_scene_oracle(seed, height, width):
     """gen_scene as a whole-frame expression per term, as it was before its strips."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -148,6 +147,7 @@ def test_gen_scene_peak_stays_below_nine_and_a_half_planes():
     assert ratio < 9.5
     assert _peak_planes(lambda: gen_scene(1, 2048, 1536), 2048, 1536) <= ratio
 
+
 @pytest.mark.parametrize("read, shot", [(1e155, 0.0), (0.0, 1e155), (float("nan"), 0.0),
                                         (0.0, float("inf")), (-0.1, 0.0),
                                         pytest.param(10**400, 0, id="int-read-beyond-float"),
@@ -175,12 +175,12 @@ def test_add_noise_deterministic_and_clipped():
     assert (a.samples != c.samples).any()
 
 
-
 def test_add_noise_peak_stays_below_three_and_a_half_planes(rng):
     # the working plane, the deviations, the normals; the whole-array formula took 5
     h, w = 1024, 1536
     img = rand_raw(rng, h, w, BayerPattern.GRBG, black=64, white=16383)
     assert _peak_planes(lambda: add_noise(img, NoiseParams(0.01, 0.05), 1), h, w) < 3.5
+
 
 def test_add_noise_empirical_std():
     img = RawImage(np.full((1000, 2000), 32768, dtype=np.uint16), BayerPattern.RGGB)
