@@ -1,20 +1,25 @@
 """PSNR and SSIM on raw mosaics, computed in normalized units.
 
 Both metrics normalize samples by (white - black) and treat the mosaic as a
-single grayscale plane. PSNR uses peak 1 and caps at 99 dB for bit-identical
-inputs so reports stay total. SSIM follows the reference formulation:
-11-tap Gaussian window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the
-mean is taken over windows that fit entirely inside the frame (no padding).
+single grayscale plane. PSNR uses peak 1 and is capped at 99 dB, which a
+bit-identical pair reaches and a near-identical one cannot pass, so reports
+stay total and ordered. SSIM follows the reference formulation: 11-tap Gaussian
+window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the mean is taken over
+windows that fit entirely inside the frame (no padding).
 
 Both are computed in one pass over the row strips of image._row_strips on the
-uint16 inputs, so memory is bounded by the strip, not the frame. Each strip
-reads _SSIM_WINDOW - 1 rows below its own, so every fully interior window lies
-in exactly one strip. Sums accumulate per strip and are divided once at the end.
+uint16 inputs, so memory is bounded by the strip, not the frame. For SSIM each
+strip reads _SSIM_WINDOW - 1 rows below its own, so every fully interior window
+lies in exactly one strip; its four windowed means are a few large BLAS products
+per strip (see _windowed_mean), in row-major layout. MSE reads only the strip's
+own rows: the exact integer sum of the squared uint16 differences, so the one
+division at the end, in Python integers, gives the correctly rounded MSE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +32,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+_BLOCK = 16  # output columns per row-pass product; 16 beat 32 and 64 at 512 and 3072 wide
 
 
 @dataclass(frozen=True)
@@ -52,18 +58,16 @@ def _check_comparable(a: RawImage, b: RawImage) -> None:
 
 
 def mse(a: RawImage, b: RawImage) -> float:
-    """Mean squared error in normalized units."""
+    """Mean squared error in normalized units, correctly rounded."""
     return _strip_pass(a, b, with_ssim=False)[0]
 
 
 def _psnr_db(m: float) -> float:
-    if m == 0.0:
-        return PSNR_CAP_DB
-    return float(10.0 * np.log10(1.0 / m))
+    return PSNR_CAP_DB if m == 0.0 else min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / m)))
 
 
 def psnr(a: RawImage, b: RawImage) -> float:
-    """10 * log10(1 / MSE) with peak 1; 99.0 dB when the images are identical."""
+    """10 * log10(1 / MSE) with peak 1, capped at 99.0 dB; identical images read the cap."""
     return _psnr_db(mse(a, b))
 
 
@@ -73,24 +77,48 @@ def _gaussian_window(n: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _windowed_mean(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted local mean over every fully interior window (valid mode), transposed:
-    (W-n+1, H-n+1). Both passes are then one matrix-vector product per output line."""
-    n = w.size
-    rows = np.lib.stride_tricks.sliding_window_view(x, n, axis=0) @ w  # (H-n+1, W)
-    return np.lib.stride_tricks.sliding_window_view(rows.T, n, axis=0) @ w
+_WINDOW = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
 
 
-def _ssim_map_sum(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+@cache
+def _band(cols: int) -> np.ndarray:
+    """Read-only (cols + n - 1, cols) matrix whose column j holds the window in rows j .. j + n - 1;
+    its top-left (t + n - 1, t) corner is the band of t < cols columns. Built once per width."""
+    band = np.zeros((cols + _SSIM_WINDOW - 1, cols))
+    for j in range(cols):
+        band[j : j + _SSIM_WINDOW, j] = _WINDOW
+    band.flags.writeable = False
+    return band
+
+
+def _windowed_mean(x: np.ndarray) -> np.ndarray:
+    """Weighted local mean of the C-contiguous x over every fully interior window (valid mode),
+    row-major (H-n+1, W-n+1). The column pass is one matrix-vector product per output row over
+    a window view of x. The row pass views that result as (W-n+1) // b column blocks of width
+    b + n - 1 at stride b, b = _BLOCK, and multiplies each by the (b + n - 1, b) band straight
+    into the result; the last (W-n+1) % b columns take the band's corner. A strip then costs
+    about (W-n+1) / b BLAS products per mean, not one per output column."""
+    (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _band(_BLOCK)
+    m, k = h - n + 1, wd - n + 1  # output rows and columns
+    rows = np.ndarray((m, wd, n), x.dtype, x, 0, (wd * f, f, wd * f)) @ _WINDOW
+    out = np.empty((m, k))
+    nb, tail = divmod(k, b)
+    np.matmul(np.ndarray((nb, m, b + n - 1), x.dtype, rows, 0, (b * f, wd * f, f)), band,
+              out=np.ndarray((nb, m, b), x.dtype, out, 0, (b * f, k * f, f)))
+    np.matmul(rows[:, nb * b :], band[: tail + n - 1, :tail], out=out[:, nb * b :])
+    return out
+
+
+def _ssim_map_sum(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of the SSIM map over the fully interior windows of x and y."""
     c1 = _SSIM_K1 * _SSIM_K1  # L = 1
     c2 = _SSIM_K2 * _SSIM_K2
-    mu_x, mu_y = _windowed_mean(x, w), _windowed_mean(y, w)
+    mu_x, mu_y = _windowed_mean(x), _windowed_mean(y)
     mu_xy, mu_sq = mu_x * mu_y, mu_x * mu_x + mu_y * mu_y
     del mu_x, mu_y  # the strip's peak: three window-sized arrays are held from here on
-    num = (2.0 * mu_xy + c1) * (2.0 * (_windowed_mean(x * y, w) - mu_xy) + c2)
+    num = (2.0 * mu_xy + c1) * (2.0 * (_windowed_mean(x * y) - mu_xy) + c2)
     # var_x + var_y appears only as a sum, so x*x + y*y is filtered once
-    num /= (mu_sq + c1) * ((_windowed_mean(x * x + y * y, w) - mu_sq) + c2)
+    num /= (mu_sq + c1) * ((_windowed_mean(x * x + y * y) - mu_sq) + c2)
     return float(np.sum(num))
 
 
@@ -100,16 +128,16 @@ def _strip_pass(a: RawImage, b: RawImage, with_ssim: bool) -> tuple[float, float
     if with_ssim and min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
     windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
-    w = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
-    black, span = a.black_level, float(a.white_level - a.black_level)
-    sq_sum = map_sum = 0.0
-    for _, n, rows in _row_strips(a.height, (0, _SSIM_WINDOW - 1)):
-        x, y = ((img.samples[rows].astype(np.float64) - black) / span for img in (a, b))
-        d = x[:n] - y[:n]
-        sq_sum += float(np.sum(d * d))
-        if with_ssim and len(x) >= _SSIM_WINDOW:
-            map_sum += _ssim_map_sum(x, y, w)
-    return sq_sum / a.samples.size, (map_sum / windows if with_ssim else None)
+    black, span = a.black_level, a.white_level - a.black_level
+    sq_sum, map_sum = 0, 0.0
+    for r0, n, rows in _row_strips(a.height, (0, _SSIM_WINDOW - 1)):
+        d = np.subtract(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n], dtype=np.int64)
+        sq_sum += int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
+        if with_ssim and len(rows) >= _SSIM_WINDOW:
+            read = slice(r0, r0 + len(rows))  # the strip and its halo
+            x, y = ((img.samples[read].astype(np.float64) - black) / span for img in (a, b))
+            map_sum += _ssim_map_sum(x, y)
+    return sq_sum / (span * span * a.samples.size), (map_sum / windows if with_ssim else None)
 
 
 def ssim(a: RawImage, b: RawImage) -> float:

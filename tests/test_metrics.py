@@ -1,11 +1,12 @@
 import tracemalloc
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bayerkit import image
+from bayerkit import image, metrics
 from bayerkit import (
     BayerPattern,
     PSNR_CAP_DB,
@@ -35,6 +36,30 @@ def brute_force_mse(a: RawImage, b: RawImage) -> float:
 def test_psnr_identical_images_hit_cap(rng):
     img = rand_raw(rng, 8, 8, BayerPattern.RGGB)
     assert psnr(img, img) == PSNR_CAP_DB
+
+
+def test_psnr_is_capped_for_a_near_identical_pair(rng):
+    # one LSB in one of 512*512 samples: the uncapped figure is about 150.5 dB
+    a = rand_raw(rng, 512, 512, BayerPattern.RGGB)
+    samples = a.samples.copy()
+    samples[100, 200] ^= 1
+    b = RawImage(samples, a.pattern, a.black_level, a.white_level)
+    assert psnr(a, b) == PSNR_CAP_DB
+    assert metric_report(a, b).psnr_db == PSNR_CAP_DB
+
+
+@given(st.integers(1, 70).map(lambda n: 2 * n), st.integers(1, 40).map(lambda n: 2 * n),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mse_is_correctly_rounded(height, width, seed):
+    # samples span the whole uint16 range, so many lie outside [black, white]
+    rng = np.random.default_rng(seed)
+    black = int(rng.integers(0, 65535))
+    white = int(rng.integers(black + 1, 65536))
+    a, b = (rand_raw(rng, height, width, BayerPattern.BGGR, black, white) for _ in range(2))
+    sum_sq = sum((int(p) - int(q)) ** 2 for p, q in zip(a.samples.flat, b.samples.flat))
+    span = white - black
+    assert mse(a, b) == float(Fraction(sum_sq, span**2 * a.samples.size))
 
 
 def test_psnr_constant_difference():
@@ -166,13 +191,17 @@ def full_frame_oracle(a: RawImage, b: RawImage) -> tuple[float, float]:
 
 
 @given(st.integers(6, 45).map(lambda n: 2 * n), st.integers(6, 24).map(lambda n: 2 * n),
-       st.integers(1, 20), st.integers(0, 2**32 - 1))
-@example(12, 12, 64, 0)  # the smallest frame SSIM takes, inside one strip
-@example(12, 16, 1, 1)  # one window row, twelve strips
-@example(16, 12, 5, 2)  # the second strip reads exactly 11 rows: one window row
-@example(74, 14, 64, 3)  # a full strip, then a partial one of 10 rows and no window
+       st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1))
+@example(12, 12, 64, 16, 0)  # the smallest frame SSIM takes, inside one strip
+@example(12, 16, 1, 16, 1)  # one window row, twelve strips
+@example(16, 12, 5, 16, 2)  # the second strip reads exactly 11 rows: one window row
+@example(74, 14, 64, 16, 3)  # a full strip, then a partial one of 10 rows and no window
+@example(20, 24, 64, 16, 4)  # 14 window columns: less than one block, all tail
+@example(20, 26, 64, 16, 5)  # exactly one block, no tail
+@example(20, 42, 64, 16, 6)  # exactly two blocks
+@example(20, 48, 64, 16, 7)  # two blocks and a tail of 6
 @settings(max_examples=80, deadline=None)
-def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, seed):
+def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, block, seed):
     rng = np.random.default_rng(seed)
     black = int(rng.integers(0, 30000))
     white = int(rng.integers(black + 1, 65536))
@@ -180,7 +209,7 @@ def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, see
     amplitude = int(rng.integers(0, white - black + 1))
     noisy = np.clip(clean + rng.integers(-amplitude, amplitude + 1, size=clean.shape), black, white)
     a, b = (RawImage(v, BayerPattern.GRBG, black, white) for v in (clean, noisy))
-    with patch.object(image, "STRIP_ROWS", strip_rows):
+    with patch.object(image, "STRIP_ROWS", strip_rows), patch.object(metrics, "_BLOCK", block):
         got = mse(a, b), ssim(a, b), metric_report(a, b), psnr(a, b)
     want_mse, want_ssim = full_frame_oracle(a, b)
     for m, s in (got[:2], (got[2].mse, got[2].ssim)):
@@ -190,16 +219,17 @@ def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, see
 
 
 def test_ssim_memory_is_bounded_by_a_strip_not_the_frame(rng):
-    peaks = []
-    for height in (1024, 2048):
-        a = rand_raw(rng, height, 1536, BayerPattern.RGGB)
-        b = rand_raw(rng, height, 1536, BayerPattern.RGGB)
-        tracemalloc.start()
-        try:
-            ssim(a, b)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    frame_bytes = 1024 * 1536 * 8  # one full-frame float64 array of the smaller pair
-    assert peaks[0] < 0.75 * frame_bytes
-    assert peaks[1] < 1.05 * peaks[0]  # twice the rows, the same strips
+    for metric in (ssim, mse, metric_report):
+        peaks = []
+        for height in (1024, 2048):
+            a = rand_raw(rng, height, 1536, BayerPattern.RGGB)
+            b = rand_raw(rng, height, 1536, BayerPattern.RGGB)
+            tracemalloc.start()
+            try:
+                metric(a, b)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        frame_bytes = 1024 * 1536 * 8  # one full-frame float64 array of the smaller pair
+        assert peaks[0] < 0.75 * frame_bytes, metric.__name__
+        assert peaks[1] < 1.05 * peaks[0], metric.__name__  # twice the rows, the same strips
