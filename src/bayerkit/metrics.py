@@ -128,14 +128,15 @@ def _strip_pass(a: RawImage, b: RawImage, with_ssim: bool) -> tuple[float, float
     if with_ssim and min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
     windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
-    black, span = a.black_level, a.white_level - a.black_level
+    black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
     sq_sum, map_sum = 0, 0.0
     for r0, n, rows in _row_strips(a.height, (0, _SSIM_WINDOW - 1)):
         d = np.subtract(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n], dtype=np.int64)
         sq_sum += int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
         if with_ssim and len(rows) >= _SSIM_WINDOW:
             read = slice(r0, r0 + len(rows))  # the strip and its halo
-            x, y = ((img.samples[read].astype(np.float64) - black) / span for img in (a, b))
+            # C order whatever the samples' own: _windowed_mean views x with row-major strides
+            x, y = ((img.samples[read].astype(float, order="C") - black) / span for img in (a, b))
             map_sum += _ssim_map_sum(x, y)
     return sq_sum / (span * span * a.samples.size), (map_sum / windows if with_ssim else None)
 

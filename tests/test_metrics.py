@@ -17,6 +17,7 @@ from bayerkit import (
     mse,
     psnr,
     ssim,
+    transpose_bayer,
 )
 
 from conftest import rand_raw
@@ -49,14 +50,16 @@ def test_psnr_is_capped_for_a_near_identical_pair(rng):
 
 
 @given(st.integers(1, 70).map(lambda n: 2 * n), st.integers(1, 40).map(lambda n: 2 * n),
-       st.integers(0, 2**32 - 1))
+       st.sampled_from([int, np.uint16, np.int64]), st.integers(0, 2**32 - 1))
+@example(2, 2, np.uint16, 0)  # span * span would wrap at 2**16 in uint16
 @settings(max_examples=60, deadline=None)
-def test_mse_is_correctly_rounded(height, width, seed):
+def test_mse_is_correctly_rounded(height, width, level_type, seed):
     # samples span the whole uint16 range, so many lie outside [black, white]
     rng = np.random.default_rng(seed)
     black = int(rng.integers(0, 65535))
     white = int(rng.integers(black + 1, 65536))
-    a, b = (rand_raw(rng, height, width, BayerPattern.BGGR, black, white) for _ in range(2))
+    a, b = (rand_raw(rng, height, width, BayerPattern.BGGR, level_type(black), level_type(white))
+            for _ in range(2))
     sum_sq = sum((int(p) - int(q)) ** 2 for p, q in zip(a.samples.flat, b.samples.flat))
     span = white - black
     assert mse(a, b) == float(Fraction(sum_sq, span**2 * a.samples.size))
@@ -216,6 +219,25 @@ def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, blo
         assert abs(m - want_mse) <= 1e-12
         assert abs(s - want_ssim) <= 1e-12
     assert got[2].psnr_db == got[3]
+
+
+@pytest.mark.parametrize("layout", ["transpose_bayer", "fortran"])
+def test_strip_pass_reads_any_sample_layout(rng, layout):
+    # RawImage keeps its source's memory order, so these samples are not C-contiguous
+    clean = rng.integers(1000, 60001, size=(90, 40))
+    noisy = np.clip(clean + rng.integers(-3000, 3001, size=clean.shape), 0, 65535)
+    a, b = (RawImage(v, BayerPattern.RGGB) for v in (clean, noisy))
+    if layout == "transpose_bayer":
+        a, b = transpose_bayer(a), transpose_bayer(b)
+    else:
+        a, b = (RawImage(np.asfortranarray(v.samples), v.pattern) for v in (a, b))
+    assert not a.samples.flags.c_contiguous
+    with patch.object(image, "STRIP_ROWS", 16):
+        got = mse(a, b), ssim(a, b), metric_report(a, b)
+    want_mse, want_ssim = full_frame_oracle(a, b)
+    for m, s in (got[:2], (got[2].mse, got[2].ssim)):
+        assert abs(m - want_mse) <= 1e-12
+        assert abs(s - want_ssim) <= 1e-12
 
 
 def test_ssim_memory_is_bounded_by_a_strip_not_the_frame(rng):
