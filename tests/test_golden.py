@@ -3,7 +3,8 @@
 A fixed sequence of ``bayerkit`` invocations runs in one scratch directory on
 64x96 inputs that the sequence itself simulates, plus one 260x200 input whose
 padded planes span several Gaussian row strips and whose rows span several
-demosaic and metric row strips. For each invocation the test
+demosaic and metric row strips; a 258x198 crop of it leaves the demosaic a
+one-plane-row tail strip. For each invocation the test
 pins the exit code, the sha256 of the captured stdout, and the sha256 of every
 file the invocation wrote (PGM, sidecar, PPM). Refactors and optimisations of
 the library are gated by these hashes: a change that moves one output byte is
@@ -97,6 +98,10 @@ CASES = [
     # 260 rows: four full 64-row demosaic strips and a 4-row tail
     ("demosaic-strips-GBRG", ["demosaic", "big_GBRG.pgm", "-o", "rgb_big_GBRG.ppm"]),
     ("demosaic-strips-GRBG", ["demosaic", "den_big_GRBG.pgm", "-o", "rgb_den_big_GRBG.ppm"]),
+    # 258 rows, 129 plane rows: two full 64-plane-row strips and a one-plane-row tail
+    ("unify-crop-strips-GBRG-GRBG", ["unify", "--target", "GRBG", "--mode", "crop",
+                                     "big_GBRG.pgm", "-o", "crop_big_GRBG.pgm"]),
+    ("demosaic-strips-tail-GRBG", ["demosaic", "crop_big_GRBG.pgm", "-o", "rgb_crop_big_GRBG.ppm"]),
     ("metrics-noisy-RGGB", ["metrics", "--ref", "clean_RGGB.pgm", "noisy_RGGB.pgm"]),
     ("metrics-denoised-GBRG", ["metrics", "--ref", "clean_GBRG.pgm", "den_gaussian_BGGR.pgm"]),
     ("metrics-median-BGGR", ["metrics", "--ref", "clean_BGGR.pgm", "den_median1_GRBG.pgm"]),
@@ -254,6 +259,13 @@ EXPECTED = {
     }),
     "demosaic-strips-GRBG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
         "rgb_den_big_GRBG.ppm": "97c3a213dbedd9a71c165273e6c8825a4d3ba75a729afc5f305e2c57f485229f",
+    }),
+    "unify-crop-strips-GBRG-GRBG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "crop_big_GRBG.json": "18952f2da070e0dd1ad3234e31bff51657905e47c45cedc38b66310bc4a25839",
+        "crop_big_GRBG.pgm": "7980a9ed8c75bd2db8a34839bb84dc4b16c24f509cc47ca41d004bd421380413",
+    }),
+    "demosaic-strips-tail-GRBG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "rgb_crop_big_GRBG.ppm": "dde5b0e449579d8646203ee76873fe76acabe61fe8c5a5a00e55c79f7c921ba0",
     }),
     "metrics-noisy-RGGB": (0, "bdd868d3bbba86441980edc25cc57889309d309241f178ba167b793aafef3623", {
     }),
