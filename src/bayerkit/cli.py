@@ -19,7 +19,7 @@ from .errors import BayerKitError
 from .metrics import metric_report
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .rawfile import _write_ppm_strips, load_raw, save_raw, sidecar_path
+from .rawfile import _write_ppm, load_raw, save_raw, sidecar_path
 from .simulate import NoiseParams, _demosaic_strips, add_noise, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
 
@@ -227,8 +227,8 @@ def cmd_denoise(args) -> int:
 
 def cmd_demosaic(args) -> int:
     img, _ = load_raw(args.input)
-    # the float frame is never built: each strip is quantized and written as it is made
-    _write_ppm_strips(args.output, img.height, img.width, _demosaic_strips(img))
+    # the float frame is never built: each result is quantized as it is made
+    _write_ppm(args.output, img.height, img.width, _demosaic_strips(img))
     return 0
 
 

@@ -8,12 +8,17 @@ window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the mean is taken over
 windows that fit entirely inside the frame (no padding).
 
 Both are computed in one pass over the row strips of image._row_strips on the
-uint16 inputs, so memory is bounded by the strip, not the frame. For SSIM each
-strip reads _SSIM_WINDOW - 1 rows below its own, so every fully interior window
-lies in exactly one strip; its four windowed means are a few large BLAS products
-per strip (see _windowed_mean), in row-major layout. MSE reads only the strip's
-own rows: the exact integer sum of the squared uint16 differences, so the one
-division at the end, in Python integers, gives the correctly rounded MSE.
+uint16 inputs, so memory is bounded by the strip, not the frame; each metric
+pays only for its own reduction. For SSIM each strip reads _SSIM_WINDOW - 1 rows
+below its own, so every fully interior window lies in exactly one strip. A strip
+is made float once, as samples less black in row-major layout, and is not
+divided by the span: the SSIM map is invariant under a common scale of x, y, C1
+and C2, so the constants take the span instead, C = (K * span)**2, which is the
+normalized L = 1 form. Its four windowed means are banded block products for
+both passes (see _windowed_mean), and the map is built in place on them. MSE
+reads only the strip's own rows: the exact integer sum of the squared uint16
+differences, so the one division at the end, in Python integers, gives the
+correctly rounded MSE.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def _check_comparable(a: RawImage, b: RawImage) -> None:
 
 def mse(a: RawImage, b: RawImage) -> float:
     """Mean squared error in normalized units, correctly rounded."""
-    return _strip_pass(a, b, with_ssim=False)[0]
+    return _strip_pass(a, b, with_mse=True, with_ssim=False)[0]
 
 
 def _psnr_db(m: float) -> float:
@@ -93,14 +98,19 @@ def _band(cols: int) -> np.ndarray:
 
 def _windowed_mean(x: np.ndarray) -> np.ndarray:
     """Weighted local mean of the C-contiguous x over every fully interior window (valid mode),
-    row-major (H-n+1, W-n+1). The column pass is one matrix-vector product per output row over
-    a window view of x. The row pass views that result as (W-n+1) // b column blocks of width
-    b + n - 1 at stride b, b = _BLOCK, and multiplies each by the (b + n - 1, b) band straight
-    into the result; the last (W-n+1) % b columns take the band's corner. A strip then costs
-    about (W-n+1) / b BLAS products per mean, not one per output column."""
+    row-major (H-n+1, W-n+1). Both passes are banded block products with b = _BLOCK: the
+    column pass views x as (H-n+1) // b row blocks of b + n - 1 rows at stride b and multiplies
+    the (b, b + n - 1) transposed band by each; the row pass views that result as (W-n+1) // b
+    column blocks of width b + n - 1 at stride b and multiplies each by the band. Both write
+    straight into their results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the
+    band's corner. A strip then costs a few BLAS products per mean, not one per output line."""
     (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _band(_BLOCK)
     m, k = h - n + 1, wd - n + 1  # output rows and columns
-    rows = np.ndarray((m, wd, n), x.dtype, x, 0, (wd * f, f, wd * f)) @ _WINDOW
+    rows = np.empty((m, wd))
+    nb, tail = divmod(m, b)
+    np.matmul(band.T, np.ndarray((nb, b + n - 1, wd), x.dtype, x, 0, (b * wd * f, wd * f, f)),
+              out=rows[: nb * b].reshape(nb, b, wd))
+    np.matmul(band[: tail + n - 1, :tail].T, x[nb * b :], out=rows[nb * b :])
     out = np.empty((m, k))
     nb, tail = divmod(k, b)
     np.matmul(np.ndarray((nb, m, b + n - 1), x.dtype, rows, 0, (b * f, wd * f, f)), band,
@@ -109,21 +119,38 @@ def _windowed_mean(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ssim_map_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """Sum of the SSIM map over the fully interior windows of x and y."""
-    c1 = _SSIM_K1 * _SSIM_K1  # L = 1
-    c2 = _SSIM_K2 * _SSIM_K2
-    mu_x, mu_y = _windowed_mean(x), _windowed_mean(y)
-    mu_xy, mu_sq = mu_x * mu_y, mu_x * mu_x + mu_y * mu_y
-    del mu_x, mu_y  # the strip's peak: three window-sized arrays are held from here on
-    num = (2.0 * mu_xy + c1) * (2.0 * (_windowed_mean(x * y) - mu_xy) + c2)
+def _ssim_map_sum(x: np.ndarray, y: np.ndarray, span: int) -> float:
+    """Sum of the SSIM map over the fully interior windows of x and y, two strips of samples
+    less black: the map is invariant under a common scale of x, y, C1 and C2, so the
+    constants take the span, (K * span)**2, instead of the strips being divided by it.
+    Works in place on the four windowed means; x and y are overwritten."""
+    c1, c2 = (_SSIM_K1 * span) ** 2, (_SSIM_K2 * span) ** 2
+    mu_x, mu_y, e_xy = _windowed_mean(x), _windowed_mean(y), _windowed_mean(x * y)
     # var_x + var_y appears only as a sum, so x*x + y*y is filtered once
-    num /= (mu_sq + c1) * ((_windowed_mean(x * x + y * y) - mu_sq) + c2)
+    e_sq = _windowed_mean(np.add(np.square(x, out=x), np.square(y, out=y), out=x))
+    mu_xy = mu_x * mu_y
+    mu_sq = np.add(np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y), out=mu_x)
+    e_xy -= mu_xy
+    e_xy *= 2.0
+    e_xy += c2  # 2 cov + C2
+    e_sq -= mu_sq
+    e_sq += c2  # var_x + var_y + C2
+    mu_xy *= 2.0
+    mu_xy += c1
+    mu_sq += c1
+    num = np.multiply(mu_xy, e_xy, out=mu_xy)
+    num /= np.multiply(mu_sq, e_sq, out=mu_sq)
     return float(np.sum(num))
 
 
-def _strip_pass(a: RawImage, b: RawImage, with_ssim: bool) -> tuple[float, float | None]:
-    """(MSE, SSIM or None) from one pass over row strips of the two mosaics."""
+def _square_sum(a: np.ndarray, b: np.ndarray) -> int:
+    """The exact sum of the squared differences of two uint16 arrays, as a Python int."""
+    d = np.subtract(a, b, dtype=np.int64)
+    return int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
+
+
+def _strip_pass(a: RawImage, b: RawImage, with_mse: bool, with_ssim: bool):
+    """(MSE or None, SSIM or None) from one pass over row strips of the two mosaics."""
     _check_comparable(a, b)
     if with_ssim and min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
@@ -131,21 +158,23 @@ def _strip_pass(a: RawImage, b: RawImage, with_ssim: bool) -> tuple[float, float
     black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
     sq_sum, map_sum = 0, 0.0
     for r0, n, rows in _row_strips(a.height, (0, _SSIM_WINDOW - 1)):
-        d = np.subtract(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n], dtype=np.int64)
-        sq_sum += int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
+        if with_mse:
+            sq_sum += _square_sum(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n])
         if with_ssim and len(rows) >= _SSIM_WINDOW:
             read = slice(r0, r0 + len(rows))  # the strip and its halo
             # C order whatever the samples' own: _windowed_mean views x with row-major strides
-            x, y = ((img.samples[read].astype(float, order="C") - black) / span for img in (a, b))
-            map_sum += _ssim_map_sum(x, y)
-    return sq_sum / (span * span * a.samples.size), (map_sum / windows if with_ssim else None)
+            x, y = (np.subtract(img.samples[read], black, dtype=np.float64, order="C")
+                    for img in (a, b))
+            map_sum += _ssim_map_sum(x, y, span)
+    return (sq_sum / (span * span * a.samples.size) if with_mse else None,
+            map_sum / windows if with_ssim else None)
 
 
 def ssim(a: RawImage, b: RawImage) -> float:
     """Mean local structural similarity of the two mosaics as gray planes."""
-    return _strip_pass(a, b, with_ssim=True)[1]
+    return _strip_pass(a, b, with_mse=False, with_ssim=True)[1]
 
 
 def metric_report(a: RawImage, b: RawImage) -> MetricReport:
-    m, s = _strip_pass(a, b, with_ssim=True)
+    m, s = _strip_pass(a, b, with_mse=True, with_ssim=True)
     return MetricReport(mse=m, psnr_db=_psnr_db(m), ssim=s)

@@ -18,8 +18,11 @@ own sidecar; load and save refuse it up front.
 
 Every write goes to a temp file of its own beside the target, then is renamed over it;
 ``save_raw`` completes both temp files of the PGM+sidecar pair before it renames either.
-A PPM is written in row strips: each is quantized into one reused 16-bit buffer and
-written before the next is made, so a streamed demosaic never holds its float frame.
+A PPM is written in row strips by one writer: each result of a strip, the float samples of
+one channel at some of the strip's sites, is quantized straight into one reused interleaved
+16-bit buffer, and the strip is written before the next is made. ``write_ppm`` feeds it views
+of an image's planes, and ``bayerkit demosaic`` the demosaic's results, so a streamed demosaic
+never holds its float frame.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from . import image
 from .image import RawImage, _adopt, _row_strips
 from .patterns import BayerPattern
 from .simulate import RgbImage
@@ -172,28 +174,33 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    strips = (rgb.planes[:, r0 : r0 + n] for r0, n, _ in _row_strips(rgb.height))
-    _write_ppm_strips(path, rgb.height, rgb.width, strips)
+    every = (slice(None), slice(None))
+    strips = ((r0, n, (((c, *every), rgb.planes[c, r0 : r0 + n]) for c in range(3)))
+              for r0, n, _ in _row_strips(rgb.height))
+    _write_ppm(path, rgb.height, rgb.width, strips)
 
 
-def _write_ppm_strips(path, height: int, width: int, strips) -> None:
-    """Write (3, n, width) float strips in [0, 1] that hold height rows, top to bottom, as a PPM.
+def _write_ppm(path, height: int, width: int, strips) -> None:
+    """Write float results in [0, 1] that cover height x width x 3 samples as a PPM.
 
-    Each strip, of at most image.STRIP_ROWS rows, is quantized into one reused interleaved
-    buffer and written before the next is asked for; the strips themselves are only read.
+    ``strips`` yields (r0, n, results) per strip of n rows, top to bottom, and each result is
+    ((channel, rows, cols), values) for the strip's samples [rows, cols] of one channel. Each
+    result is scaled in one float buffer and quantized straight into one interleaved 16-bit
+    buffer, both sized by the first (the tallest) strip, and the strip is written once its
+    results are in; the results themselves are only read.
     """
 
     def chunks():
         yield _pnm_header(b"P6\n", width, height)
-        rows = min(image.STRIP_ROWS, height)
-        out, scaled = np.empty((rows, width, 3), dtype=">u2"), np.empty((rows, width))
-        for strip in strips:
-            n = strip.shape[1]
-            for c in range(3):
+        out = None
+        for _, n, results in strips:
+            if out is None:
+                out, scaled = np.empty((n, width, 3), dtype=">u2"), np.empty(n * width)
+            for (c, rows, cols), values in results:
                 # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero
-                x = np.multiply(strip[c], 65535.0, out=scaled[:n])
+                x = np.multiply(values, 65535.0, out=scaled[: values.size].reshape(values.shape))
                 x += 0.5
-                out[:n, :, c] = np.floor(x, out=x)
+                out[:n][rows, cols, c] = np.floor(x, out=x)
             yield out[:n]
 
     _atomic_write((Path(path), chunks()))

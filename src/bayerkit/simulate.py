@@ -9,14 +9,18 @@ is bit-exact. Those three properties make it a sharp structural oracle: any
 channel misassignment upstream shows up as a large, localized demosaic error
 instead of vanishing into a clever reconstruction.
 
-gen_scene and the demosaic run over 64-row strips of the frame. A scene
-term along one axis takes the sine of one row or column and broadcasts it;
-a term along both axes fills one reused strip buffer per strip. The
-demosaic reads each strip with one reflect-101 halo row above and below.
-Every sample takes the whole-frame float64 steps in the same order, so the
-strip height never shows in the bytes. ``bayerkit demosaic`` writes the
-strips to its PPM as they are made; gen_scene's planes still go through
-the copying ``RgbImage`` constructor. add_noise works in place: one
+gen_scene runs over 64-row strips of the frame. A scene term along one
+axis takes the sine of one row or column and broadcasts it; a term along
+both axes fills one reused strip buffer per strip. The demosaic runs on the
+four packed half-resolution planes, in strips of 64 plane rows with one
+edge-duplicated row and column each side: mosaic reflect-101 keeps a
+neighbor's parity, so in plane space it is edge duplication, and every
+neighbor term is a contiguous shifted slice of one plane. Each (block
+position, channel) result is a quarter of the strip's samples. Every sample
+takes the whole-frame float64 steps in the same order, so neither the strip
+height nor the packing shows in the bytes. ``bayerkit demosaic`` quantizes
+the results into its PPM as they are made; gen_scene's planes still go
+through the copying ``RgbImage`` constructor. add_noise works in place: one
 float64 working plane, plus one for the deviations and one for the normals.
 
 All randomized functions are pure functions of their seed (numpy PCG64 with
@@ -201,44 +205,63 @@ def demosaic_bilinear(img: RawImage) -> RgbImage:
     channel identity. Output is normalized to [0, 1] by the image levels.
     """
     out = np.empty((3, img.height, img.width))
-    for (r0, n, _), strip in zip(_row_strips(img.height), _demosaic_strips(img)):
-        out[:, r0 : r0 + n] = strip
+    for r0, n, results in _demosaic_strips(img):
+        for (ch, rows, cols), values in results:
+            out[ch, r0 : r0 + n][rows, cols] = values
     return _adopt(RgbImage, out)
 
 
 def _demosaic_strips(img: RawImage):
-    """The bilinear demosaic as (3, n, W) float64 strips of the frame's rows, top to bottom.
+    """The bilinear demosaic as (r0, n, results) per strip of frame rows r0 .. r0 + n - 1, top
+    to bottom. Each result is ((channel, rows, cols), values): the float64 values of one channel
+    at one block position's sites [rows, cols] of the strip, a quarter of its samples.
 
-    Checks the size at the call, before the first strip. Each strip is a view of
-    one buffer that the next strip overwrites; read it before asking for the next.
+    Works on the four packed planes, in strips of image.STRIP_ROWS plane rows with one
+    edge-duplicated row and column each side: a mosaic neighbor at reflect-101 is that edge
+    duplicate in plane space, so every term is a contiguous shifted slice of one plane. Checks
+    the size at the call, before the first strip. Results are views of buffers that the next
+    result or strip overwrites; read each before asking for the next.
     """
     h, w = img.height, img.width
     if h < 4 or w < 4:
         raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
     span = float(img.white_level - img.black_level)
-    x = np.empty((min(image.STRIP_ROWS, h) + 2, w + 2))  # one reflect-101 row/column each side
-    buf = np.empty((3, min(image.STRIP_ROWS, h), w))
+    pattern, ph, pw = img.pattern.value, h // 2, w // 2
+    sites = [img.samples[a::2, b::2] for a in (0, 1) for b in (0, 1)]  # plane k = 2a + b
+    x = np.empty((4, min(image.STRIP_ROWS, ph) + 2, pw + 2))
+    acc = np.empty((min(image.STRIP_ROWS, ph), pw))
+
+    def results(xs, n):
+        for k, own in enumerate(pattern):
+            a, b = divmod(k, 2)
+            site = (slice(a, None, 2), slice(b, None, 2))
+            for channel, ch in CHANNEL_INDEX.items():
+                groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
+                # the neighbor at (2i + a + dy, 2j + b + dx) is plane k ^ j's sample at
+                # (i + (a + dy) // 2, j + (b + dx) // 2)
+                terms = [xs[k ^ j, 1 + (a + dy) // 2 : 1 + (a + dy) // 2 + n,
+                            1 + (b + dx) // 2 : 1 + (b + dx) // 2 + pw]
+                         for j, offsets in groups if pattern[k ^ j] == channel.value
+                         for dy, dx in offsets]
+                mean = terms[0]  # a pass-through: x / 1 is x
+                if len(terms) > 1:
+                    mean = np.add(terms[0], terms[1], out=acc[:n])  # summed in term order
+                    for t in terms[2:]:
+                        mean += t
+                    mean /= len(terms)
+                yield (ch, *site), mean
 
     def strips():
-        for r0, n, src in _row_strips(h, (1, 1), "reflect"):  # numpy's reflect is reflect-101
-            xs, strip = x[: n + 2], buf[:, :n]
-            body = xs[:, 1:-1]
-            np.subtract(img.samples[src], img.black_level, out=body, dtype=np.float64)
-            body /= span
-            # samples outside [black, white] are legal in RawImage; clamp so the
-            # normalized plane honors the [0, 1] contract
-            np.clip(body, 0.0, 1.0, out=body)
-            xs[:, 0], xs[:, -1] = xs[:, 2], xs[:, -3]
-            shifted = {(dy, dx): xs[1 + dy : 1 + dy + n, 1 + dx : 1 + dx + w]
-                       for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
-            for k, own in enumerate(img.pattern.value):  # block position k = 2a + b
-                a, b = divmod(k, 2)
-                a0 = (a - r0) % 2  # the strip's first row of position k: parity of the frame row
-                for channel, ch in CHANNEL_INDEX.items():
-                    groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
-                    terms = [shifted[offset][a0::2, b::2] for j, offsets in groups
-                             if img.pattern.value[k ^ j] == channel.value for offset in offsets]
-                    strip[ch, a0::2, b::2] = sum(terms[1:], terms[0]) / len(terms)
-            yield strip
+        for r0, n, src in _row_strips(ph, (1, 1), "edge"):
+            xs = x[:, : n + 2]
+            for plane, samples in zip(xs, sites):
+                # samples outside [black, white] are legal in RawImage; clamp so the normalized
+                # plane honors the [0, 1] contract. Clamped first, in uint16, they give the
+                # float steps' bytes: (s - black) / span is exact in its subtraction
+                s = np.clip(samples[src], img.black_level, img.white_level)
+                s -= img.black_level
+                np.divide(s, span, out=plane[:, 1:-1])
+            xs[:, :, 0], xs[:, :, -1] = xs[:, :, 1], xs[:, :, -2]
+            yield 2 * r0, 2 * n, results(xs, n)
 
     return strips()

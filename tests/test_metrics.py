@@ -194,20 +194,29 @@ def full_frame_oracle(a: RawImage, b: RawImage) -> tuple[float, float]:
 
 
 @given(st.integers(6, 45).map(lambda n: 2 * n), st.integers(6, 24).map(lambda n: 2 * n),
-       st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1))
-@example(12, 12, 64, 16, 0)  # the smallest frame SSIM takes, inside one strip
-@example(12, 16, 1, 16, 1)  # one window row, twelve strips
-@example(16, 12, 5, 16, 2)  # the second strip reads exactly 11 rows: one window row
-@example(74, 14, 64, 16, 3)  # a full strip, then a partial one of 10 rows and no window
-@example(20, 24, 64, 16, 4)  # 14 window columns: less than one block, all tail
-@example(20, 26, 64, 16, 5)  # exactly one block, no tail
-@example(20, 42, 64, 16, 6)  # exactly two blocks
-@example(20, 48, 64, 16, 7)  # two blocks and a tail of 6
+       st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.tuples(st.integers(1, 30000), st.integers(1, 200))
+                 .map(lambda t: (t[0], t[0] + t[1]))))
+@example(12, 12, 64, 16, 0, None)  # the smallest frame SSIM takes, inside one strip
+@example(12, 16, 1, 16, 1, None)  # one window row, twelve strips
+@example(16, 12, 5, 16, 2, None)  # the second strip reads exactly 11 rows: one window row
+@example(74, 14, 64, 16, 3, None)  # a full strip, then a partial one of 10 rows and no window
+@example(20, 24, 64, 16, 4, None)  # 14 window columns: less than one block, all tail
+@example(20, 26, 64, 16, 5, None)  # exactly one block, no tail
+@example(20, 42, 64, 16, 6, None)  # exactly two blocks
+@example(20, 48, 64, 16, 7, None)  # two blocks and a tail of 6
+@example(40, 20, 10, 16, 8, None)  # 10 window rows per strip: less than one block, all tail
+@example(42, 20, 16, 16, 9, None)  # 16 window rows per full strip: exactly one block
+@example(46, 20, 20, 16, 10, None)  # 20 window rows in the first strip: one block and a tail of 4
+@example(40, 20, 8, 16, 11, (100, 160))  # black > 0, small span: C1, C2 scaled by the span
 @settings(max_examples=80, deadline=None)
-def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, block, seed):
+def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, block, seed, levels):
     rng = np.random.default_rng(seed)
-    black = int(rng.integers(0, 30000))
-    white = int(rng.integers(black + 1, 65536))
+    if levels is None:
+        black = int(rng.integers(0, 30000))
+        white = int(rng.integers(black + 1, 65536))
+    else:
+        black, white = levels
     clean = rng.integers(black, white + 1, size=(height, width))
     amplitude = int(rng.integers(0, white - black + 1))
     noisy = np.clip(clean + rng.integers(-amplitude, amplitude + 1, size=clean.shape), black, white)
@@ -238,6 +247,15 @@ def test_strip_pass_reads_any_sample_layout(rng, layout):
     for m, s in (got[:2], (got[2].mse, got[2].ssim)):
         assert abs(m - want_mse) <= 1e-12
         assert abs(s - want_ssim) <= 1e-12
+
+
+def test_ssim_computes_no_mse(rng):
+    a, b = rand_raw(rng, 40, 30, BayerPattern.RGGB), rand_raw(rng, 40, 30, BayerPattern.RGGB)
+    with patch.object(metrics, "_square_sum", side_effect=AssertionError("MSE reduction")):
+        ssim(a, b)
+        for metric in (mse, psnr, metric_report):
+            with pytest.raises(AssertionError, match="MSE reduction"):
+                metric(a, b)
 
 
 def test_ssim_memory_is_bounded_by_a_strip_not_the_frame(rng):

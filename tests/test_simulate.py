@@ -379,7 +379,7 @@ def test_demosaic_equals_sparse_plane_stencil(height, width, pattern, lv, seed):
 
 @st.composite
 def strip_frames(draw):
-    """(strip rows, RawImage) with heights up to 40: odd strips, one-row tails, one strip."""
+    """(plane rows per strip, RawImage) with heights up to 40: odd strips, one-row tails, one strip."""
     strip = draw(st.integers(1, 6))
     height = 2 * draw(st.integers(2, 20))
     width = 2 * draw(st.integers(2, 8))
@@ -396,10 +396,11 @@ def _frame(strip, height, width, pattern=BayerPattern.GBRG):
 
 
 @given(strip_frames())
-@example(_frame(3, 4, 6))  # a 3-row strip and a 1-row tail
-@example(_frame(5, 16, 4, BayerPattern.RGGB))  # odd strips: the tail starts on an odd row
-@example(_frame(1, 6, 8, BayerPattern.BGGR))  # every strip is one row
+@example(_frame(3, 4, 6))  # 2 plane rows in one 3-row strip
+@example(_frame(5, 16, 4, BayerPattern.RGGB))  # 8 plane rows: a 5-row strip and a 3-row tail
+@example(_frame(1, 6, 8, BayerPattern.BGGR))  # every strip is one plane row
 @example(_frame(6, 6, 4))  # the whole frame in one strip
+@example(_frame(2, 10, 6, BayerPattern.GRBG))  # 5 plane rows: two 2-row strips, a 1-row tail
 @settings(max_examples=150, deadline=None)
 def test_demosaic_in_strips_equals_the_oracle(case):
     strip, img = case
@@ -411,6 +412,7 @@ def test_demosaic_in_strips_equals_the_oracle(case):
 @given(strip_frames())
 @example(_frame(3, 4, 6))
 @example(_frame(5, 16, 4, BayerPattern.RGGB))
+@example(_frame(2, 10, 6, BayerPattern.GRBG))
 @settings(max_examples=60, deadline=None)
 def test_streamed_demosaic_ppm_equals_the_whole_frame_quantized(case):
     strip, img = case
