@@ -37,7 +37,11 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-_BLOCK = 16  # output columns per row-pass product; 16 beat 32 and 64 at 512 and 3072 wide
+_BLOCK = 16  # output rows or columns per block product; 16 beat 32 and 64 in the row pass
+# OpenBLAS runs a product with m * n * k above 4 * 65536 on all its threads. On a 2-core VM the
+# first such product in a fresh process stalled for about a second in 6 of 16 `bayerkit
+# metrics` runs at 2048x3072, so the column pass splits its products below this size
+_BLAS_SERIAL_MNK = 4 * 65536
 
 
 @dataclass(frozen=True)
@@ -100,17 +104,21 @@ def _windowed_mean(x: np.ndarray) -> np.ndarray:
     """Weighted local mean of the C-contiguous x over every fully interior window (valid mode),
     row-major (H-n+1, W-n+1). Both passes are banded block products with b = _BLOCK: the
     column pass views x as (H-n+1) // b row blocks of b + n - 1 rows at stride b and multiplies
-    the (b, b + n - 1) transposed band by each; the row pass views that result as (W-n+1) // b
-    column blocks of width b + n - 1 at stride b and multiplies each by the band. Both write
-    straight into their results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the
-    band's corner. A strip then costs a few BLAS products per mean, not one per output line."""
+    the (b, b + n - 1) transposed band by each, over column ranges that keep every product
+    within _BLAS_SERIAL_MNK; the row pass views that result as (W-n+1) // b column blocks of
+    width b + n - 1 at stride b and multiplies each by the band. Both write straight into their
+    results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the band's corner. A
+    strip then costs a few BLAS products per mean, not one per output line."""
     (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _band(_BLOCK)
     m, k = h - n + 1, wd - n + 1  # output rows and columns
     rows = np.empty((m, wd))
     nb, tail = divmod(m, b)
-    np.matmul(band.T, np.ndarray((nb, b + n - 1, wd), x.dtype, x, 0, (b * wd * f, wd * f, f)),
-              out=rows[: nb * b].reshape(nb, b, wd))
-    np.matmul(band[: tail + n - 1, :tail].T, x[nb * b :], out=rows[nb * b :])
+    blocks = np.ndarray((nb, b + n - 1, wd), x.dtype, x, 0, (b * wd * f, wd * f, f))
+    width = _BLAS_SERIAL_MNK // (b * (b + n - 1))  # columns per column-pass product
+    for c in range(0, wd, width):
+        cols = slice(c, c + width)
+        np.matmul(band.T, blocks[:, :, cols], out=rows[: nb * b].reshape(nb, b, wd)[:, :, cols])
+        np.matmul(band[: tail + n - 1, :tail].T, x[nb * b :, cols], out=rows[nb * b :, cols])
     out = np.empty((m, k))
     nb, tail = divmod(k, b)
     np.matmul(np.ndarray((nb, m, b + n - 1), x.dtype, rows, 0, (b * f, wd * f, f)), band,

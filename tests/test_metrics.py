@@ -258,6 +258,20 @@ def test_ssim_computes_no_mse(rng):
                 metric(a, b)
 
 
+def test_ssim_products_stay_within_the_serial_blas_size():
+    sizes = []
+
+    def matmul(a, b, out):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])  # m * k * n
+        return real(a, b, out=out)
+
+    real = np.matmul
+    x = np.random.default_rng(0).random((74, 3072))  # a full strip of a 2048x3072 frame
+    with patch.object(np, "matmul", matmul):
+        metrics._windowed_mean(x)
+    assert len(sizes) > 2 and max(sizes) <= metrics._BLAS_SERIAL_MNK
+
+
 def test_ssim_memory_is_bounded_by_a_strip_not_the_frame(rng):
     for metric in (ssim, mse, metric_report):
         peaks = []
