@@ -157,7 +157,8 @@ def _square_sum(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
 
 
-def _strip_pass(a: RawImage, b: RawImage, with_mse: bool, with_ssim: bool):
+def _strip_pass(a: RawImage, b: RawImage, with_mse: bool,
+                with_ssim: bool) -> tuple[float | None, float | None]:
     """(MSE or None, SSIM or None) from one pass over row strips of the two mosaics."""
     _check_comparable(a, b)
     if with_ssim and min(a.height, a.width) < _SSIM_WINDOW:

@@ -174,8 +174,7 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    every = (slice(None), slice(None))
-    strips = ((r0, n, (((c, *every), rgb.planes[c, r0 : r0 + n]) for c in range(3)))
+    strips = ((r0, n, ((np.s_[c, :, :], rgb.planes[c, r0 : r0 + n]) for c in range(3)))
               for r0, n, _ in _row_strips(rgb.height))
     _write_ppm(path, rgb.height, rgb.width, strips)
 

@@ -234,7 +234,6 @@ def _demosaic_strips(img: RawImage):
     def results(xs, n):
         for k, own in enumerate(pattern):
             a, b = divmod(k, 2)
-            site = (slice(a, None, 2), slice(b, None, 2))
             for channel, ch in CHANNEL_INDEX.items():
                 groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
                 # the neighbor at (2i + a + dy, 2j + b + dx) is plane k ^ j's sample at
@@ -249,7 +248,7 @@ def _demosaic_strips(img: RawImage):
                     for t in terms[2:]:
                         mean += t
                     mean /= len(terms)
-                yield (ch, *site), mean
+                yield np.s_[ch, a::2, b::2], mean
 
     def strips():
         for r0, n, src in _row_strips(ph, (1, 1), "edge"):
