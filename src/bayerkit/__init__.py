@@ -33,7 +33,7 @@ from .errors import (
     TooSmall,
     UnknownPattern,
 )
-from .image import PackedImage, RawImage
+from .image import PackedImage, RawImage, RgbImage
 from .metrics import MetricReport, PSNR_CAP_DB, metric_report, mse, psnr, ssim
 from .packing import pack, unpack
 from .patterns import (
@@ -49,7 +49,6 @@ from .patterns import (
 from .rawfile import load_raw, save_raw, write_ppm
 from .simulate import (
     NoiseParams,
-    RgbImage,
     add_noise,
     demosaic_bilinear,
     gen_scene,

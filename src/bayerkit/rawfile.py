@@ -35,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from .image import RawImage, _adopt, _row_strips
+from .image import RawImage, RgbImage, _adopt, _row_strips
 from .patterns import BayerPattern
-from .simulate import RgbImage
 from .unify import PadSpec
 
 _PGM_MAGIC = b"P5\n"

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BadDimensions
 from . import image
-from .image import RawImage, _adopt, _reduce, _row_strips
+from .image import RawImage, RgbImage, _adopt, _row_strips
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -51,38 +51,6 @@ _NEIGHBORS = (
     (1, ((0, -1), (0, 1))),
     (3, ((-1, -1), (-1, 1), (1, -1), (1, 1))),
 )
-
-
-@dataclass(frozen=True, eq=False)
-class RgbImage:
-    """Three full-resolution float planes (R, G, B) with values in [0, 1]. The constructor
-    copies and freezes them; demosaic_bilinear freezes its fresh result instead."""
-
-    planes: np.ndarray  # (3, H, W) float64
-
-    def __post_init__(self):
-        self._store(np.array(self.planes, dtype=np.float64, copy=True))
-
-    def _store(self, arr: np.ndarray) -> None:
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise ValueError(f"expected (3, H, W) planes, got shape {arr.shape}")
-        h, w = arr.shape[1:]
-        if h < 2 or w < 2 or h % 2 or w % 2:
-            raise ValueError(f"dimensions must be even and >= 2, got {h}x{w}")
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
-            raise ValueError("RGB values must lie in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "planes", arr)
-
-    __reduce__ = _reduce
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]
 
 
 @dataclass(frozen=True)
