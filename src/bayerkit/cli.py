@@ -3,6 +3,13 @@
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on processing
 errors. Processing errors are reported as a single line on stderr. Every
 command is deterministic given its flags and seeds.
+
+A command writes no file itself. It returns the (path, chunks) pairs of its
+outputs, or None when it only prints, and ``main`` writes them as one unit:
+the temp file of every output is complete before the first is renamed over
+its path, so a command that fails before then leaves none of its outputs.
+POSIX has no rename of several files at once, so a rename that fails after an
+earlier one succeeded still leaves the earlier file.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .errors import BayerKitError
 from .metrics import metric_report
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .rawfile import _write_ppm, load_raw, save_raw, sidecar_path
+from .rawfile import _atomic_write, _ppm_file, _raw_files, load_raw, sidecar_path
 from .simulate import NoiseParams, _demosaic_strips, add_noise, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
 
@@ -141,25 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_unify(args) -> int:
+def cmd_unify(args) -> tuple:
     img, _ = load_raw(args.input)
     if args.mode == "crop":
-        save_raw(unify_crop(img, args.target), None, args.output)
-    else:
-        unified, pad = unify_pad(img, args.target)
-        save_raw(unified, pad, args.output)
-    return 0
+        return _raw_files(unify_crop(img, args.target), None, args.output)
+    return _raw_files(*unify_pad(img, args.target), args.output)
 
 
-def cmd_disunify(args) -> int:
+def cmd_disunify(args) -> tuple:
     img, pad = load_raw(args.input)
     if pad is None:
         raise BayerKitError(f"{args.input}: sidecar has no 'pad' record to undo")
-    save_raw(disunify_crop(img, pad), None, args.output)
-    return 0
+    return _raw_files(disunify_crop(img, pad), None, args.output)
 
 
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> tuple:
     explicit = args.hflip or args.vflip or args.transpose or args.patch is not None
     modes = sum([args.plan is not None, args.seed is not None, explicit])
     if modes > 1:
@@ -182,11 +185,10 @@ def cmd_augment(args) -> int:
         if args.patch is not None:
             steps.append(Patch(*args.patch))
         plan = AugPlan(tuple(steps))
-    save_raw(apply_plan(img, plan), None, args.output)
-    return 0
+    return _raw_files(apply_plan(img, plan), None, args.output)
 
 
-def cmd_pack_roundtrip(args) -> int:
+def cmd_pack_roundtrip(args) -> None:
     img, _ = load_raw(args.input)
     back = unpack(pack(img))
     ok = (
@@ -196,64 +198,57 @@ def cmd_pack_roundtrip(args) -> int:
         and back.white_level == img.white_level
     )
     if not ok:
-        print(f"{args.input}: pack/unpack round trip FAILED", file=sys.stderr)
-        return 1
+        raise BayerKitError(f"{args.input}: pack/unpack round trip FAILED")
     print(f"{args.input}: pack/unpack round trip OK ({img.height}x{img.width})")
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     sidecars = {os.path.realpath(sidecar_path(p)) for p in filter(None, (args.clean, args.output))}
-    if args.clean and len(sidecars) == 1:  # bad outputs are refused before the first write
+    if args.clean and len(sidecars) == 1:  # one sidecar would overwrite the other
         raise BayerKitError(f"{args.output}: -o and --clean would share one sidecar")
     height, width = args.size
     scene = gen_scene(args.seed, height, width)
     clean = mosaic(scene, args.pattern)
-    if args.clean:
-        save_raw(clean, None, args.clean)
+    files = _raw_files(clean, None, args.clean) if args.clean else ()
     out = clean
     if args.noise is not None:
         out = add_noise(clean, args.noise, args.noise_seed)
-    save_raw(out, None, args.output)
-    return 0
+    return files + _raw_files(out, None, args.output)
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args) -> tuple:
     spec = DenoiserSpec.parse(args.filter_spec)
     img, _ = load_raw(args.input)
-    save_raw(denoise_pipeline(img, args.work_pattern, spec), None, args.output)
-    return 0
+    return _raw_files(denoise_pipeline(img, args.work_pattern, spec), None, args.output)
 
 
-def cmd_demosaic(args) -> int:
+def cmd_demosaic(args) -> tuple:
     img, _ = load_raw(args.input)
     # the float frame is never built: each result is quantized as it is made
-    _write_ppm(args.output, img.height, img.width, _demosaic_strips(img))
-    return 0
+    return (_ppm_file(args.output, img.height, img.width, _demosaic_strips(img)),)
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     ref, _ = load_raw(args.ref)
     img, _ = load_raw(args.input)
     print(metric_report(img, ref).to_json())
-    return 0
 
 
-def cmd_baseline_demo(args) -> int:
+def cmd_baseline_demo(args) -> None:
     print(json.dumps(baselines.sweep(args.seed, 128, 128), indent=2))
-    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _atomic_write(*(args.func(args) or ()))  # a command that only prints returns None
     except UsageError as e:
         args.parser.error(str(e))  # exits 2
     except (BayerKitError, OSError) as e:
         print(f"bayerkit: error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

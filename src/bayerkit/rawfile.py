@@ -16,10 +16,12 @@ native array and adopts it without another copy. A fault in the sidecar is
 reported with the sidecar's path. A PGM path that ends in ``.json`` names its
 own sidecar; load and save refuse it up front.
 
-Every write goes to a temp file of its own beside the target, then is renamed over it;
-``save_raw`` completes both temp files of the PGM+sidecar pair before it renames either.
-A PPM is written in row strips by one writer: each result of a strip, the float samples of
-one channel at some of the strip's sites, is quantized straight into one reused interleaved
+A file is a (path, chunks) pair: ``_raw_files`` builds the PGM+sidecar pairs and
+``_ppm_file`` a PPM's. ``_atomic_write`` writes each file of a unit to a temp file of its own
+beside the target and completes every temp file before it renames the first over its path.
+``save_raw`` and ``write_ppm`` commit one image's files; the CLI commits all of a command's.
+A PPM's chunks come from one writer, in row strips: each result of a strip, the float samples
+of one channel at some of the strip's sites, is quantized straight into one reused interleaved
 16-bit buffer, and the strip is written before the next is made. ``write_ppm`` feeds it views
 of an image's planes, and ``bayerkit demosaic`` the demosaic's results, so a streamed demosaic
 never holds its float frame.
@@ -154,8 +156,8 @@ def _atomic_write(*files) -> None:
         raise
 
 
-def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
-    """Write the PGM and its ``<stem>.json`` sidecar; byte-stable across runs and platforms."""
+def _raw_files(img: RawImage, pad: PadSpec | None, path) -> tuple:
+    """The (path, chunks) pairs of the PGM and its ``<stem>.json`` sidecar, for _atomic_write."""
     pgm = Path(path)
     sidecar_file = sidecar_path(pgm)  # refuses a .json path before anything is written
     sidecar: dict = {
@@ -167,19 +169,25 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
         sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     header = _pnm_header(_PGM_MAGIC, img.width, img.height)
-    _atomic_write((pgm, (header, img.samples.astype(">u2", order="C"))),  # C order: written as is
-                  (sidecar_file, (text.encode("ascii"),)))
+    return ((pgm, (header, img.samples.astype(">u2", order="C"))),  # C order: written as is
+            (sidecar_file, (text.encode("ascii"),)))
+
+
+def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
+    """Write the PGM and its ``<stem>.json`` sidecar; byte-stable across runs and platforms."""
+    _atomic_write(*_raw_files(img, pad, path))
 
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
     strips = ((r0, n, ((np.s_[c, :, :], rgb.planes[c, r0 : r0 + n]) for c in range(3)))
               for r0, n, _ in _row_strips(rgb.height))
-    _write_ppm(path, rgb.height, rgb.width, strips)
+    _atomic_write(_ppm_file(path, rgb.height, rgb.width, strips))
 
 
-def _write_ppm(path, height: int, width: int, strips) -> None:
-    """Write float results in [0, 1] that cover height x width x 3 samples as a PPM.
+def _ppm_file(path, height: int, width: int, strips) -> tuple:
+    """The (path, chunks) pair, for _atomic_write, of a PPM of float results in [0, 1] that
+    cover height x width x 3 samples.
 
     ``strips`` yields (r0, n, results) per strip of n rows, top to bottom, and each result is
     ((channel, rows, cols), values) for the strip's samples [rows, cols] of one channel. Each
@@ -201,4 +209,4 @@ def _write_ppm(path, height: int, width: int, strips) -> None:
                 out[:n][rows, cols, c] = np.floor(x, out=x)
             yield out[:n]
 
-    _atomic_write((Path(path), chunks()))
+    return Path(path), chunks()

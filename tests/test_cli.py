@@ -126,6 +126,8 @@ def test_non_integer_sidecar_level_is_processing_error(tmp_path, sample_pair, ca
     json.dumps({"bayer_pattern": "GRBG",
                 "pad": {"top": 0, "bottom": 0, "left": 0, "right": 0}}).encode(),
     b"\xff\xfe{",
+    json.dumps({"bayer_pattern": "GRBG", "pad": {"top": 1, "bottom": 0, "left": 0, "right": 0,
+                                                "original_pattern": "GRBG"}}).encode(),
 ])
 def test_bad_sidecar_error_names_the_sidecar(tmp_path, sample_pair, capsys, sidecar):
     _, ref = sample_pair
@@ -198,7 +200,9 @@ def test_json_output_path_is_refused_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("clean, output", [("c.pgm", "out.json"), ("c.json", "out.pgm")])
+@pytest.mark.parametrize("clean, output", [("c.pgm", "out.json"), ("c.json", "out.pgm"),
+                                           ("c.pgm", "missing/out.pgm"),
+                                           ("missing/c.pgm", "out.pgm")])
 def test_refused_output_path_leaves_no_other_output(tmp_path, capsys, clean, output):
     assert main(["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1", "--noise",
                  "0.01,0.01", "--clean", str(tmp_path / clean), "-o", str(tmp_path / output)]) == 1
@@ -330,6 +334,7 @@ def test_unknown_pattern_flag_is_usage_error(tmp_path, sample_pair):
         "simulate --pattern RGGB --size 16x16 --seed 1 --noise=-1,0 -o {out}",
         "simulate --pattern RGGB --size 16x16 --seed 1 --noise 1e154,1e154 -o {out}",
         "simulate --pattern RGGB --size 16x16 --seed x -o {out}",
+        "simulate --pattern RGGB --size 16 --seed 1 -o {out}",
         "augment --seed -1 --patch-size 4 {inp} -o {out}",
         "baseline-demo --seed -1",
     ],

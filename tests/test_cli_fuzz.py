@@ -1,7 +1,8 @@
 """Argv-level fuzzing of the CLI error contract.
 
 Every invocation of ``cli.main`` must exit 0, 1 or 2 without a traceback, and
-an exit 1 must print exactly one line on stderr. Arguments are drawn per
+an exit 1 must print exactly one line on stderr. Whatever the exit code, no
+temp file of a write may be left behind. Arguments are drawn per
 subcommand from mixes of valid and hostile values; inputs are small files
 written into a fresh directory for each example.
 """
@@ -119,6 +120,11 @@ def _run(argv):
 SIM = ["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1"]
 
 
+# a rename, or the second temp file, fails after a temp file is complete
+@example(["demosaic", "RGGB_8x8.pgm", "-o", "sub"], PLANS[0])
+@example(["unify", "--target", "BGGR", "--mode", "pad", "RGGB_8x8.pgm", "-o", "sub"], PLANS[0])
+@example([*SIM, "--clean", "clean.pgm", "-o", "missing/out.pgm"], PLANS[0])
+@example([*SIM, "--clean", "clean.pgm", "-o", "sub"], PLANS[0])
 # each of these raised a traceback once
 @example(["denoise", "--filter", "gaussian:1e-200", "--work-pattern", "BGGR", "RGGB_8x8.pgm",
           "-o", "out.pgm"], PLANS[0])
@@ -137,6 +143,8 @@ def test_every_invocation_keeps_the_error_contract(argv, plan):
         names = set(INPUTS + OUTPUTS + ["clean.pgm"])
         argv = [os.path.join(d, a) if a in names and a else a for a in argv]
         code, err = _run(argv)
+        leftovers = list(d.rglob("*.tmp"))
+    assert not leftovers, (argv, code, leftovers)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 1:
