@@ -173,6 +173,17 @@ def test_packed_image_refuses_a_plane_side_of_zero(shape, build):
             _adopt(PackedImage, planes, BayerPattern.RGGB, 0, 65535)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2,), (2, 2, 2), (0, 2)])
+def test_raw_image_refuses_a_shape_that_is_not_an_even_mosaic(shape):
+    with pytest.raises(ValueError, match="need a 2-D mosaic, sides even and >= 2"):
+        RawImage(np.zeros(shape, np.uint16), BayerPattern.RGGB)
+
+
+def test_raw_image_refuses_a_pattern_that_is_not_a_bayer_pattern():
+    with pytest.raises(TypeError, match="^pattern must be a BayerPattern"):
+        RawImage(np.zeros((2, 2), np.uint16), "RGGB")
+
+
 @given(st.lists(st.one_of(st.integers(-2**20, 2**20), st.floats()), min_size=4, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_raw_image_keeps_sample_values_or_rejects(values):

@@ -76,6 +76,12 @@ def test_pattern_at_offset_identity_and_involution():
             assert pattern_at_offset(pattern_at_offset(p, dy, dx), dy, dx) is p
 
 
+@pytest.mark.parametrize("dy, dx", [(2, 0), (0, 2)])
+def test_pattern_at_offset_rejects_an_offset_outside_0_and_1(dy, dx):
+    with pytest.raises(ValueError, match="dy and dx must be 0 or 1"):
+        pattern_at_offset(BayerPattern.RGGB, dy, dx)
+
+
 def test_offset_action_is_free_and_transitive():
     # every ordered (src, dst) pair is reached by exactly one offset
     for src in ALL_PATTERNS:

@@ -178,6 +178,11 @@ def test_padspec_validation():
         PadSpec(2, 2, 0, 0, BayerPattern.RGGB)  # more than one row
 
 
+def test_padspec_refuses_an_original_pattern_that_is_not_a_bayer_pattern():
+    with pytest.raises(TypeError, match="original_pattern must be a BayerPattern"):
+        PadSpec(0, 0, 0, 0, "RGGB")
+
+
 def test_crop_and_pad_agree_on_pattern_and_parity(rng):
     for src, target in PAIRS:
         img = rand_raw(rng, 6, 10, src)
