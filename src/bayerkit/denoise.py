@@ -17,11 +17,15 @@ What this module actually guarantees is the plumbing around the filter:
   working pattern would leak into the result.
 
 The Gaussian computes in float64, rounds by floor(x + 0.5) (half away from
-zero, as x >= 0) and clips to 16 bits once per plane. It runs in 64-row strips
-of the plane through reused buffers; each sample takes the same float64 steps
-as in the whole-plane formula, so the strip size never shows in the bytes.
+zero, as x >= 0) and clips to 16 bits once per plane. It runs on the 64-row
+edge-halo strips of image._halo_strips; its column pass covers the halo
+columns too, so they come out of that pass as the duplicated edge columns the
+row pass needs. Each sample takes the same float64 steps as in the whole-plane
+formula, so the strip size never shows in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
-is one of them.
+is one of them. It pads the whole plane (reflect-101) instead of running on
+strips: on strips it was faster on a 1024x1536 plane but slower on the
+257x257 planes of the quality sweep (see README).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .errors import BadFilterParam
 from . import image
-from .image import PackedImage, RawImage, _adopt, _row_strips
+from .image import PackedImage, RawImage, _adopt, _halo_strips
 from .packing import pack, unpack
 from .patterns import BayerPattern
 from .unify import disunify_crop, unify_pad
@@ -53,20 +57,17 @@ def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
     w0, w1 = _gaussian_3tap(sigma)
     h, w = plane.shape
     out = np.empty_like(plane)
-    x = np.empty((min(image.STRIP_ROWS, h) + 2, w))  # a strip, one row above and one below
-    rows = np.empty((min(image.STRIP_ROWS, h), w + 2))  # row pass, duplicated edge columns
-    for r0, n, src in _row_strips(h, (1, 1), "edge"):
-        xs, rs = x[: n + 2], rows[:n]
-        xs[...] = plane[src]
-        mid = np.multiply(w0, xs[1:-1], out=rs[:, 1:-1])
+    cols = np.empty((min(image.STRIP_ROWS, h), w + 2))  # column pass, halo columns included
+    for r0, n, xs in _halo_strips(plane):
+        mid = np.multiply(w0, xs[1:-1], out=cols[:n])
         xs *= w1
         mid += xs[:-2]
         mid += xs[2:]
-        rs[:, 0], rs[:, -1] = rs[:, 1], rs[:, -2]
-        acc = np.multiply(w0, mid, out=xs[:n])
-        rs *= w1
-        acc += rs[:, :-2]
-        acc += rs[:, 2:]
+        # the row pass writes a contiguous (n, w) result into the spent strip
+        acc = np.multiply(w0, mid[:, 1:-1], out=np.ndarray((n, w), xs.dtype, xs))
+        mid *= w1
+        acc += mid[:, :-2]
+        acc += mid[:, 2:]
         acc += 0.5
         out[r0 : r0 + n] = np.clip(np.floor(acc, out=acc), 0, 65535, out=acc)
     return out

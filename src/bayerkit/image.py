@@ -1,4 +1,9 @@
-"""Container types for raw mosaics, packed 4-plane images and RGB images."""
+"""Container types for raw mosaics, packed 4-plane images and RGB images, and the strip engine.
+
+Every full-frame kernel runs over the row strips of ``_row_strips``. The Gaussian and the
+bilinear demosaic read their planes through ``_halo_strips``, the one place that builds the
+plane-space edge halo.
+"""
 
 from __future__ import annotations
 
@@ -11,13 +16,27 @@ from .patterns import BayerPattern
 STRIP_ROWS = 64  # rows per strip of every full-frame kernel; its float64 buffers stay in cache
 
 
-def _row_strips(h: int, halo=(0, 0), mode=None):
+def _row_strips(h: int, below: int = 0):
     """(r0, n, rows) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1
-    and reads the frame rows ``rows``, its own plus halo (above, below). Halo rows past the
-    frame follow ``np.pad``'s ``mode``, or are dropped when mode is None (needs above == 0)."""
-    src = np.arange(h) if mode is None else np.pad(np.arange(h), halo, mode=mode)
+    and reads the frame rows ``rows``, a slice of its own rows and up to ``below`` rows beneath
+    them; rows past the frame are dropped."""
     for r0 in range(0, h, STRIP_ROWS):
-        yield r0, min(STRIP_ROWS, h - r0), src[r0 : r0 + STRIP_ROWS + sum(halo)]
+        yield r0, min(STRIP_ROWS, h - r0), slice(r0, min(r0 + STRIP_ROWS + below, h))
+
+
+def _halo_strips(planes: np.ndarray):
+    """(r0, n, strip) per strip of the uint16 planes (..., h, w), top to bottom: the strip is
+    float64 (..., n + 2, w + 2), plane rows r0 - 1 .. r0 + n and columns -1 .. w, where a row or
+    column past the plane is the edge one duplicated. Mosaic reflect-101 keeps a sample's
+    parity, so in plane space it is this edge halo. Each strip is C-contiguous in one reused
+    buffer that the next strip overwrites; the caller may overwrite it too."""
+    *lead, h, w = planes.shape
+    buf = np.empty((*lead, min(STRIP_ROWS, h) + 2, w + 2))
+    for r0, n, _ in _row_strips(h):
+        strip = np.ndarray((*lead, n + 2, w + 2), buf.dtype, buf)  # the head of the buffer
+        strip[..., 1:-1] = planes[..., np.clip(np.arange(r0 - 1, r0 + n + 1), 0, h - 1), :]
+        strip[..., 0], strip[..., -1] = strip[..., 1], strip[..., -2]
+        yield r0, n, strip
 
 
 def _frozen_u16(samples) -> np.ndarray:

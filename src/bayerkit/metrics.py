@@ -166,13 +166,12 @@ def _strip_pass(a: RawImage, b: RawImage, with_mse: bool,
     windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
     black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
     sq_sum, map_sum = 0, 0.0
-    for r0, n, rows in _row_strips(a.height, (0, _SSIM_WINDOW - 1)):
+    for r0, n, rows in _row_strips(a.height, _SSIM_WINDOW - 1):  # rows: the strip and its halo
         if with_mse:
             sq_sum += _square_sum(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n])
-        if with_ssim and len(rows) >= _SSIM_WINDOW:
-            read = slice(r0, r0 + len(rows))  # the strip and its halo
+        if with_ssim and rows.stop - r0 >= _SSIM_WINDOW:
             # C order whatever the samples' own: _windowed_mean views x with row-major strides
-            x, y = (np.subtract(img.samples[read], black, dtype=np.float64, order="C")
+            x, y = (np.subtract(img.samples[rows], black, dtype=np.float64, order="C")
                     for img in (a, b))
             map_sum += _ssim_map_sum(x, y, span)
     return (sq_sum / (span * span * a.samples.size) if with_mse else None,

@@ -12,16 +12,19 @@ instead of vanishing into a clever reconstruction.
 gen_scene runs over 64-row strips of the frame. A scene term along one
 axis takes the sine of one row or column and broadcasts it; a term along
 both axes fills one reused strip buffer per strip. The demosaic runs on the
-four packed half-resolution planes, in strips of 64 plane rows with one
-edge-duplicated row and column each side: mosaic reflect-101 keeps a
+four packed half-resolution planes, read as one site view of the mosaic
+through the edge-halo strips of image._halo_strips: 64 plane rows with one
+edge-duplicated row and column each side. Mosaic reflect-101 keeps a
 neighbor's parity, so in plane space it is edge duplication, and every
-neighbor term is a contiguous shifted slice of one plane. Each (block
-position, channel) result is a quarter of the strip's samples. Every sample
-takes the whole-frame float64 steps in the same order, so neither the strip
-height nor the packing shows in the bytes. ``bayerkit demosaic`` quantizes
-the results into its PPM as they are made; gen_scene's planes still go
-through the copying ``RgbImage`` constructor. add_noise works in place: one
-float64 working plane, plus one for the deviations and one for the normals.
+neighbor term is a contiguous shifted slice of one plane. Each strip is
+clamped, less black and divided by the span in place, in float64; the clamp
+and the subtraction are exact. Each (block position, channel) result is a
+quarter of the strip's samples. Every sample takes the whole-frame float64
+steps in the same order, so neither the strip height nor the packing shows
+in the bytes. ``bayerkit demosaic`` quantizes the results into its PPM as
+they are made; gen_scene's planes still go through the copying ``RgbImage``
+constructor. add_noise works in place: one float64 working plane, plus one
+for the deviations and one for the normals.
 
 All randomized functions are pure functions of their seed (numpy PCG64 with
 a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import BadDimensions
 from . import image
-from .image import RawImage, RgbImage, _adopt, _row_strips
+from .image import RawImage, RgbImage, _adopt, _halo_strips, _row_strips
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -184,9 +187,10 @@ def _demosaic_strips(img: RawImage):
     to bottom. Each result is ((channel, rows, cols), values): the float64 values of one channel
     at one block position's sites [rows, cols] of the strip, a quarter of its samples.
 
-    Works on the four packed planes, in strips of image.STRIP_ROWS plane rows with one
-    edge-duplicated row and column each side: a mosaic neighbor at reflect-101 is that edge
-    duplicate in plane space, so every term is a contiguous shifted slice of one plane. Checks
+    Works on the four packed planes, as the halo strips of the site view
+    samples[a::2, b::2] -> [a, b] (image._halo_strips): a mosaic neighbor at reflect-101 is the
+    strip's edge duplicate in plane space, so every term is a contiguous shifted slice of one
+    plane. The view is free for C-ordered samples; others are reshaped by a copy. Checks
     the size at the call, before the first strip. Results are views of buffers that the next
     result or strip overwrites; read each before asking for the next.
     """
@@ -195,8 +199,7 @@ def _demosaic_strips(img: RawImage):
         raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
     span = float(img.white_level - img.black_level)
     pattern, ph, pw = img.pattern.value, h // 2, w // 2
-    sites = [img.samples[a::2, b::2] for a in (0, 1) for b in (0, 1)]  # plane k = 2a + b
-    x = np.empty((4, min(image.STRIP_ROWS, ph) + 2, pw + 2))
+    sites = img.samples.reshape(ph, 2, pw, 2).transpose(1, 3, 0, 2)  # [a, b] is plane 2a + b
     acc = np.empty((min(image.STRIP_ROWS, ph), pw))
 
     def results(xs, n):
@@ -219,16 +222,13 @@ def _demosaic_strips(img: RawImage):
                 yield np.s_[ch, a::2, b::2], mean
 
     def strips():
-        for r0, n, src in _row_strips(ph, (1, 1), "edge"):
-            xs = x[:, : n + 2]
-            for plane, samples in zip(xs, sites):
-                # samples outside [black, white] are legal in RawImage; clamp so the normalized
-                # plane honors the [0, 1] contract. Clamped first, in uint16, they give the
-                # float steps' bytes: (s - black) / span is exact in its subtraction
-                s = np.clip(samples[src], img.black_level, img.white_level)
-                s -= img.black_level
-                np.divide(s, span, out=plane[:, 1:-1])
-            xs[:, :, 0], xs[:, :, -1] = xs[:, :, 1], xs[:, :, -2]
-            yield 2 * r0, 2 * n, results(xs, n)
+        for r0, n, xs in _halo_strips(sites):
+            # samples outside [black, white] are legal in RawImage; clamp so the normalized
+            # plane honors the [0, 1] contract. In float64 the clamp and the subtraction are
+            # exact, so the bytes are those of a uint16 clamp
+            np.clip(xs, img.black_level, img.white_level, out=xs)
+            xs -= img.black_level
+            xs /= span
+            yield 2 * r0, 2 * n, results(xs.reshape(4, n + 2, pw + 2), n)
 
     return strips()

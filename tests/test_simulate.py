@@ -19,6 +19,8 @@ from bayerkit import (
     gen_scene,
     mosaic,
     save_raw,
+    unify_crop,
+    unify_offsets,
 )
 import bayerkit.image as image
 from bayerkit.cli import main
@@ -364,15 +366,29 @@ def levels(draw):
 EVEN_SIDES = st.integers(2, 12).map(lambda n: 2 * n)
 
 
-@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(), st.integers(0, 2**32))
+def _laid_out(samples, pattern, black, white, layout):
+    """A RawImage of the samples: C-ordered, a unify_crop view into a larger frame, or
+    F-ordered (the constructor keeps a transposed array's order)."""
+    if layout == "crop view":
+        src = next(p for p in ALL_PATTERNS if unify_offsets(p, pattern) == (1, 1))
+        return unify_crop(RawImage(np.pad(samples, 1, mode="wrap"), src, black, white), pattern)
+    if layout == "F order":
+        return RawImage(np.ascontiguousarray(samples.T).T, pattern, black, white)
+    return RawImage(samples, pattern, black, white)
+
+
+@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(), st.integers(0, 2**32),
+       st.sampled_from(["C order", "crop view", "F order"]))
 @settings(max_examples=200, deadline=None)
-def test_demosaic_equals_sparse_plane_stencil(height, width, pattern, lv, seed):
+def test_demosaic_equals_sparse_plane_stencil(height, width, pattern, lv, seed, layout):
     rng = np.random.default_rng(seed)
     black, white = lv
     # samples beyond [black, white] on both sides, and the levels themselves
     samples = rng.choice([0, black, white, 65535, *rng.integers(0, 65536, 8)],
                          size=(height, width)).astype(np.uint16)
-    img = RawImage(samples, pattern, black, white)
+    img = _laid_out(samples, pattern, black, white, layout)
+    assert layout != "F order" or img.samples.flags.f_contiguous
+    np.testing.assert_array_equal(img.samples, samples)
     want = _demosaic_oracle(img)
     np.testing.assert_array_equal(demosaic_bilinear(img).planes, want)
 
