@@ -1,8 +1,9 @@
 """Container types for raw mosaics, packed 4-plane images and RGB images, and the strip engine.
 
-Every full-frame kernel runs over the row strips of ``_row_strips``. The Gaussian and the
-bilinear demosaic read their planes through ``_halo_strips``, the one place that builds the
-plane-space edge halo.
+The three containers share one frozen-array base: each names only how its constructor copies
+its array and what it checks. Every full-frame kernel runs over the row strips of
+``_row_strips``. The Gaussian and the bilinear demosaic read their planes through
+``_halo_strips``, the one place that builds the plane-space edge halo.
 """
 
 from __future__ import annotations
@@ -64,13 +65,26 @@ def _adopt(cls, arr: np.ndarray, *metadata):
     return img
 
 
-def _reduce(self):
-    """Pickle and copy rebuild through the public constructor, so the copy is frozen too."""
-    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+class _FrozenArray:
+    """Base of the containers, whose first field is their array. The constructor copies it
+    (``_copy``), and ``_store`` checks it (``_check``) and freezes it; an in-package result
+    goes to ``_store`` without the copy (see ``_adopt``). Pickle and copy rebuild through the
+    public constructor, so the copy is frozen too."""
+
+    def __post_init__(self):
+        self._store(self._copy(getattr(self, self.__match_args__[0])))
+
+    def _store(self, arr: np.ndarray) -> None:
+        self._check(arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, self.__match_args__[0], arr)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 @dataclass(frozen=True, eq=False)
-class RawImage:
+class RawImage(_FrozenArray):
     """An H x W single-plane Bayer mosaic with 16-bit samples.
 
     Dimensions must be even and at least 2; every real Bayer sensor satisfies
@@ -85,18 +99,13 @@ class RawImage:
     black_level: int = 0
     white_level: int = 65535
 
-    def __post_init__(self):
-        self._store(_frozen_u16(self.samples))
+    _copy = staticmethod(_frozen_u16)
 
-    def _store(self, arr: np.ndarray) -> None:
+    def _check(self, arr: np.ndarray) -> None:
         assert arr.dtype == np.uint16
         if arr.ndim != 2 or any(n < 2 or n % 2 for n in arr.shape):
             raise ValueError(f"need a 2-D mosaic, sides even and >= 2, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    __reduce__ = _reduce
 
     @property
     def height(self) -> int:
@@ -112,7 +121,7 @@ class RawImage:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedImage:
+class PackedImage(_FrozenArray):
     """The four half-resolution planes of a mosaic, in positional order.
 
     Plane k holds the mosaic sites with (row % 2, col % 2) == (k // 2, k % 2),
@@ -129,18 +138,13 @@ class PackedImage:
     black_level: int = 0
     white_level: int = 65535
 
-    def __post_init__(self):
-        self._store(_frozen_u16(self.planes))
+    _copy = staticmethod(_frozen_u16)
 
-    def _store(self, arr: np.ndarray) -> None:
+    def _check(self, arr: np.ndarray) -> None:
         assert arr.dtype == np.uint16
         if arr.ndim != 3 or arr.shape[0] != 4 or min(arr.shape) < 1:
             raise ValueError(f"expected (4, H/2, W/2) planes, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
-        arr.flags.writeable = False
-        object.__setattr__(self, "planes", arr)
-
-    __reduce__ = _reduce
 
     @property
     def plane_height(self) -> int:
@@ -152,16 +156,17 @@ class PackedImage:
 
 
 @dataclass(frozen=True, eq=False)
-class RgbImage:
+class RgbImage(_FrozenArray):
     """Three full-resolution float planes (R, G, B) with values in [0, 1]. The constructor
     copies and freezes them; demosaic_bilinear freezes its fresh result instead."""
 
     planes: np.ndarray  # (3, H, W) float64
 
-    def __post_init__(self):
-        self._store(np.array(self.planes, dtype=np.float64, copy=True))
+    @staticmethod
+    def _copy(planes) -> np.ndarray:
+        return np.array(planes, dtype=np.float64, copy=True)
 
-    def _store(self, arr: np.ndarray) -> None:
+    def _check(self, arr: np.ndarray) -> None:
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise ValueError(f"expected (3, H, W) planes, got shape {arr.shape}")
         h, w = arr.shape[1:]
@@ -169,10 +174,6 @@ class RgbImage:
             raise ValueError(f"dimensions must be even and >= 2, got {h}x{w}")
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("RGB values must lie in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "planes", arr)
-
-    __reduce__ = _reduce
 
     @property
     def height(self) -> int:
