@@ -245,8 +245,8 @@ def main(argv=None) -> int:
         _atomic_write(*(args.func(args) or ()))  # a command that only prints returns None
     except UsageError as e:
         args.parser.error(str(e))  # exits 2
-    except (BayerKitError, OSError) as e:
-        print(f"bayerkit: error: {e}", file=sys.stderr)
+    except (BayerKitError, OSError, MemoryError) as e:  # a bare MemoryError has no message
+        print(f"bayerkit: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     return 0
 

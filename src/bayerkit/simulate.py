@@ -11,9 +11,11 @@ instead of vanishing into a clever reconstruction.
 
 gen_scene runs over 64-row strips of the frame. A scene term along one
 axis takes the sine of one row or column and broadcasts it; a term along
-both axes fills one reused strip buffer per strip. The demosaic runs on the
-four packed half-resolution planes, read as one site view of the mosaic
-through the edge-halo strips of image._halo_strips: 64 plane rows with one
+both axes fills one reused strip buffer per strip. gen_scene allocates its
+planes before anything else, so a frame too large to hold is refused as
+BadDimensions before any work. The demosaic runs on the four packed
+half-resolution planes, read as one site view of the mosaic through the
+edge-halo strips of image._halo_strips: 64 plane rows with one
 edge-duplicated row and column each side. Mosaic reflect-101 keeps a
 neighbor's parity, so in plane space it is edge duplication, and every
 neighbor term is a contiguous shifted slice of one plane. Each strip is
@@ -94,11 +96,14 @@ def gen_scene(seed: int, height: int, width: int) -> RgbImage:
     """
     if height < 8 or width < 8 or height % 2 or width % 2:
         raise BadDimensions(f"scene dimensions must be even and >= 8, got {height}x{width}")
+    try:  # first: numpy refuses a shape it cannot index, the allocator one it cannot grant
+        planes = np.empty((3, height, width))
+    except (ValueError, MemoryError) as e:
+        raise BadDimensions(f"a {height}x{width} scene is too large: {e}") from None
     rng = np.random.Generator(np.random.PCG64(seed))
     bases = rng.permutation(_BASE_LEVELS) + rng.uniform(-0.02, 0.02, size=3)
     yy = np.arange(height, dtype=np.float64)[:, None] / height
     xx = np.arange(width, dtype=np.float64)[None, :] / width
-    planes = np.empty((3, height, width))
     buf = np.empty((min(image.STRIP_ROWS, height), width))
     for plane, base in zip(planes, bases):
         plane[...] = base

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,8 @@ from bayerkit import (
 from bayerkit.cli import main
 
 from conftest import assert_same_image, rand_raw
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -226,6 +232,26 @@ def test_simulate_without_noise_is_clean(tmp_path):
                  "-o", str(out)]) == 0
     img, _ = load_raw(out)
     assert_same_image(img, mosaic(gen_scene(0, 16, 16), BayerPattern.RGGB))
+
+
+# the child's address space is capped at 3 GiB, so the allocator refuses the request whatever
+# the host's overcommit policy; uncapped, a granted request could end in the OOM killer
+_CAPPED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                "from bayerkit.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_simulate_of_a_scene_too_large_to_allocate_is_one_error_line(tmp_path):
+    # 1e6 x 1e6: three float64 planes of 21.8 TiB
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "simulate", "--pattern", "RGGB", "--size",
+         "1000000x1000000", "--seed", "1", "-o", str(tmp_path / "out.pgm")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("bayerkit: error: a 1000000x1000000 scene is too large: ")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_denoise_command(tmp_path, sample_pair):

@@ -85,8 +85,12 @@ filters = st.one_of(st.sampled_from(["identity", "identity:1", "gaussian", "medi
                                      "median:3", "median:1.0", "bilateral:1", ":"]),
                     number.map(lambda v: f"gaussian:{v}"), number.map(lambda v: f"median:{v}"))
 noise = st.one_of(st.floats(0, 0.5).map(repr), number)
+# a side of 2**62 or more with the other >= 8 is a shape numpy refuses before it allocates
+huge_side = st.integers(2**62, 2**80).map(str)
 size = st.one_of(st.sampled_from(["8x8", "8x12", "16x10"]),
-                 st.tuples(small_int, small_int).map("x".join))
+                 st.tuples(small_int, small_int).map("x".join),
+                 st.tuples(huge_side, st.one_of(small_int, huge_side)).flatmap(st.permutations)
+                 .map("x".join))
 
 COMMANDS = st.one_of(
     _command("unify", inp, target=pattern, mode=st.sampled_from(["crop", "pad", "x"]), o=out),
@@ -126,6 +130,10 @@ SIM = ["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1"]
 @example([*SIM, "--clean", "clean.pgm", "-o", "missing/out.pgm"], PLANS[0])
 @example([*SIM, "--clean", "clean.pgm", "-o", "sub"], PLANS[0])
 # each of these raised a traceback once
+@example(["simulate", "--pattern", "RGGB", "--size", f"{2**62}x8", "--seed", "1", "-o",
+          "out.pgm"], PLANS[0])
+@example(["simulate", "--pattern", "RGGB", "--size", f"{2**70}x{2**70}", "--seed", "1", "-o",
+          "out.pgm"], PLANS[0])
 @example(["denoise", "--filter", "gaussian:1e-200", "--work-pattern", "BGGR", "RGGB_8x8.pgm",
           "-o", "out.pgm"], PLANS[0])
 @example([*SIM, "--noise", "1e200,0", "-o", "out.pgm"], PLANS[0])
