@@ -195,7 +195,7 @@ def _demosaic_strips(img: RawImage):
     Works on the four packed planes, as the halo strips of the site view
     samples[a::2, b::2] -> [a, b] (image._halo_strips): a mosaic neighbor at reflect-101 is the
     strip's edge duplicate in plane space, so every term is a contiguous shifted slice of one
-    plane. The view is free for C-ordered samples; others are reshaped by a copy. Checks
+    plane. The view never copies: it only splits each axis in two, whatever the strides. Checks
     the size at the call, before the first strip. Results are views of buffers that the next
     result or strip overwrites; read each before asking for the next.
     """
