@@ -1,8 +1,10 @@
 """Container types for raw mosaics, packed 4-plane images and RGB images, and the strip engine.
 
 The three containers share one frozen-array base: each names only how its constructor copies
-its array and what it checks. Every full-frame kernel runs over the row strips of
-``_row_strips``. The Gaussian and the bilinear demosaic read their planes through
+its array and what it checks. Each keeps its frame, or its planes, in the last two axes of its
+array, so ``height`` and ``width`` are defined once, on the base. Every full-frame kernel runs
+over the (r0, n) row strips of ``_row_strips``; a kernel that reads rows beneath its own
+slices them itself. The Gaussian and the bilinear demosaic read their planes through
 ``_halo_strips``, the one place that builds the plane-space edge halo.
 """
 
@@ -17,12 +19,12 @@ from .patterns import BayerPattern
 STRIP_ROWS = 64  # rows per strip of every full-frame kernel; its float64 buffers stay in cache
 
 
-def _row_strips(h: int, below: int = 0):
-    """(r0, n, rows) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1
-    and reads the frame rows ``rows``, a slice of its own rows and up to ``below`` rows beneath
-    them; rows past the frame are dropped."""
+def _row_strips(h: int):
+    """(r0, n) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1, and
+    n <= STRIP_ROWS. A caller that reads rows beneath its own slices them, and a slice stops
+    at the frame."""
     for r0 in range(0, h, STRIP_ROWS):
-        yield r0, min(STRIP_ROWS, h - r0), slice(r0, min(r0 + STRIP_ROWS + below, h))
+        yield r0, min(STRIP_ROWS, h - r0)
 
 
 def _halo_strips(planes: np.ndarray):
@@ -33,7 +35,7 @@ def _halo_strips(planes: np.ndarray):
     buffer that the next strip overwrites; the caller may overwrite it too."""
     *lead, h, w = planes.shape
     buf = np.empty((*lead, min(STRIP_ROWS, h) + 2, w + 2))
-    for r0, n, _ in _row_strips(h):
+    for r0, n in _row_strips(h):
         strip = np.ndarray((*lead, n + 2, w + 2), buf.dtype, buf)  # the head of the buffer
         strip[..., 1:-1] = planes[..., np.clip(np.arange(r0 - 1, r0 + n + 1), 0, h - 1), :]
         strip[..., 0], strip[..., -1] = strip[..., 1], strip[..., -2]
@@ -69,7 +71,8 @@ class _FrozenArray:
     """Base of the containers, whose first field is their array. The constructor copies it
     (``_copy``), and ``_store`` checks it (``_check``) and freezes it; an in-package result
     goes to ``_store`` without the copy (see ``_adopt``). Pickle and copy rebuild through the
-    public constructor, so the copy is frozen too."""
+    public constructor, so the copy is frozen too. ``height`` and ``width`` are the last two
+    axes of the array: the mosaic's, or each plane's."""
 
     def __post_init__(self):
         self._store(self._copy(getattr(self, self.__match_args__[0])))
@@ -81,6 +84,14 @@ class _FrozenArray:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self.__match_args__[0]).shape[-2]
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self.__match_args__[0]).shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +117,6 @@ class RawImage(_FrozenArray):
         if arr.ndim != 2 or any(n < 2 or n % 2 for n in arr.shape):
             raise ValueError(f"need a 2-D mosaic, sides even and >= 2, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
 
     def with_samples(self, samples) -> "RawImage":
         """New image with the same metadata and a copy of the given samples."""
@@ -146,14 +149,6 @@ class PackedImage(_FrozenArray):
             raise ValueError(f"expected (4, H/2, W/2) planes, got shape {arr.shape}")
         _check_metadata(self.pattern, self.black_level, self.white_level)
 
-    @property
-    def plane_height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def plane_width(self) -> int:
-        return self.planes.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
 class RgbImage(_FrozenArray):
@@ -174,11 +169,3 @@ class RgbImage(_FrozenArray):
             raise ValueError(f"dimensions must be even and >= 2, got {h}x{w}")
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("RGB values must lie in [0, 1]")
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]

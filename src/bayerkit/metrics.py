@@ -9,12 +9,13 @@ windows that fit entirely inside the frame (no padding).
 
 Both are computed in one pass over the row strips of image._row_strips on the
 uint16 inputs, so memory is bounded by the strip, not the frame; each metric
-pays only for its own reduction. For SSIM each strip reads _SSIM_WINDOW - 1 rows
-below its own, so every fully interior window lies in exactly one strip. A strip
-is made float once, as samples less black in row-major layout, and is not
-divided by the span: the SSIM map is invariant under a common scale of x, y, C1
-and C2, so the constants take the span instead, C = (K * span)**2, which is the
-normalized L = 1 form. Its four windowed means are banded block products for
+pays only for its own reduction. For SSIM each strip slices _SSIM_WINDOW - 1 rows
+below its own, a slice that stops at the frame, so every fully interior window
+lies in exactly one strip; a strip with fewer than _SSIM_WINDOW rows left in the
+frame holds no window and is skipped. A strip is made float once, as samples
+less black in row-major layout, and is not divided by the span: the SSIM map is
+invariant under a common scale of x, y, C1 and C2, so the constants take the
+span instead, C = (K * span)**2, which is the normalized L = 1 form. Its four windowed means are banded block products for
 both passes (see _windowed_mean), and the map is built in place on them. MSE
 reads only the strip's own rows: the exact integer sum of the squared uint16
 differences, so the one division at the end, in Python integers, gives the
@@ -166,10 +167,11 @@ def _strip_pass(a: RawImage, b: RawImage, with_mse: bool,
     windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
     black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
     sq_sum, map_sum = 0, 0.0
-    for r0, n, rows in _row_strips(a.height, _SSIM_WINDOW - 1):  # rows: the strip and its halo
+    for r0, n in _row_strips(a.height):
         if with_mse:
             sq_sum += _square_sum(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n])
-        if with_ssim and rows.stop - r0 >= _SSIM_WINDOW:
+        if with_ssim and a.height - r0 >= _SSIM_WINDOW:
+            rows = np.s_[r0 : r0 + n + _SSIM_WINDOW - 1]  # the strip and its halo, to the frame
             # C order whatever the samples' own: _windowed_mean views x with row-major strides
             x, y = (np.subtract(img.samples[rows], black, dtype=np.float64, order="C")
                     for img in (a, b))

@@ -25,8 +25,9 @@ def pack(img: RawImage) -> PackedImage:
 
 def unpack(p: PackedImage) -> RawImage:
     """Exact inverse of pack; metadata is carried through unchanged."""
-    h, w = p.plane_height, p.plane_width
+    h, w = p.height, p.width
     mosaic = np.empty((2 * h, 2 * w), dtype=np.uint16)
+    # four slice assignments: one through pack's site view took 16-20 ms, not 3, on 1025x1537 planes
     mosaic[0::2, 0::2] = p.planes[0]
     mosaic[0::2, 1::2] = p.planes[1]
     mosaic[1::2, 0::2] = p.planes[2]

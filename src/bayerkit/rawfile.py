@@ -181,7 +181,7 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
     strips = ((r0, n, ((np.s_[c, :, :], rgb.planes[c, r0 : r0 + n]) for c in range(3)))
-              for r0, n, _ in _row_strips(rgb.height))
+              for r0, n in _row_strips(rgb.height))
     _atomic_write(_ppm_file(path, rgb.height, rgb.width, strips))
 
 

@@ -114,7 +114,7 @@ def gen_scene(seed: int, height: int, width: int) -> RgbImage:
             if not (kx and ky):  # one row or column, broadcast: 0 * xx + v adds 0.0 to v >= 0
                 plane += amp * np.sin(2.0 * np.pi * (kx * xx if kx else ky * yy) + phase)
                 continue
-            for r0, n, _ in _row_strips(height):  # the whole-frame steps, in the same order
+            for r0, n in _row_strips(height):  # the whole-frame steps, in the same order
                 b = buf[:n]
                 np.add(kx * xx, ky * yy[r0 : r0 + n], out=b)
                 b *= 2.0 * np.pi
@@ -195,9 +195,10 @@ def _demosaic_strips(img: RawImage):
     Works on the four packed planes, as the halo strips of the site view
     samples[a::2, b::2] -> [a, b] (image._halo_strips): a mosaic neighbor at reflect-101 is the
     strip's edge duplicate in plane space, so every term is a contiguous shifted slice of one
-    plane. The view never copies: it only splits each axis in two, whatever the strides. Checks
-    the size at the call, before the first strip. Results are views of buffers that the next
-    result or strip overwrites; read each before asking for the next.
+    plane. The view never copies: it only splits each axis in two, whatever the strides. A
+    generator: it checks the size at the first strip, so a caller writing a file must undo what
+    it wrote before then (``_atomic_write`` removes its temp file). Results are views of buffers
+    that the next result or strip overwrites; read each before asking for the next.
     """
     h, w = img.height, img.width
     if h < 4 or w < 4:
@@ -226,14 +227,11 @@ def _demosaic_strips(img: RawImage):
                     mean /= len(terms)
                 yield np.s_[ch, a::2, b::2], mean
 
-    def strips():
-        for r0, n, xs in _halo_strips(sites):
-            # samples outside [black, white] are legal in RawImage; clamp so the normalized
-            # plane honors the [0, 1] contract. In float64 the clamp and the subtraction are
-            # exact, so the bytes are those of a uint16 clamp
-            np.clip(xs, img.black_level, img.white_level, out=xs)
-            xs -= img.black_level
-            xs /= span
-            yield 2 * r0, 2 * n, results(xs.reshape(4, n + 2, pw + 2), n)
-
-    return strips()
+    for r0, n, xs in _halo_strips(sites):
+        # samples outside [black, white] are legal in RawImage; clamp so the normalized
+        # plane honors the [0, 1] contract. In float64 the clamp and the subtraction are
+        # exact, so the bytes are those of a uint16 clamp
+        np.clip(xs, img.black_level, img.white_level, out=xs)
+        xs -= img.black_level
+        xs /= span
+        yield 2 * r0, 2 * n, results(xs.reshape(4, n + 2, pw + 2), n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayerkit import BayerPattern, PackedImage, RawImage, pack, unpack
+from bayerkit import BayerPattern, PackedImage, RawImage, RgbImage, pack, unpack
 from bayerkit.baselines import naive_flip, naive_unify
 from bayerkit.image import _adopt
 from bayerkit import (
@@ -274,3 +274,20 @@ def test_copies_of_a_container_are_frozen_equal_copies(rng, container, clone):
                 value[0, 0] = 1
         else:
             assert value == want
+
+
+SHAPED = {  # CONTAINERS and the public PackedImage and RgbImage constructors
+    "PackedImage()": lambda img: PackedImage(pack(img).planes, img.pattern),
+    "RgbImage()": lambda img: RgbImage(demosaic_bilinear(img).planes),
+    **CONTAINERS,
+}
+
+
+@pytest.mark.parametrize("clone", ["none", "pickle", "copy"])
+@pytest.mark.parametrize("container", SHAPED)
+def test_height_and_width_are_the_last_two_axes_of_the_array(rng, container, clone):
+    img = SHAPED[container](rand_raw(rng, 8, 10, BayerPattern.GRBG, 5, 60000))
+    if clone != "none":
+        img = CLONES[clone](img)
+    arr = getattr(img, dataclasses.fields(img)[0].name)
+    assert (img.height, img.width) == arr.shape[-2:]
