@@ -15,11 +15,11 @@ lies in exactly one strip; a strip with fewer than _SSIM_WINDOW rows left in the
 frame holds no window and is skipped. A strip is made float once, as samples
 less black in row-major layout, and is not divided by the span: the SSIM map is
 invariant under a common scale of x, y, C1 and C2, so the constants take the
-span instead, C = (K * span)**2, which is the normalized L = 1 form. Its four windowed means are banded block products for
-both passes (see _windowed_mean), and the map is built in place on them. MSE
-reads only the strip's own rows: the exact integer sum of the squared uint16
-differences, so the one division at the end, in Python integers, gives the
-correctly rounded MSE.
+span instead, C = (K * span)**2, which is the normalized L = 1 form. Its four
+windowed means are banded block products for both passes (see _windowed_mean),
+and the map is built in place on them. MSE reads only the strip's own rows: the
+exact integer sum of the squared uint16 differences, so the one division at the
+end, in Python integers, gives the correctly rounded MSE.
 """
 
 from __future__ import annotations
