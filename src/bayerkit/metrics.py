@@ -7,19 +7,19 @@ stay total and ordered. SSIM follows the reference formulation: 11-tap Gaussian
 window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the mean is taken over
 windows that fit entirely inside the frame (no padding).
 
-Both are computed in one pass over the row strips of image._row_strips on the
-uint16 inputs, so memory is bounded by the strip, not the frame; each metric
-pays only for its own reduction. For SSIM each strip slices _SSIM_WINDOW - 1 rows
-below its own, a slice that stops at the frame, so every fully interior window
-lies in exactly one strip; a strip with fewer than _SSIM_WINDOW rows left in the
-frame holds no window and is skipped. A strip is made float once, as samples
-less black in row-major layout, and is not divided by the span: the SSIM map is
-invariant under a common scale of x, y, C1 and C2, so the constants take the
-span instead, C = (K * span)**2, which is the normalized L = 1 form. Its four
-windowed means are banded block products for both passes (see _windowed_mean),
-and the map is built in place on them. MSE reads only the strip's own rows: the
-exact integer sum of the squared uint16 differences, so the one division at the
-end, in Python integers, gives the correctly rounded MSE.
+Each metric is its own loop over the row strips of image._row_strips on the
+uint16 inputs, so memory is bounded by the strip, not the frame, and each pays
+only for its own reduction; metric_report runs both loops. MSE strips the frame
+rows: the exact integer sum of the squared uint16 differences, so the one
+division at the end, in Python integers, gives the correctly rounded MSE. SSIM
+strips the H - _SSIM_WINDOW + 1 window rows, the top rows of the fully interior
+windows: a strip of n window rows reads its n + _SSIM_WINDOW - 1 frame rows, so
+every window lies in exactly one strip and every strip holds one. A strip is
+made float once, as samples less black in row-major layout, and is not divided
+by the span: the SSIM map is invariant under a common scale of x, y, C1 and C2,
+so the constants take the span instead, C = (K * span)**2, which is the
+normalized L = 1 form. Its four windowed means are banded block products for
+both passes (see _windowed_mean), and the map is built in place on them.
 """
 
 from __future__ import annotations
@@ -69,7 +69,10 @@ def _check_comparable(a: RawImage, b: RawImage) -> None:
 
 def mse(a: RawImage, b: RawImage) -> float:
     """Mean squared error in normalized units, correctly rounded."""
-    return _strip_pass(a, b, with_mse=True, with_ssim=False)[0]
+    _check_comparable(a, b)
+    span = int(a.white_level) - int(a.black_level)  # exact, any int type
+    return sum(_square_sum(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n])
+               for r0, n in _row_strips(a.height)) / (span * span * a.samples.size)
 
 
 def _psnr_db(m: float) -> float:
@@ -158,33 +161,23 @@ def _square_sum(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
 
 
-def _strip_pass(a: RawImage, b: RawImage, with_mse: bool,
-                with_ssim: bool) -> tuple[float | None, float | None]:
-    """(MSE or None, SSIM or None) from one pass over row strips of the two mosaics."""
+def ssim(a: RawImage, b: RawImage) -> float:
+    """Mean local structural similarity of the two mosaics as gray planes."""
     _check_comparable(a, b)
-    if with_ssim and min(a.height, a.width) < _SSIM_WINDOW:
+    if min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
     windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
     black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
-    sq_sum, map_sum = 0, 0.0
-    for r0, n in _row_strips(a.height):
-        if with_mse:
-            sq_sum += _square_sum(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n])
-        if with_ssim and a.height - r0 >= _SSIM_WINDOW:
-            rows = np.s_[r0 : r0 + n + _SSIM_WINDOW - 1]  # the strip and its halo, to the frame
-            # C order whatever the samples' own: _windowed_mean views x with row-major strides
-            x, y = (np.subtract(img.samples[rows], black, dtype=np.float64, order="C")
-                    for img in (a, b))
-            map_sum += _ssim_map_sum(x, y, span)
-    return (sq_sum / (span * span * a.samples.size) if with_mse else None,
-            map_sum / windows if with_ssim else None)
-
-
-def ssim(a: RawImage, b: RawImage) -> float:
-    """Mean local structural similarity of the two mosaics as gray planes."""
-    return _strip_pass(a, b, with_mse=False, with_ssim=True)[1]
+    map_sum = 0.0
+    for r0, n in _row_strips(a.height - _SSIM_WINDOW + 1):
+        rows = np.s_[r0 : r0 + n + _SSIM_WINDOW - 1]  # the strip's window rows and their halo
+        # C order whatever the samples' own: _windowed_mean views x with row-major strides
+        x, y = (np.subtract(img.samples[rows], black, dtype=np.float64, order="C")
+                for img in (a, b))
+        map_sum += _ssim_map_sum(x, y, span)
+    return map_sum / windows
 
 
 def metric_report(a: RawImage, b: RawImage) -> MetricReport:
-    m, s = _strip_pass(a, b, with_mse=True, with_ssim=True)
-    return MetricReport(mse=m, psnr_db=_psnr_db(m), ssim=s)
+    m = mse(a, b)
+    return MetricReport(mse=m, psnr_db=_psnr_db(m), ssim=ssim(a, b))

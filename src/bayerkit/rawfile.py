@@ -77,6 +77,8 @@ def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
         raise ParseError(f"{origin}: non-integer dimensions {dims!r}") from None
     if width < 2 or height < 2 or width % 2 or height % 2:
         raise ParseError(f"{origin}: dimensions must be even and >= 2, got {width}x{height}")
+    if dims != b"%d %d" % (width, height):  # int() also takes a sign, leading zeros, _ and spaces
+        raise ParseError(f"{origin}: dimension line must be plain decimals, got {dims!r}")
     if not data.startswith(_MAXVAL_LINE, eol + 1):
         raise ParseError(f"{origin}: maxval must be 65535")
     start = eol + 1 + len(_MAXVAL_LINE)

@@ -342,6 +342,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["metrics", "--ref", "{pgm}", "{pgm}"], 1),  # the sidecar is missing: a processing error
+    (["unify", "--mode", "crop", "{pgm}"], 2),  # required flags are missing: a usage error
+], ids=["processing-error", "usage-error"])
+def test_module_entry_point_exit_codes(tmp_path, sample_pair, argv, code):
+    _, path = sample_pair
+    path.with_suffix(".json").unlink()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [a.format(pgm=path) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "bayerkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    if code == 1:
+        assert proc.stderr == f"bayerkit: error: no sidecar at {path.with_suffix('.json')}\n"
+
+
 def test_unknown_pattern_flag_is_usage_error(tmp_path, sample_pair):
     _, path = sample_pair
     with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,7 @@ def test_halo_strips_equal_the_edge_padded_planes(strip_rows, data, width, layou
 @given(st.integers(1, 6), st.integers(1, 50))
 def test_row_strips_own_every_row_once_and_read_none_past_the_frame(strip_rows, height):
     # top to bottom, each row once, none past the frame; the SSIM halo beneath a strip is
-    # covered by test_strip_pass_matches_the_full_frame_oracle, which shrinks STRIP_ROWS
+    # covered by test_metrics_match_the_full_frame_oracle, which shrinks STRIP_ROWS
     owned = 0
     with mock.patch.object(image, "STRIP_ROWS", strip_rows):
         for r0, n in _row_strips(height):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from bayerkit import image, metrics
 from bayerkit import (
     BayerPattern,
+    MetricReport,
     PSNR_CAP_DB,
     RawImage,
     ShapeMismatch,
@@ -197,10 +198,10 @@ def full_frame_oracle(a: RawImage, b: RawImage) -> tuple[float, float]:
        st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1),
        st.one_of(st.none(), st.tuples(st.integers(1, 30000), st.integers(1, 200))
                  .map(lambda t: (t[0], t[0] + t[1]))))
-@example(12, 12, 64, 16, 0, None)  # the smallest frame SSIM takes, inside one strip
-@example(12, 16, 1, 16, 1, None)  # one window row, twelve strips
-@example(16, 12, 5, 16, 2, None)  # the second strip reads exactly 11 rows: one window row
-@example(74, 14, 64, 16, 3, None)  # a full strip, then a partial one of 10 rows and no window
+@example(12, 12, 64, 16, 0, None)  # the smallest frame SSIM takes: 2 window rows, one strip
+@example(12, 16, 1, 16, 1, None)  # one row per strip: 12 MSE strips, 2 SSIM strips of 1 window row
+@example(16, 12, 5, 16, 2, None)  # 6 window rows: strips of 5 and 1, the last reads 11 frame rows
+@example(74, 14, 64, 16, 3, None)  # 64 window rows: one full SSIM strip; MSE strips of 64 and 10
 @example(20, 24, 64, 16, 4, None)  # 14 window columns: less than one block, all tail
 @example(20, 26, 64, 16, 5, None)  # exactly one block, no tail
 @example(20, 42, 64, 16, 6, None)  # exactly two blocks
@@ -210,7 +211,7 @@ def full_frame_oracle(a: RawImage, b: RawImage) -> tuple[float, float]:
 @example(46, 20, 20, 16, 10, None)  # 20 window rows in the first strip: one block and a tail of 4
 @example(40, 20, 8, 16, 11, (100, 160))  # black > 0, small span: C1, C2 scaled by the span
 @settings(max_examples=80, deadline=None)
-def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, block, seed, levels):
+def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, seed, levels):
     rng = np.random.default_rng(seed)
     if levels is None:
         black = int(rng.integers(0, 30000))
@@ -228,10 +229,11 @@ def test_strip_pass_matches_the_full_frame_oracle(height, width, strip_rows, blo
         assert abs(m - want_mse) <= 1e-12
         assert abs(s - want_ssim) <= 1e-12
     assert got[2].psnr_db == got[3]
+    assert got[2] == MetricReport(got[0], got[3], got[1])  # the report is the composition
 
 
 @pytest.mark.parametrize("layout", ["transpose_bayer", "fortran"])
-def test_strip_pass_reads_any_sample_layout(rng, layout):
+def test_metrics_read_any_sample_layout(rng, layout):
     # RawImage keeps its source's memory order, so these samples are not C-contiguous
     clean = rng.integers(1000, 60001, size=(90, 40))
     noisy = np.clip(clean + rng.integers(-3000, 3001, size=clean.shape), 0, 65535)

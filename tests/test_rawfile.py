@@ -200,6 +200,10 @@ def test_load_rejects_inverted_levels(tmp_path):
     (b"P5\n3 4\n65535\n", 24, "dimensions must be even and >= 2, got 3x4"),
     (b"P5\n4 0\n65535\n", 0, "dimensions must be even and >= 2, got 4x0"),
     (b"P5\n-2 4\n65535\n", 16, "dimensions must be even and >= 2, got -2x4"),
+    (b"P5\n+4 4\n65535\n", 32, "dimension line must be plain decimals, got b'+4 4'"),
+    (b"P5\n04 4\n65535\n", 32, "dimension line must be plain decimals, got b'04 4'"),
+    (b"P5\n4\t 4\n65535\n", 32, "dimension line must be plain decimals, got b'4\\t 4'"),
+    (b"P5\n4_0 4\n65535\n", 320, "dimension line must be plain decimals, got b'4_0 4'"),
     (b"P5\n4 4\n255\n", 16, "maxval must be 65535"),
     (b"P5\n4 4\n65535", 0, "maxval must be 65535"),
     (b"P5\n4 4\n65535\n", 30, "payload is 30 bytes, expected 32"),
@@ -253,6 +257,7 @@ def pgm_files(draw):
 @given(pgm_files())
 @example(b"P5\n2 2\n65535\n" + b"\x01\x02" * 4)
 @example(b"P5\n2 2\n65535\n" + b"\x01\x02" * 5)
+@example(b"P5\n04 4\n65535\n" + b"\x01\x02" * 16)  # a leading zero: not the canonical header
 @settings(max_examples=300, deadline=None)
 def test_load_raw_returns_an_image_or_raises_parse_error(pgm):
     with tempfile.TemporaryDirectory() as d:
