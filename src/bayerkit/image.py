@@ -37,7 +37,9 @@ def _halo_strips(planes: np.ndarray):
     buf = np.empty((*lead, min(STRIP_ROWS, h) + 2, w + 2))
     for r0, n in _row_strips(h):
         strip = np.ndarray((*lead, n + 2, w + 2), buf.dtype, buf)  # the head of the buffer
-        strip[..., 1:-1] = planes[..., np.clip(np.arange(r0 - 1, r0 + n + 1), 0, h - 1), :]
+        strip[..., 1:-1, 1:-1] = planes[..., r0 : r0 + n, :]
+        strip[..., 0, 1:-1] = planes[..., max(r0 - 1, 0), :]
+        strip[..., -1, 1:-1] = planes[..., min(r0 + n, h - 1), :]
         strip[..., 0], strip[..., -1] = strip[..., 1], strip[..., -2]
         yield r0, n, strip
 

@@ -13,13 +13,17 @@ only for its own reduction; metric_report runs both loops. MSE strips the frame
 rows: the exact integer sum of the squared uint16 differences, so the one
 division at the end, in Python integers, gives the correctly rounded MSE. SSIM
 strips the H - _SSIM_WINDOW + 1 window rows, the top rows of the fully interior
-windows: a strip of n window rows reads its n + _SSIM_WINDOW - 1 frame rows, so
-every window lies in exactly one strip and every strip holds one. A strip is
-made float once, as samples less black in row-major layout, and is not divided
-by the span: the SSIM map is invariant under a common scale of x, y, C1 and C2,
-so the constants take the span instead, C = (K * span)**2, which is the
-normalized L = 1 form. Its four windowed means are banded block products for
-both passes (see _windowed_mean), and the map is built in place on them.
+windows, and cuts each strip into tiles of window columns the same way: a tile
+of n window rows and t window columns reads its n + _SSIM_WINDOW - 1 frame rows
+and t + _SSIM_WINDOW - 1 frame columns, so every window lies in exactly one
+tile and every tile holds one. A tile is at most as wide as a column-pass
+product within _BLAS_SERIAL_MNK, 630 frame columns, so each of its float64
+arrays is at most 0.37 MB whatever the frame width. A tile is made float once,
+as samples less black in row-major layout, and is not divided by the span: the
+SSIM map is invariant under a common scale of x, y, C1 and C2, so the constants
+take the span instead, C = (K * span)**2, which is the normalized L = 1 form.
+Its four windowed means are banded block products for both passes (see
+_windowed_mean), and the map is built in place on them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ _SSIM_K2 = 0.03
 _BLOCK = 16  # output rows or columns per block product; 16 beat 32 and 64 in the row pass
 # OpenBLAS runs a product with m * n * k above 4 * 65536 on all its threads. On a 2-core VM the
 # first such product in a fresh process stalled for about a second in 6 of 16 `bayerkit
-# metrics` runs at 2048x3072, so the column pass splits its products below this size
+# metrics` runs at 2048x3072, so ssim's column tiles keep its column-pass products within it
 _BLAS_SERIAL_MNK = 4 * 65536
 
 
@@ -108,21 +112,18 @@ def _windowed_mean(x: np.ndarray) -> np.ndarray:
     """Weighted local mean of the C-contiguous x over every fully interior window (valid mode),
     row-major (H-n+1, W-n+1). Both passes are banded block products with b = _BLOCK: the
     column pass views x as (H-n+1) // b row blocks of b + n - 1 rows at stride b and multiplies
-    the (b, b + n - 1) transposed band by each, over column ranges that keep every product
-    within _BLAS_SERIAL_MNK; the row pass views that result as (W-n+1) // b column blocks of
-    width b + n - 1 at stride b and multiplies each by the band. Both write straight into their
-    results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the band's corner. A
-    strip then costs a few BLAS products per mean, not one per output line."""
+    the (b, b + n - 1) transposed band by each, one product per block over all W columns, which
+    ssim's tiles keep within _BLAS_SERIAL_MNK; the row pass views that result as (W-n+1) // b
+    column blocks of width b + n - 1 at stride b and multiplies each by the band. Both write
+    straight into their results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the
+    band's corner. A tile then costs a few BLAS products per mean, not one per output line."""
     (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _band(_BLOCK)
     m, k = h - n + 1, wd - n + 1  # output rows and columns
     rows = np.empty((m, wd))
     nb, tail = divmod(m, b)
-    blocks = np.ndarray((nb, b + n - 1, wd), x.dtype, x, 0, (b * wd * f, wd * f, f))
-    width = _BLAS_SERIAL_MNK // (b * (b + n - 1))  # columns per column-pass product
-    for c in range(0, wd, width):
-        cols = slice(c, c + width)
-        np.matmul(band.T, blocks[:, :, cols], out=rows[: nb * b].reshape(nb, b, wd)[:, :, cols])
-        np.matmul(band[: tail + n - 1, :tail].T, x[nb * b :, cols], out=rows[nb * b :, cols])
+    np.matmul(band.T, np.ndarray((nb, b + n - 1, wd), x.dtype, x, 0, (b * wd * f, wd * f, f)),
+              out=rows[: nb * b].reshape(nb, b, wd))
+    np.matmul(band[: tail + n - 1, :tail].T, x[nb * b :], out=rows[nb * b :])
     out = np.empty((m, k))
     nb, tail = divmod(k, b)
     np.matmul(np.ndarray((nb, m, b + n - 1), x.dtype, rows, 0, (b * f, wd * f, f)), band,
@@ -132,9 +133,9 @@ def _windowed_mean(x: np.ndarray) -> np.ndarray:
 
 
 def _ssim_map_sum(x: np.ndarray, y: np.ndarray, span: int) -> float:
-    """Sum of the SSIM map over the fully interior windows of x and y, two strips of samples
+    """Sum of the SSIM map over the fully interior windows of x and y, two tiles of samples
     less black: the map is invariant under a common scale of x, y, C1 and C2, so the
-    constants take the span, (K * span)**2, instead of the strips being divided by it.
+    constants take the span, (K * span)**2, instead of the tiles being divided by it.
     Works in place on the four windowed means; x and y are overwritten."""
     c1, c2 = (_SSIM_K1 * span) ** 2, (_SSIM_K2 * span) ** 2
     mu_x, mu_y, e_xy = _windowed_mean(x), _windowed_mean(y), _windowed_mean(x * y)
@@ -162,20 +163,24 @@ def _square_sum(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def ssim(a: RawImage, b: RawImage) -> float:
-    """Mean local structural similarity of the two mosaics as gray planes."""
+    """Mean local structural similarity of the two mosaics as gray planes. The map is summed
+    over tiles of at most STRIP_ROWS window rows by 620 window columns, the widest whose
+    column-pass products stay within _BLAS_SERIAL_MNK, each read with its halo, so memory and
+    cache use follow the tile, not the frame."""
     _check_comparable(a, b)
     if min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
-    windows = (a.height - _SSIM_WINDOW + 1) * (a.width - _SSIM_WINDOW + 1)
     black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
-    map_sum = 0.0
-    for r0, n in _row_strips(a.height - _SSIM_WINDOW + 1):
-        rows = np.s_[r0 : r0 + n + _SSIM_WINDOW - 1]  # the strip's window rows and their halo
-        # C order whatever the samples' own: _windowed_mean views x with row-major strides
-        x, y = (np.subtract(img.samples[rows], black, dtype=np.float64, order="C")
-                for img in (a, b))
-        map_sum += _ssim_map_sum(x, y, span)
-    return map_sum / windows
+    halo, map_sum = _SSIM_WINDOW - 1, 0.0  # rows or columns a window reads past its first
+    tile = _BLAS_SERIAL_MNK // (_BLOCK * (_BLOCK + halo)) - halo  # window columns per tile
+    for r0, n in _row_strips(a.height - halo):
+        for c0 in range(0, a.width - halo, tile):
+            # the tile's window rows and columns and their halo, in C order whatever the
+            # samples' own: _windowed_mean views x with row-major strides
+            x, y = (np.subtract(img.samples[r0 : r0 + n + halo, c0 : c0 + tile + halo], black,
+                                dtype=np.float64, order="C") for img in (a, b))
+            map_sum += _ssim_map_sum(x, y, span)
+    return map_sum / ((a.height - halo) * (a.width - halo))
 
 
 def metric_report(a: RawImage, b: RawImage) -> MetricReport:

@@ -4,11 +4,12 @@ A fixed sequence of ``bayerkit`` invocations runs in one scratch directory on
 64x96 inputs that the sequence itself simulates, plus one 260x200 input whose
 padded planes span several Gaussian row strips and whose rows span several
 demosaic and metric row strips; a 258x198 crop of it leaves the demosaic a
-one-plane-row tail strip. For each invocation the test
-pins the exit code, the sha256 of the captured stdout, and the sha256 of every
-file the invocation wrote (PGM, sidecar, PPM). Refactors and optimisations of
-the library are gated by these hashes: a change that moves one output byte is
-a behaviour change, and has to say so by re-recording the corpus.
+one-plane-row tail strip. One 24x1400 pair spans several SSIM column tiles.
+For each invocation the test pins the exit code, the sha256 of the captured
+stdout, and the sha256 of every file the invocation wrote (PGM, sidecar, PPM).
+Refactors and optimisations of the library are gated by these hashes: a change
+that moves one output byte is a behaviour change, and has to say so by
+re-recording the corpus.
 
 Paths are relative to the scratch directory, because some commands echo
 their input path on stdout.
@@ -107,6 +108,11 @@ CASES = [
     ("metrics-median-BGGR", ["metrics", "--ref", "clean_BGGR.pgm", "den_median1_GRBG.pgm"]),
     # 260 rows: four full 64-row metric strips and a 4-row tail that holds no SSIM window
     ("metrics-strips-GBRG", ["metrics", "--ref", "big_GBRG.pgm", "den_big_GRBG.pgm"]),
+    # 1,400 columns: 1,390 window columns, which SSIM cuts into tiles of 620, 620 and 150
+    ("simulate-wide-RGGB", ["simulate", "--pattern", "RGGB", "--size", "24x1400", "--seed", "7",
+                            "--noise", "0.02,0.04", "--noise-seed", "17", "-o", "wide_noisy.pgm",
+                            "--clean", "wide_clean.pgm"]),
+    ("metrics-wide-RGGB", ["metrics", "--ref", "wide_clean.pgm", "wide_noisy.pgm"]),
     ("pack-roundtrip-GBRG", ["pack-roundtrip", "noisy_GBRG.pgm"]),
     ("pack-roundtrip-padded", ["pack-roundtrip", "pad_RGGB.pgm"]),
     ("baseline-demo", ["baseline-demo", "--seed", "0"]),
@@ -274,6 +280,14 @@ EXPECTED = {
     "metrics-median-BGGR": (0, "830fb4e1771d7c1ce42904f44b268e7be3dcbd2edfc6c7a4b933cbb7abfc9b83", {
     }),
     "metrics-strips-GBRG": (0, "95af780379e79d4e6cb2d72be2d1e9fa23bd8cd8740ea4ff2c3abf0163e3cb3c", {
+    }),
+    "simulate-wide-RGGB": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "wide_clean.json": "8501c076e1e27393854223b70c2f0d1919fae0a8ae297e1d41427f17b5a9921d",
+        "wide_clean.pgm": "2eda3a6007187da3a62ec32b24326e0a8399cba13f7c8f9d7ea5d48405e783d9",
+        "wide_noisy.json": "8501c076e1e27393854223b70c2f0d1919fae0a8ae297e1d41427f17b5a9921d",
+        "wide_noisy.pgm": "92ffc84eb700e015c1da4edb31e619cfbc9c39a57fe9a740d091605b0a298910",
+    }),
+    "metrics-wide-RGGB": (0, "6d04a5eee35f96eb8b523e9416b44a62b97871bae473dadc4234548f2f8752e6", {
     }),
     "pack-roundtrip-GBRG": (0, "a35c4835372587ffe4d64966afa89e582ac479a8e6548ea2190a982f3f995768", {
     }),

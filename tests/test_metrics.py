@@ -194,24 +194,29 @@ def full_frame_oracle(a: RawImage, b: RawImage) -> tuple[float, float]:
     return float(np.mean(d * d)), float(np.mean(num / den))
 
 
-@given(st.integers(6, 45).map(lambda n: 2 * n), st.integers(6, 24).map(lambda n: 2 * n),
+@given(st.integers(6, 45).map(lambda n: 2 * n), st.integers(6, 48).map(lambda n: 2 * n),
        st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1),
        st.one_of(st.none(), st.tuples(st.integers(1, 30000), st.integers(1, 200))
-                 .map(lambda t: (t[0], t[0] + t[1]))))
-@example(12, 12, 64, 16, 0, None)  # the smallest frame SSIM takes: 2 window rows, one strip
-@example(12, 16, 1, 16, 1, None)  # one row per strip: 12 MSE strips, 2 SSIM strips of 1 window row
-@example(16, 12, 5, 16, 2, None)  # 6 window rows: strips of 5 and 1, the last reads 11 frame rows
-@example(74, 14, 64, 16, 3, None)  # 64 window rows: one full SSIM strip; MSE strips of 64 and 10
-@example(20, 24, 64, 16, 4, None)  # 14 window columns: less than one block, all tail
-@example(20, 26, 64, 16, 5, None)  # exactly one block, no tail
-@example(20, 42, 64, 16, 6, None)  # exactly two blocks
-@example(20, 48, 64, 16, 7, None)  # two blocks and a tail of 6
-@example(40, 20, 10, 16, 8, None)  # 10 window rows per strip: less than one block, all tail
-@example(42, 20, 16, 16, 9, None)  # 16 window rows per full strip: exactly one block
-@example(46, 20, 20, 16, 10, None)  # 20 window rows in the first strip: one block and a tail of 4
-@example(40, 20, 8, 16, 11, (100, 160))  # black > 0, small span: C1, C2 scaled by the span
+                 .map(lambda t: (t[0], t[0] + t[1]))),
+       st.integers(1, 100))
+@example(12, 12, 64, 16, 0, None, 620)  # the smallest frame SSIM takes: 2 window rows, one strip
+@example(12, 16, 1, 16, 1, None, 620)  # one row per strip: 12 MSE strips, 2 SSIM strips of 1 row
+@example(16, 12, 5, 16, 2, None, 620)  # 6 window rows: strips of 5 and 1, the last reads 11 rows
+@example(74, 14, 64, 16, 3, None, 620)  # 64 window rows: one full SSIM strip; MSE strips of 64, 10
+@example(20, 24, 64, 16, 4, None, 620)  # 14 window columns: less than one block, all tail
+@example(20, 26, 64, 16, 5, None, 620)  # exactly one block, no tail
+@example(20, 42, 64, 16, 6, None, 620)  # exactly two blocks
+@example(20, 48, 64, 16, 7, None, 620)  # two blocks and a tail of 6
+@example(40, 20, 10, 16, 8, None, 620)  # 10 window rows per strip: less than one block, all tail
+@example(42, 20, 16, 16, 9, None, 620)  # 16 window rows per full strip: exactly one block
+@example(46, 20, 20, 16, 10, None, 620)  # 20 window rows in the first strip: one block, tail of 4
+@example(40, 20, 8, 16, 11, (100, 160), 620)  # black > 0, small span: C1, C2 scaled by the span
+@example(20, 42, 64, 16, 12, None, 32)  # 32 window columns: exactly one tile
+@example(20, 44, 64, 16, 13, None, 32)  # 34 window columns: one tile and a tile of 2
+@example(30, 96, 8, 16, 14, None, 20)  # 86 window columns: tiles of 20 and a last one of 6
+@example(20, 40, 64, 16, 15, None, 7)  # tiles of 7 window columns, narrower than one block
 @settings(max_examples=80, deadline=None)
-def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, seed, levels):
+def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, seed, levels, tile):
     rng = np.random.default_rng(seed)
     if levels is None:
         black = int(rng.integers(0, 30000))
@@ -222,7 +227,10 @@ def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, s
     amplitude = int(rng.integers(0, white - black + 1))
     noisy = np.clip(clean + rng.integers(-amplitude, amplitude + 1, size=clean.shape), black, white)
     a, b = (RawImage(v, BayerPattern.GRBG, black, white) for v in (clean, noisy))
-    with patch.object(image, "STRIP_ROWS", strip_rows), patch.object(metrics, "_BLOCK", block):
+    # ssim's tiles are the column ranges whose column-pass products fit _BLAS_SERIAL_MNK
+    mnk = block * (block + 10) * (tile + 10)  # tile window columns, with their 10 halo columns
+    with (patch.object(image, "STRIP_ROWS", strip_rows), patch.object(metrics, "_BLOCK", block),
+          patch.object(metrics, "_BLAS_SERIAL_MNK", mnk)):
         got = mse(a, b), ssim(a, b), metric_report(a, b), psnr(a, b)
     want_mse, want_ssim = full_frame_oracle(a, b)
     for m, s in (got[:2], (got[2].mse, got[2].ssim)):
@@ -234,8 +242,10 @@ def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, s
 
 @pytest.mark.parametrize("layout", ["transpose_bayer", "fortran"])
 def test_metrics_read_any_sample_layout(rng, layout):
-    # RawImage keeps its source's memory order, so these samples are not C-contiguous
-    clean = rng.integers(1000, 60001, size=(90, 40))
+    # RawImage keeps its source's memory order, so these samples are not C-contiguous; both
+    # layouts give a 40x1300 frame, whose 1,290 window columns span three SSIM tiles
+    shape = (1300, 40) if layout == "transpose_bayer" else (40, 1300)
+    clean = rng.integers(1000, 60001, size=shape)
     noisy = np.clip(clean + rng.integers(-3000, 3001, size=clean.shape), 0, 65535)
     a, b = (RawImage(v, BayerPattern.RGGB) for v in (clean, noisy))
     if layout == "transpose_bayer":
@@ -260,7 +270,7 @@ def test_ssim_computes_no_mse(rng):
                 metric(a, b)
 
 
-def test_ssim_products_stay_within_the_serial_blas_size():
+def test_ssim_products_stay_within_the_serial_blas_size(rng):
     sizes = []
 
     def matmul(a, b, out):
@@ -268,9 +278,9 @@ def test_ssim_products_stay_within_the_serial_blas_size():
         return real(a, b, out=out)
 
     real = np.matmul
-    x = np.random.default_rng(0).random((74, 3072))  # a full strip of a 2048x3072 frame
+    a, b = (rand_raw(rng, 74, 3072, BayerPattern.RGGB) for _ in range(2))  # one full strip
     with patch.object(np, "matmul", matmul):
-        metrics._windowed_mean(x)
+        ssim(a, b)
     assert len(sizes) > 2 and max(sizes) <= metrics._BLAS_SERIAL_MNK
 
 
@@ -289,3 +299,16 @@ def test_ssim_memory_is_bounded_by_a_strip_not_the_frame(rng):
         frame_bytes = 1024 * 1536 * 8  # one full-frame float64 array of the smaller pair
         assert peaks[0] < 0.75 * frame_bytes, metric.__name__
         assert peaks[1] < 1.05 * peaks[0], metric.__name__  # twice the rows, the same strips
+
+
+def test_ssim_memory_is_bounded_by_a_tile_not_the_width(rng):
+    peaks = []
+    for width in (1536, 3072):  # 1,526 and 3,062 window columns: three and five tiles
+        a, b = (rand_raw(rng, 138, width, BayerPattern.RGGB) for _ in range(2))
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0]  # twice the columns, the same tiles
