@@ -56,7 +56,7 @@ def main():
             noisy_psnr.append(psnr(noisy, clean))
             for name in FILTERS:
                 out = denoise_pipeline(noisy, work, DenoiserSpec.parse(name))
-                report = metric_report(out, clean)  # one strip pass for both metrics
+                report = metric_report(out, clean)  # both figures: mse's strip loop, then ssim's
                 rows[name][0].append(report.psnr_db)
                 rows[name][1].append(report.ssim)
         line = f"{f'({read}, {shot})':>20s}{np.mean(noisy_psnr):>12.2f}"

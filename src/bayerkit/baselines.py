@@ -31,6 +31,12 @@ from .unify import unify_crop, unify_offsets
 # one 16-bit code value in the normalized [0, 1] units of the RMSE figures
 QUANTIZATION_STEP = 1.0 / 65535.0
 
+# axis -> (mirror, crop) of a (planes, H, W) stack: the mirror flips the packed
+# planes or the demosaic reference, and the crop drops the first and last column
+# (row), as ``flip_bayer`` does; the order is that of baseline-demo's JSON
+_MIRRORS = {"horizontal": (np.s_[:, :, ::-1], np.s_[:, :, 1:-1]),
+            "vertical": (np.s_[:, ::-1], np.s_[:, 1:-1])}
+
 
 def naive_unify(p: PackedImage, target: BayerPattern) -> PackedImage:
     """Relabel planes to the target channel sequence WITHOUT moving any pixel.
@@ -58,13 +64,9 @@ def naive_flip(p: PackedImage, axis: str) -> PackedImage:
     exactly, but a single application yields planes whose implied mosaic is
     not a valid image of the tagged pattern.
     """
-    if axis == "horizontal":
-        planes = p.planes[:, :, ::-1]
-    elif axis == "vertical":
-        planes = p.planes[:, ::-1, :]
-    else:
+    if axis not in _MIRRORS:
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    return PackedImage(planes, p.pattern, p.black_level, p.white_level)
+    return PackedImage(p.planes[_MIRRORS[axis][0]], p.pattern, p.black_level, p.white_level)
 
 
 def _interior_rmse(a: np.ndarray, b: np.ndarray, margin: int = 2) -> float:
@@ -107,11 +109,7 @@ def compare_flip_paths(img: RawImage, axis: str) -> tuple[float, float]:
     the full mirrored reference. Returns (correct_rmse, naive_rmse).
     """
     correct = flip_bayer(img, axis)  # refuses an unknown axis
-    if axis == "horizontal":
-        view, crop = np.s_[:, :, ::-1], np.s_[:, :, 1:-1]
-    else:
-        view, crop = np.s_[:, ::-1], np.s_[:, 1:-1]
-    return _compare(img, correct, naive_flip(pack(img), axis), view, crop)
+    return _compare(img, correct, naive_flip(pack(img), axis), *_MIRRORS[axis])
 
 
 def _summary(rows: list[dict]) -> dict:
@@ -139,7 +137,7 @@ def sweep(seed: int, height: int, width: int) -> dict:
             correct, naive = compare_unify_paths(img, target)
             unify_rows.append({"src": src.value, "target": target.value,
                                "correct_rmse": correct, "naive_rmse": naive})
-        for axis in ("horizontal", "vertical"):
+        for axis in _MIRRORS:
             correct, naive = compare_flip_paths(img, axis)
             flip_rows.append({"pattern": src.value, "axis": axis,
                               "correct_rmse": correct, "naive_rmse": naive})

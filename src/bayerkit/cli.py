@@ -1,8 +1,10 @@
 """Command-line interface tying the library into file-to-file pipelines.
 
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on processing
-errors. Processing errors are reported as a single line on stderr. Every
-command is deterministic given its flags and seeds.
+errors. Processing errors are reported as a single line on stderr. A
+command's own usage checks, such as ``augment``'s choice of one mode, also
+report through argparse (``args.parser.error``), with exit 2, before any I/O.
+Every command is deterministic given its flags and seeds.
 
 A command writes no file itself. It returns the (path, chunks) pairs of its
 outputs, or None when it only prints, and ``main`` writes them as one unit:
@@ -29,10 +31,6 @@ from .patterns import BayerPattern
 from .rawfile import _atomic_write, _ppm_file, _raw_files, load_raw, sidecar_path
 from .simulate import NoiseParams, _demosaic_strips, add_noise, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
-
-
-class UsageError(Exception):
-    """Command-line misuse that argparse's declarative checks cannot express."""
 
 
 def _pattern(text: str) -> BayerPattern:
@@ -76,25 +74,34 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``func``.
+
+    The subcommand's parser is its own default ``parser``, so a check that
+    argparse's declarations cannot express reports as ``args.parser.error``.
+    """
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayerkit", description="Bayer raw mosaic processing toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("unify", help="convert a mosaic to a target Bayer pattern")
+    p = _command(sub, "unify", cmd_unify, "convert a mosaic to a target Bayer pattern")
     p.add_argument("--target", type=_pattern, required=True)
     p.add_argument("--mode", choices=["crop", "pad"], required=True)
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_unify)
 
-    p = sub.add_parser("disunify", help="undo pad-unification recorded in the sidecar")
+    p = _command(sub, "disunify", cmd_disunify, "undo pad-unification recorded in the sidecar")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_disunify)
 
-    p = sub.add_parser("augment", help="apply pattern-preserving augmentation")
+    p = _command(sub, "augment", cmd_augment, "apply pattern-preserving augmentation")
     p.add_argument("--hflip", action="store_true")
     p.add_argument("--vflip", action="store_true")
     p.add_argument("--transpose", action="store_true")
@@ -104,13 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", metavar="plan.json")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("pack-roundtrip", help="self-check: pack then unpack must be exact")
+    p = _command(sub, "pack-roundtrip", cmd_pack_roundtrip,
+                 "self-check: pack then unpack must be exact")
     p.add_argument("input")
-    p.set_defaults(func=cmd_pack_roundtrip)
 
-    p = sub.add_parser("simulate", help="generate a synthetic mosaic")
+    p = _command(sub, "simulate", cmd_simulate, "generate a synthetic mosaic")
     p.add_argument("--pattern", type=_pattern, required=True)
     p.add_argument("--size", type=_size, required=True, metavar="HxW")
     p.add_argument("--seed", type=_seed, required=True)
@@ -118,33 +124,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-seed", type=_seed, default=0)
     p.add_argument("--clean", metavar="clean.pgm")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("denoise", help="run the unify/pack/filter/unpack/disunify pipeline")
+    p = _command(sub, "denoise", cmd_denoise, "run the unify/pack/filter/unpack/disunify pipeline")
     p.add_argument("--filter", required=True, dest="filter_spec",
                    metavar="identity|gaussian:<s>|median:<r>")
     p.add_argument("--work-pattern", type=_pattern, required=True)
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("demosaic", help="bilinear demosaic to a 16-bit PPM")
+    p = _command(sub, "demosaic", cmd_demosaic, "bilinear demosaic to a 16-bit PPM")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_demosaic)
 
-    p = sub.add_parser("metrics", help="print MSE/PSNR/SSIM of input vs reference as JSON")
+    p = _command(sub, "metrics", cmd_metrics, "print MSE/PSNR/SSIM of input vs reference as JSON")
     p.add_argument("--ref", required=True)
     p.add_argument("input")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("baseline-demo",
-                       help="differential demo: correct transforms vs naive packed-plane ops")
+    p = _command(sub, "baseline-demo", cmd_baseline_demo,
+                 "differential demo: correct transforms vs naive packed-plane ops")
     p.add_argument("--seed", type=_seed, required=True)
-    p.set_defaults(func=cmd_baseline_demo)
 
-    for p in sub.choices.values():  # a command's UsageError is reported under its own usage
-        p.set_defaults(parser=p)
     return parser
 
 
@@ -166,13 +165,13 @@ def cmd_augment(args) -> tuple:
     explicit = args.hflip or args.vflip or args.transpose or args.patch is not None
     modes = sum([args.plan is not None, args.seed is not None, explicit])
     if modes > 1:
-        raise UsageError("choose one of --plan, --seed, or explicit step flags")
+        args.parser.error("choose one of --plan, --seed, or explicit step flags")
     if modes == 0:
-        raise UsageError("no augmentation requested")
+        args.parser.error("no augmentation requested")
     if args.seed is not None and args.patch_size is None:
-        raise UsageError("--seed requires --patch-size")
+        args.parser.error("--seed requires --patch-size")
     if args.patch_size is not None and args.seed is None:
-        raise UsageError("--patch-size requires --seed")
+        args.parser.error("--patch-size requires --seed")
     img, _ = load_raw(args.input)
     if args.plan is not None:
         with open(args.plan, "rb") as fh:
@@ -203,13 +202,14 @@ def cmd_pack_roundtrip(args) -> None:
 
 
 def cmd_simulate(args) -> tuple:
-    sidecars = {os.path.realpath(sidecar_path(p)) for p in filter(None, (args.clean, args.output))}
-    if args.clean and len(sidecars) == 1:  # one sidecar would overwrite the other
+    outs = (args.output,) if args.clean is None else (args.clean, args.output)
+    # sidecar_path refuses a path naming no file; one sidecar must not overwrite the other
+    if len({os.path.realpath(sidecar_path(p)) for p in outs}) < len(outs):
         raise BayerKitError(f"{args.output}: -o and --clean would share one sidecar")
     height, width = args.size
     scene = gen_scene(args.seed, height, width)
     clean = mosaic(scene, args.pattern)
-    files = _raw_files(clean, None, args.clean) if args.clean else ()
+    files = _raw_files(clean, None, args.clean) if args.clean is not None else ()
     out = clean
     if args.noise is not None:
         out = add_noise(clean, args.noise, args.noise_seed)
@@ -243,8 +243,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _atomic_write(*(args.func(args) or ()))  # a command that only prints returns None
-    except UsageError as e:
-        args.parser.error(str(e))  # exits 2
     except (BayerKitError, OSError, MemoryError) as e:  # a bare MemoryError has no message
         print(f"bayerkit: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from bayerkit import (
     unify_crop,
     unify_pad,
 )
-from bayerkit.cli import main
+from bayerkit.cli import build_parser, main
 
 from conftest import assert_same_image, rand_raw
 
@@ -162,11 +162,25 @@ def test_augment_conflicting_modes_is_usage_error(tmp_path, sample_pair, capsys)
     assert not (tmp_path / "x.pgm").exists()
 
 
-def test_augment_without_steps_is_usage_error(tmp_path, sample_pair):
+def test_augment_without_steps_is_usage_error(tmp_path, sample_pair, capsys):
     _, path = sample_pair
     with pytest.raises(SystemExit) as exc:
         main(["augment", str(path), "-o", str(tmp_path / "x.pgm")])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "bayerkit augment: error: no augmentation requested"
+    assert not (tmp_path / "x.pgm").exists()
+
+
+def test_every_subcommand_prints_its_own_help(capsys):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sub.choices
+    for name in sub.choices:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].startswith(f"usage: bayerkit {name}"), out
 
 
 def test_augment_illegal_transpose_is_processing_error(tmp_path, sample_pair, capsys):
@@ -213,6 +227,17 @@ def test_refused_output_path_leaves_no_other_output(tmp_path, capsys, clean, out
     assert main(["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1", "--noise",
                  "0.01,0.01", "--clean", str(tmp_path / clean), "-o", str(tmp_path / output)]) == 1
     assert capsys.readouterr().err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("clean, output", [("", "out.pgm"), ("c.pgm", "")])
+def test_empty_output_path_is_refused_for_clean_and_o_alike(tmp_path, monkeypatch, capsys,
+                                                             clean, output):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1",
+                 "--clean", clean, "-o", output]) == 1
+    err = capsys.readouterr().err
+    assert err == "bayerkit: error: '' names no file\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -345,17 +370,23 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv, code", [
     (["metrics", "--ref", "{pgm}", "{pgm}"], 1),  # the sidecar is missing: a processing error
     (["unify", "--mode", "crop", "{pgm}"], 2),  # required flags are missing: a usage error
-], ids=["processing-error", "usage-error"])
+    (["augment", "--seed", "3", "{pgm}", "-o", "{out}"], 2),  # augment's own usage check
+], ids=["processing-error", "usage-error", "augment-usage-error"])
 def test_module_entry_point_exit_codes(tmp_path, sample_pair, argv, code):
     _, path = sample_pair
     path.with_suffix(".json").unlink()
+    out = tmp_path / "out.pgm"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    argv = [a.format(pgm=path) for a in argv]
+    argv = [a.format(pgm=path, out=out) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "bayerkit.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
     if code == 1:
         assert proc.stderr == f"bayerkit: error: no sidecar at {path.with_suffix('.json')}\n"
+    if argv[0] == "augment":
+        last = proc.stderr.splitlines()[-1]
+        assert last == "bayerkit augment: error: --seed requires --patch-size"
+    assert not out.exists()
 
 
 def test_unknown_pattern_flag_is_usage_error(tmp_path, sample_pair):
