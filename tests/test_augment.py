@@ -305,6 +305,11 @@ def test_plan_json_rejects_garbage():
     )
 
 
+def test_plan_json_ignores_unknown_plan_and_step_keys():
+    text = '{"seed": 3, "note": "x", "steps": [{"op": "hflip", "x": 1}]}'
+    assert AugPlan.from_json(text) == AugPlan((HFlip(),), seed=3)
+
+
 def test_plan_rejects_odd_patch():
     with pytest.raises(OddOffset):
         AugPlan((Patch(1, 0, 2, 2),))

@@ -397,22 +397,34 @@ def test_unknown_pattern_flag_is_usage_error(tmp_path, sample_pair):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "simulate --pattern RGGB --size 16x16 --seed -3 -o {out}",
-        "simulate --pattern RGGB --size 16x16 --seed 1 --noise 0.02,0.04 --noise-seed -1 -o {out}",
-        "simulate --pattern RGGB --size 16x16 --seed 1 --noise nan,0 -o {out}",
-        "simulate --pattern RGGB --size 16x16 --seed 1 --noise inf,0 -o {out}",
-        "simulate --pattern RGGB --size 16x16 --seed 1 --noise=-1,0 -o {out}",
-        "simulate --pattern RGGB --size 16x16 --seed 1 --noise 1e154,1e154 -o {out}",
-        "simulate --pattern RGGB --size 16x16 --seed x -o {out}",
-        "simulate --pattern RGGB --size 16 --seed 1 -o {out}",
-        "augment --seed -1 --patch-size 4 {inp} -o {out}",
-        "baseline-demo --seed -1",
-    ],
-)
-def test_bad_numeric_argument_is_usage_error(tmp_path, sample_pair, capsys, argv):
+_SEED = "seed must be an integer >= 0, got"
+_NOISE = "argument --noise: noise must be READ,SHOT finite floats >= 0, got"
+_BAD_ARGUMENTS = [
+    ("simulate --pattern RGGB --size 16x16 --seed -3 -o {out}", f"argument --seed: {_SEED} '-3'"),
+    ("simulate --pattern RGGB --size 16x16 --seed 1 --noise 0.02,0.04 --noise-seed -1 -o {out}",
+     f"argument --noise-seed: {_SEED} '-1'"),
+    ("simulate --pattern RGGB --size 16x16 --seed 1 --noise nan,0 -o {out}", f"{_NOISE} 'nan,0'"),
+    ("simulate --pattern RGGB --size 16x16 --seed 1 --noise inf,0 -o {out}", f"{_NOISE} 'inf,0'"),
+    ("simulate --pattern RGGB --size 16x16 --seed 1 --noise=-1,0 -o {out}", f"{_NOISE} '-1,0'"),
+    ("simulate --pattern RGGB --size 16x16 --seed 1 --noise 1e154,1e154 -o {out}",
+     f"{_NOISE} '1e154,1e154'"),
+    ("simulate --pattern RGGB --size 16x16 --seed 1 --noise 1,2,3 -o {out}", f"{_NOISE} '1,2,3'"),
+    ("simulate --pattern RGGB --size 16x16 --seed x -o {out}", f"argument --seed: {_SEED} 'x'"),
+    ("simulate --pattern RGGB --size 16 --seed 1 -o {out}",
+     "argument --size: size must look like 128x128, got '16'"),
+    ("simulate --pattern RGGB --size 1x2x3 --seed 1 -o {out}",
+     "argument --size: size must look like 128x128, got '1x2x3'"),
+    ("augment --seed -1 --patch-size 4 {inp} -o {out}", f"argument --seed: {_SEED} '-1'"),
+    ("augment --patch 1,2,3 {inp} -o {out}",
+     "argument --patch: patch must be T,L,H,W integers, got '1,2,3'"),
+    ("baseline-demo --seed -1", f"argument --seed: {_SEED} '-1'"),
+    ("unify --target rggb --mode crop {inp} -o {out}",
+     "argument --target: 'rggb' is not one of RGGB, BGGR, GRBG, GBRG"),
+]
+
+
+@pytest.mark.parametrize("argv, last", _BAD_ARGUMENTS, ids=[argv for argv, _ in _BAD_ARGUMENTS])
+def test_bad_numeric_argument_is_usage_error(tmp_path, sample_pair, capsys, argv, last):
     _, path = sample_pair
     out = tmp_path / "x.pgm"
     argv = argv.format(inp=path, out=out).split()
@@ -421,5 +433,5 @@ def test_bad_numeric_argument_is_usage_error(tmp_path, sample_pair, capsys, argv
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith(f"bayerkit {argv[0]}: error: argument --")
+    assert err.splitlines()[-1] == f"bayerkit {argv[0]}: error: {last}"
     assert not out.exists()

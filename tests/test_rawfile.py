@@ -108,6 +108,14 @@ def test_load_defaults_levels(tmp_path):
     assert (img.samples == 1).all()
 
 
+def test_load_ignores_unknown_sidecar_and_pad_keys(tmp_path):
+    pad = {"top": 1, "bottom": 1, "left": 0, "right": 0, "original_pattern": "GBRG", "x": 1}
+    path = write_pair(tmp_path, good_pgm(), {**GOOD_SIDECAR, "pad": pad, "camera": [1, 2]})
+    img, loaded_pad = load_raw(path)
+    assert img.pattern is BayerPattern.RGGB and (img.samples == 1).all()
+    assert loaded_pad == PadSpec(1, 1, 0, 0, BayerPattern.GBRG)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = write_pair(tmp_path, b"P6\n4 4\n65535\n" + b"\x00" * 32, GOOD_SIDECAR)
     with pytest.raises(ParseError):
