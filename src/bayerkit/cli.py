@@ -1,9 +1,12 @@
 """Command-line interface tying the library into file-to-file pipelines.
 
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on processing
-errors. Processing errors are reported as a single line on stderr. A
-command's own usage checks, such as ``augment``'s choice of one mode, also
-report through argparse (``args.parser.error``), with exit 2, before any I/O.
+errors. Processing errors are reported as a single line on stderr. Each
+argument type is built by ``_typed``: a text its parse refuses with a
+ValueError or BayerKitError is a usage error whose message states the rule
+and the text. A command's own usage checks, such as ``augment``'s choice of
+one mode, also report through argparse (``args.parser.error``), with exit 2,
+before any I/O.
 Every command is deterministic given its flags and seeds.
 
 A command writes no file itself. It returns the (path, chunks) pairs of its
@@ -33,39 +36,29 @@ from .simulate import NoiseParams, _demosaic_strips, add_noise, gen_scene, mosai
 from .unify import disunify_crop, unify_crop, unify_pad
 
 
-def _pattern(text: str) -> BayerPattern:
-    try:
-        return BayerPattern.from_name(text)
-    except BayerKitError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not one of RGGB, BGGR, GRBG, GBRG"
-        ) from None
+def _typed(parse, message: str):
+    """An argparse type: ``parse(text)``, or ``message`` with the text's repr for a refused text."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, BayerKitError):
+            raise argparse.ArgumentTypeError(message.format(text)) from None
+    return convert
 
 
-def _size(text: str) -> tuple[int, int]:
-    try:
-        h, w = text.split("x")
-        return int(h), int(w)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"size must look like 128x128, got {text!r}") from None
+def _numbers(text: str, sep: str, n: int, kind) -> tuple:
+    """``text`` split at ``sep`` into exactly ``n`` values of ``kind``, else ValueError."""
+    parts = text.split(sep)
+    if len(parts) != n:
+        raise ValueError(text)
+    return tuple(kind(v) for v in parts)
 
 
-def _patch_args(text: str) -> tuple[int, int, int, int]:
-    try:
-        t, l, h, w = (int(v) for v in text.split(","))
-        return t, l, h, w
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"patch must be T,L,H,W integers, got {text!r}") from None
-
-
-def _noise(text: str) -> NoiseParams:
-    try:
-        read, shot = (float(v) for v in text.split(","))
-        return NoiseParams(read, shot)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"noise must be READ,SHOT finite floats >= 0, got {text!r}"
-        ) from None
+_pattern = _typed(BayerPattern.from_name, "{!r} is not one of RGGB, BGGR, GRBG, GBRG")
+_size = _typed(lambda t: _numbers(t, "x", 2, int), "size must look like 128x128, got {!r}")
+_patch_args = _typed(lambda t: _numbers(t, ",", 4, int), "patch must be T,L,H,W integers, got {!r}")
+_noise = _typed(lambda t: NoiseParams(*_numbers(t, ",", 2, float)),
+                "noise must be READ,SHOT finite floats >= 0, got {!r}")
 
 
 def _seed(text: str) -> int:
@@ -218,8 +211,9 @@ def cmd_simulate(args) -> tuple:
 
 def cmd_denoise(args) -> tuple:
     spec = DenoiserSpec.parse(args.filter_spec)
-    img, _ = load_raw(args.input)
-    return _raw_files(denoise_pipeline(img, args.work_pattern, spec), None, args.output)
+    img, pad = load_raw(args.input)
+    # the output has the input's size and pattern, so a pad record still applies to it
+    return _raw_files(denoise_pipeline(img, args.work_pattern, spec), pad, args.output)
 
 
 def cmd_demosaic(args) -> tuple:

@@ -126,4 +126,4 @@ def transpose_is_legal(pattern: BayerPattern) -> bool:
     Transposing such an image swaps the two greens but keeps the pattern
     name; transposing GRBG or GBRG would swap R and B outright.
     """
-    return pattern_transform(pattern, TransformKind.TRANSPOSE) is pattern
+    return pattern.value[1] == pattern.value[2]  # one R and one B: equal letters are G

@@ -9,7 +9,8 @@ The sidecar is ``<stem>.json`` beside the PGM, read as UTF-8, and carries
 "bayer_pattern" (required, one of the four uppercase names), "black_level"
 and "white_level" (optional JSON integers, defaulting to 0 and 65535), and
 optionally a "pad" object of JSON integers recording reversible pad-unification.
-Anything that deviates from this layout is rejected rather than guessed at:
+A key the layout does not name, in the sidecar or its "pad" object, is ignored;
+anything else that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
 ``load_raw`` decodes the payload straight from the file's bytes into a fresh
 native array and adopts it without another copy. A fault in the sidecar is

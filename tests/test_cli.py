@@ -17,6 +17,7 @@ from bayerkit import (
     HFlip,
     Patch,
     denoise_pipeline,
+    disunify_crop,
     gen_scene,
     load_raw,
     mosaic,
@@ -286,6 +287,24 @@ def test_denoise_command(tmp_path, sample_pair):
                  str(path), "-o", str(out)]) == 0
     loaded, _ = load_raw(out)
     expected = denoise_pipeline(img, BayerPattern.BGGR, DenoiserSpec("gaussian", 1.0))
+    assert_same_image(loaded, expected)
+
+
+def test_pad_denoise_disunify_chain_restores_the_original_frame(tmp_path, sample_pair):
+    # the paper's inference path: pad to the model's pattern, denoise, crop back
+    img, path = sample_pair
+    padded, denoised, out = (tmp_path / f"{n}.pgm" for n in ("padded", "denoised", "out"))
+    assert main(["unify", "--target", "RGGB", "--mode", "pad", str(path), "-o", str(padded)]) == 0
+    # a work pattern other than the file's own, so the pipeline pads too
+    assert main(["denoise", "--filter", "median:1", "--work-pattern", "BGGR",
+                 str(padded), "-o", str(denoised)]) == 0
+    assert main(["disunify", str(denoised), "-o", str(out)]) == 0
+    padded_img, pad = unify_pad(img, BayerPattern.RGGB)
+    expected = disunify_crop(
+        denoise_pipeline(padded_img, BayerPattern.BGGR, DenoiserSpec("median", 1)), pad)
+    loaded, record = load_raw(out)
+    assert record is None
+    assert (loaded.pattern, loaded.samples.shape) == (img.pattern, img.samples.shape)
     assert_same_image(loaded, expected)
 
 

@@ -129,6 +129,7 @@ def test_transpose_legality_is_diagonal_green():
             p.cells[0][1] is ColorChannel.G and p.cells[1][0] is ColorChannel.G
         )
         assert transpose_is_legal(p) == diag_green
+        assert transpose_is_legal(p) == (pattern_transform(p, TransformKind.TRANSPOSE) is p)
     assert transpose_is_legal(BayerPattern.RGGB)
     assert transpose_is_legal(BayerPattern.BGGR)
     assert not transpose_is_legal(BayerPattern.GRBG)
