@@ -61,10 +61,16 @@ _noise = _typed(lambda t: NoiseParams(*_numbers(t, ",", 2, float)),
                 "noise must be READ,SHOT finite floats >= 0, got {!r}")
 
 
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+def _digits(text: str, least: int = 0, step: int = 1) -> int:
+    """The plain decimal ``text`` (no sign, no space) as an int, which must be >= least and a
+    multiple of step."""
+    if not (text.isascii() and text.isdigit()) or int(text) < least or int(text) % step:
+        raise ValueError(text)
     return int(text)
+
+
+_seed = _typed(_digits, "seed must be an integer >= 0, got {!r}")
+_patch_size = _typed(lambda t: _digits(t, 2, 2), "patch size must be an even integer >= 2, got {!r}")
 
 
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
@@ -100,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transpose", action="store_true")
     p.add_argument("--patch", type=_patch_args, metavar="T,L,H,W")
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--patch-size", type=int)
+    p.add_argument("--patch-size", type=_patch_size)
     p.add_argument("--plan", metavar="plan.json")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)

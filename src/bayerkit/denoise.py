@@ -1,20 +1,25 @@
-"""The unify -> pack -> filter -> unpack -> disunify pipeline.
+"""The denoising pipeline: BayerUnify by padding, a per-plane filter, and the crop back.
 
 The filter stage is pluggable and deliberately simple: classical per-plane
 filters stand in for whatever learned model would sit there in production.
 What this module actually guarantees is the plumbing around the filter:
 
-* With the identity filter the whole pipeline is a bit-exact no-op for every
-  (image pattern, working pattern) combination, which transitively validates
-  padding, packing, unpacking, and disunification as exact inverses.
+* ``denoise_pipeline`` gives what unify_pad -> pack -> denoise_packed -> unpack
+  -> disunify_crop would give, without building any of those frames. Each filter
+  reads the input's site view ``samples[a::2, b::2]`` and writes the same site
+  view of one output mosaic. The working pattern only sets each plane's halo:
+  mosaic reflect-101 keeps a sample's parity, so in plane space a padded row is
+  the plane's edge row duplicated. With (dy, dx) = unify_offsets(pattern, work
+  pattern), plane (a, b) gets one such row on top when dy and a == 1, one at the
+  bottom when dy and a == 0, and likewise a column on the left or right by dx and
+  b. The identity filter returns the input itself.
 * With the Gaussian filter the output does not depend on the working pattern
   at all. This holds exactly, not approximately, and it pins two design
   choices: the kernel has radius 1 per plane, and plane borders are extended
-  by edge duplication. Mosaic-level reflect-101 padding shows up in plane
-  space as a duplicated edge row/column, so a radius-1 kernel with duplicated
-  edges sees identical windows whether or not the mosaic was padded; a wider
-  kernel, or mirror extension, sees different values near the border and the
-  working pattern would leak into the result.
+  by edge duplication. A radius-1 kernel with duplicated edges sees identical
+  windows with or without a duplicated edge row or column, so the Gaussian
+  ignores the halo; a wider kernel, or mirror extension, sees different values
+  near the border and the working pattern would leak into the result.
 
 The Gaussian computes in float64, rounds by floor(x + 0.5) (half away from
 zero, as x >= 0) and clips to 16 bits once per plane. It runs on the 64-row
@@ -23,9 +28,11 @@ columns too, so they come out of that pass as the duplicated edge columns the
 row pass needs. Each sample takes the same float64 steps as in the whole-plane
 formula, so the strip size never shows in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
-is one of them. It pads the whole plane (reflect-101) instead of running on
-strips: on strips it was faster on a 1024x1536 plane but slower on the
-257x257 planes of the quality sweep (see README).
+is one of them. Its windows do see the halo: it edge-pads the plane by its halo,
+then pads that whole plane (reflect-101), and takes the windows of the plane's
+own samples. It pads whole planes instead of running on strips: on strips it was
+faster on a 1024x1536 plane but slower on the 257x257 planes of the quality
+sweep (see README).
 """
 
 from __future__ import annotations
@@ -39,9 +46,8 @@ import numpy as np
 from .errors import BadFilterParam
 from . import image
 from .image import PackedImage, RawImage, _adopt, _halo_strips
-from .packing import pack, unpack
 from .patterns import BayerPattern
-from .unify import disunify_crop, unify_pad
+from .unify import unify_offsets
 
 
 def _gaussian_3tap(sigma: float) -> tuple[float, float]:
@@ -51,12 +57,12 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     return 1.0 / total, g1 / total
 
 
-def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
-    # separable 3x3 kernel; edge-duplicated borders (see module docstring). Each sample
-    # takes the float64 steps (w1*up + w0*mid) + w1*down, then the same along the row.
+def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo) -> None:
+    # separable 3x3 kernel; edge-duplicated borders, so the halo changes no window (see
+    # module docstring). Each sample takes the float64 steps (w1*up + w0*mid) + w1*down,
+    # then the same along the row.
     w0, w1 = _gaussian_3tap(sigma)
     h, w = plane.shape
-    out = np.empty_like(plane)
     cols = np.empty((min(image.STRIP_ROWS, h), w + 2))  # column pass, halo columns included
     for r0, n, xs in _halo_strips(plane):
         mid = np.multiply(w0, xs[1:-1], out=cols[:n])
@@ -70,7 +76,6 @@ def _smooth_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
         acc += mid[:, 2:]
         acc += 0.5
         out[r0 : r0 + n] = np.clip(np.floor(acc, out=acc), 0, 65535, out=acc)
-    return out
 
 
 def _batcher_pairs(n: int):
@@ -110,10 +115,13 @@ def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
 _MEDIAN_NETWORKS = {r: _median_network((2 * r + 1) ** 2) for r in (1, 2)}
 
 
-def _median_plane(plane: np.ndarray, radius: int) -> np.ndarray:
+def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo) -> None:
     h, w = plane.shape
     size = 2 * radius + 1
-    p = np.pad(plane, radius, mode="reflect")
+    (top, _), (left, _) = halo
+    # two pads, not one gather (slower on the quality sweep's 257x256 planes); the lanes
+    # start past the top and left halo, so only the plane's own samples get a window
+    p = np.pad(np.pad(plane, halo, mode="edge"), radius, mode="reflect")[top:, left:]
     lanes = [p[dy : dy + h, dx : dx + w].copy() for dy in range(size) for dx in range(size)]
     spare = np.empty_like(plane)
     for lo, hi, keep_min, keep_max in _MEDIAN_NETWORKS[radius]:
@@ -126,15 +134,15 @@ def _median_plane(plane: np.ndarray, radius: int) -> np.ndarray:
             np.minimum(a, b, out=a)
         else:
             np.maximum(a, b, out=b)
-    return lanes[len(lanes) // 2]
+    out[...] = lanes[len(lanes) // 2]
 
 
 class _Filter(NamedTuple):
     parse_arg: Callable[[str], float | int] | None  # None: takes no argument
     accepts: Callable[[object], bool]
     expects: str  # what accepts() checks, for error messages
-    # uint16 plane -> uint16 plane; None: identity
-    plane: Callable[[np.ndarray, float | int], np.ndarray] | None
+    # (plane, out, param, halo): filters the uint16 plane into out; None: identity
+    plane: Callable[[np.ndarray, np.ndarray, float | int, tuple], None] | None
 
 
 def _finite_positive(v) -> bool:
@@ -182,6 +190,24 @@ class DenoiserSpec:
             raise BadFilterParam(f"bad {name} parameter: {arg!r}") from None
 
 
+def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, planes, dy: int, dx: int):
+    """A new ``type(img)`` with img's metadata, over an array like ``arr``, img's own array.
+
+    ``planes(x)`` lists the planes of such an array at block positions k = 2a + b. Plane k
+    of the result is plane k of arr filtered with the halo an origin shift (dy, dx) gives
+    it: dy * a edge rows on top and dy * (1 - a) at the bottom, dx * b edge columns on the
+    left and dx * (1 - b) on the right. The identity filter returns img itself.
+    """
+    plane_filter = _FILTERS[spec.name].plane
+    if plane_filter is None:
+        return img
+    out = np.empty_like(arr)
+    for k, (plane, dst) in enumerate(zip(planes(arr), planes(out))):
+        a, b = divmod(k, 2)
+        plane_filter(plane, dst, spec.param, ((dy * a, dy - dy * a), (dx * b, dx - dx * b)))
+    return _adopt(type(img), out, img.pattern, img.black_level, img.white_level)
+
+
 def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     """Filter each plane independently; shape, order, pattern, levels unchanged.
 
@@ -189,24 +215,20 @@ def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     reflect-101 borders; the Gaussian uses edge duplication (required for
     working-pattern invariance of the pipeline, see module docstring).
     """
-    plane_filter = _FILTERS[spec.name].plane
-    if plane_filter is None:
-        return p
-    out = np.empty_like(p.planes)
-    for k, pl in enumerate(p.planes):
-        out[k] = plane_filter(pl, spec.param)
-    return _adopt(PackedImage, out, p.pattern, p.black_level, p.white_level)
+    return _denoise(p, p.planes, spec, list, 0, 0)  # a packed plane has no halo
 
 
 def denoise_pipeline(
     img: RawImage, work_pattern: BayerPattern, spec: DenoiserSpec
 ) -> RawImage:
-    """Unify to the working pattern, filter packed planes, undo the geometry.
+    """Filter the planes of the input as if unified to the working pattern, packed, and
+    restored: equal to ``disunify_crop(unpack(denoise_packed(pack(u), spec)), pad)`` with
+    ``u, pad = unify_pad(img, work_pattern)``.
 
-    Output dimensions and pattern always equal the input's. With the identity
-    filter this is a bit-exact no-op; with the Gaussian the result is
-    independent of work_pattern.
+    Each filter reads the input's site view ``samples[a::2, b::2]`` and writes the same site
+    view of one output mosaic; the working pattern only sets each plane's halo. Output
+    dimensions and pattern always equal the input's. The identity filter returns the input
+    itself; with the Gaussian the result is independent of work_pattern.
     """
-    unified, pad_spec = unify_pad(img, work_pattern)
-    filtered = denoise_packed(pack(unified), spec)
-    return disunify_crop(unpack(filtered), pad_spec)
+    sites = lambda arr: [arr[a::2, b::2] for a in (0, 1) for b in (0, 1)]
+    return _denoise(img, img.samples, spec, sites, *unify_offsets(img.pattern, work_pattern))

@@ -12,8 +12,10 @@ optionally a "pad" object of JSON integers recording reversible pad-unification.
 A key the layout does not name, in the sidecar or its "pad" object, is ignored;
 anything else that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
-``load_raw`` decodes the payload straight from the file's bytes into a fresh
-native array and adopts it without another copy. A fault in the sidecar is
+``load_raw`` reads and checks the header, checks the payload's size against the
+file's size from fstat before it allocates anything, then reads the payload straight
+into one fresh native uint16 array, swaps its bytes in place on a little-endian host,
+and adopts it without another copy. A fault in the sidecar is
 reported with the sidecar's path. A PGM path that ends in ``.json`` names its
 own sidecar; load and save refuse it up front.
 
@@ -21,6 +23,8 @@ A file is a (path, chunks) pair: ``_raw_files`` builds the PGM+sidecar pairs and
 ``_ppm_file`` a PPM's. ``_atomic_write`` writes each file of a unit to a temp file of its own
 beside the target and completes every temp file before it renames the first over its path.
 ``save_raw`` and ``write_ppm`` commit one image's files; the CLI commits all of a command's.
+A PGM's payload is written in row strips, each converted to big-endian in one reused buffer,
+so no big-endian copy of the frame is made.
 A PPM's chunks come from one writer, in row strips: each result of a strip, the float samples
 of one channel at some of the strip's sites, is quantized straight into one reused interleaved
 16-bit buffer, and the strip is written before the next is made. ``write_ppm`` feeds it views
@@ -32,13 +36,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from .image import RawImage, RgbImage, _adopt, _row_strips
+from .image import STRIP_ROWS, RawImage, RgbImage, _adopt, _row_strips
 from .patterns import BayerPattern
 from .unify import PadSpec
 
@@ -61,14 +66,15 @@ def _pnm_header(magic: bytes, width: int, height: int) -> bytes:
     return magic + f"{width} {height}\n".encode("ascii") + _MAXVAL_LINE
 
 
-def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
-    """The samples as a fresh native uint16 array, decoded in place from ``data``."""
-    if not data.startswith(_PGM_MAGIC):
+def _read_pgm(fh, origin: str) -> np.ndarray:
+    """The samples of the open PGM ``fh`` as a fresh native uint16 array: the header is read
+    and checked, then the payload, whose size is checked from fstat first, straight into it."""
+    if fh.read(len(_PGM_MAGIC)) != _PGM_MAGIC:
         raise ParseError(f"{origin}: not a binary PGM (bad magic)")
-    eol = data.find(b"\n", len(_PGM_MAGIC))
-    if eol < 0:
+    dims = fh.readline()
+    if not dims.endswith(b"\n"):
         raise ParseError(f"{origin}: header ends before the dimension line")
-    dims = data[len(_PGM_MAGIC) : eol]
+    dims = dims[:-1]
     parts = dims.split(b" ")
     if len(parts) != 2:
         raise ParseError(f"{origin}: dimension line must be '<width> <height>'")
@@ -80,15 +86,18 @@ def _parse_pgm(data: bytes, origin: str) -> np.ndarray:
         raise ParseError(f"{origin}: dimensions must be even and >= 2, got {width}x{height}")
     if dims != b"%d %d" % (width, height):  # int() also takes a sign, leading zeros, _ and spaces
         raise ParseError(f"{origin}: dimension line must be plain decimals, got {dims!r}")
-    if not data.startswith(_MAXVAL_LINE, eol + 1):
+    if fh.read(len(_MAXVAL_LINE)) != _MAXVAL_LINE:
         raise ParseError(f"{origin}: maxval must be 65535")
-    start = eol + 1 + len(_MAXVAL_LINE)
     expected = width * height * 2
-    if len(data) - start != expected:
-        raise ParseError(
-            f"{origin}: payload is {len(data) - start} bytes, expected {expected}"
-        )
-    return np.frombuffer(data, ">u2", offset=start).reshape(height, width).astype(np.uint16)
+    size = os.fstat(fh.fileno()).st_size - fh.tell()  # before the array is allocated
+    if size == expected:
+        samples = np.empty((height, width), np.uint16)
+        size = fh.readinto(samples)  # short only if the file shrank since the fstat
+    if size != expected:
+        raise ParseError(f"{origin}: payload is {size} bytes, expected {expected}")
+    if sys.byteorder == "little":  # the payload is big-endian
+        samples.byteswap(inplace=True)
+    return samples
 
 
 def _parse_pad(obj) -> PadSpec:
@@ -128,7 +137,8 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     sidecar = sidecar_path(pgm)
     if not sidecar.exists():
         raise MissingSidecar(f"no sidecar at {sidecar}")
-    samples = _parse_pgm(pgm.read_bytes(), str(pgm))
+    with open(pgm, "rb") as fh:
+        samples = _read_pgm(fh, str(pgm))
     pattern, black, white, pad = _parse_sidecar(sidecar.read_bytes(), str(sidecar))
     try:
         img = _adopt(RawImage, samples, pattern, black, white)  # samples: a fresh array
@@ -171,9 +181,17 @@ def _raw_files(img: RawImage, pad: PadSpec | None, path) -> tuple:
     if pad is not None:
         sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    header = _pnm_header(_PGM_MAGIC, img.width, img.height)
-    return ((pgm, (header, img.samples.astype(">u2", order="C"))),  # C order: written as is
-            (sidecar_file, (text.encode("ascii"),)))
+    return ((pgm, _pgm_chunks(img)), (sidecar_file, (text.encode("ascii"),)))
+
+
+def _pgm_chunks(img: RawImage):
+    """The PGM's header, then its payload in row strips, each converted to big-endian in one
+    reused buffer that the next strip overwrites once the strip is written."""
+    yield _pnm_header(_PGM_MAGIC, img.width, img.height)
+    buf = np.empty((min(STRIP_ROWS, img.height), img.width), ">u2")
+    for r0, n in _row_strips(img.height):
+        buf[:n] = img.samples[r0 : r0 + n]
+        yield buf[:n]
 
 
 def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:

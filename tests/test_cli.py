@@ -27,6 +27,7 @@ from bayerkit import (
     unify_pad,
 )
 from bayerkit.cli import build_parser, main
+from bayerkit.image import STRIP_ROWS
 
 from conftest import assert_same_image, rand_raw
 
@@ -89,6 +90,16 @@ def test_augment_seeded(tmp_path, sample_pair):
     loaded, _ = load_raw(out)
     plan = sample_plan(9, 8, img.height, img.width, img.pattern)
     assert_same_image(loaded, apply_plan(img, plan))
+
+
+def test_augment_patch_size_that_does_not_fit_is_processing_error(tmp_path, sample_pair, capsys):
+    # a legal size, checked against the image once it is read
+    _, path = sample_pair
+    out = tmp_path / "aug.pgm"
+    assert main(["augment", "--seed", "1", "--patch-size", "14", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "bayerkit: error: patch_size 14 does not fit a 16x16 image with room for flip shrinkage\n")
+    assert not out.exists()
 
 
 def test_augment_plan_file(tmp_path, sample_pair):
@@ -333,6 +344,26 @@ def test_demosaic_too_small_writes_nothing(tmp_path, rng, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "in.pgm"]
 
 
+def test_denoise_command_holds_two_frames_and_its_strip_buffers(tmp_path, rng):
+    # the input as read and the output mosaic its planes are filtered into: no padded,
+    # packed or unpacked frame, no copy of the file's bytes and no big-endian frame
+    save_raw(rand_raw(rng, 1024, 1536, BayerPattern.GBRG), None, tmp_path / "in.pgm")
+    padded = tmp_path / "padded.pgm"
+    assert main(["unify", "--target", "RGGB", "--mode", "pad", str(tmp_path / "in.pgm"),
+                 "-o", str(padded)]) == 0
+    h, w = 1026, 1536
+    tracemalloc.start()
+    try:
+        assert main(["denoise", "--filter", "gaussian:1.0", "--work-pattern", "BGGR",
+                     str(padded), "-o", str(tmp_path / "out.pgm")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gaussian's halo and column-pass strips of one plane, and the writer's strip
+    strips = (2 * STRIP_ROWS + 2) * (w // 2 + 2) * 8 + STRIP_ROWS * w * 2
+    assert peak < 2 * h * w * 2 + strips
+
+
 def test_demosaic_command_never_holds_a_float_frame_plane(tmp_path, rng):
     h, w = 1024, 1536
     save_raw(rand_raw(rng, h, w, BayerPattern.GBRG), None, tmp_path / "in.pgm")
@@ -434,6 +465,9 @@ _BAD_ARGUMENTS = [
     ("simulate --pattern RGGB --size 1x2x3 --seed 1 -o {out}",
      "argument --size: size must look like 128x128, got '1x2x3'"),
     ("augment --seed -1 --patch-size 4 {inp} -o {out}", f"argument --seed: {_SEED} '-1'"),
+    *((f"augment --seed 1 --patch-size {size} {{inp}} -o {{out}}",
+       f"argument --patch-size: patch size must be an even integer >= 2, got {size.format(sp=' ')!r}")
+      for size in ("-4", "0", "3", "x", "+4", "{sp}4")),
     ("augment --patch 1,2,3 {inp} -o {out}",
      "argument --patch: patch must be T,L,H,W integers, got '1,2,3'"),
     ("baseline-demo --seed -1", f"argument --seed: {_SEED} '-1'"),
@@ -446,7 +480,7 @@ _BAD_ARGUMENTS = [
 def test_bad_numeric_argument_is_usage_error(tmp_path, sample_pair, capsys, argv, last):
     _, path = sample_pair
     out = tmp_path / "x.pgm"
-    argv = argv.format(inp=path, out=out).split()
+    argv = [a.format(inp=path, out=out, sp=" ") for a in argv.split()]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -13,13 +13,17 @@ from bayerkit import (
     BayerPattern,
     DenoiserSpec,
     NoiseParams,
+    RawImage,
     add_noise,
     denoise_packed,
     denoise_pipeline,
+    disunify_crop,
     gen_scene,
     mosaic,
     pack,
     psnr,
+    unify_pad,
+    unpack,
 )
 import bayerkit.denoise as denoise
 import bayerkit.image as image
@@ -28,6 +32,7 @@ from bayerkit.image import PackedImage
 from conftest import ALL_PATTERNS, assert_same_image, rand_raw
 
 PAIRS = list(itertools.product(ALL_PATTERNS, ALL_PATTERNS))
+NO_HALO = ((0, 0), (0, 0))
 
 
 def test_spec_parse():
@@ -127,8 +132,9 @@ def test_strip_gaussian_equals_the_whole_plane_formula(strip, data, width, sigma
                                  st.integers(1, 5 * strip + 3)))
     wide = data.draw(arrays(np.uint16, (height, 2 * width), elements=SAMPLES))
     plane = wide[:, ::2] if strided else wide[:, :width]  # pack hands out strided planes
+    got = np.empty_like(plane)
     with mock.patch.object(image, "STRIP_ROWS", strip):
-        got = denoise._smooth_plane(plane, sigma)
+        denoise._smooth_plane(plane, got, sigma, NO_HALO)
     np.testing.assert_array_equal(got, _whole_plane_gaussian(plane, sigma))
     assert got.dtype == np.uint16
 
@@ -143,7 +149,8 @@ def test_gaussian_working_set_stays_below_one_float64_plane():
         packed_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        one = denoise._smooth_plane(planes[0], 1.0)
+        one = np.empty_like(planes[0])
+        denoise._smooth_plane(planes[0], one, 1.0, NO_HALO)
         plane_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -201,6 +208,32 @@ def test_gaussian_pipeline_independent_of_work_pattern():
         outs = [denoise_pipeline(noisy, wp, spec) for wp in ALL_PATTERNS]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0].samples, other.samples)
+
+
+# identity, the Gaussian on both sides of its underflow, and both medians
+SPECS = st.one_of(st.just(DenoiserSpec("identity")), SIGMAS.map(lambda s: DenoiserSpec("gaussian", s)),
+                  st.sampled_from([DenoiserSpec("median", 1), DenoiserSpec("median", 2)]))
+EVEN_SIDES = st.one_of(st.just(2), st.integers(1, 12).map(lambda n: 2 * n))
+
+
+@given(EVEN_SIDES, EVEN_SIDES, SPECS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_pipeline_equals_the_composed_public_path(height, width, spec, data):
+    # pad, pack, filter, unpack and crop back: the pipeline's definition. With the identity
+    # filter it checks that those steps are exact inverses, as the pipeline no longer runs them
+    palette = data.draw(st.lists(st.integers(0, 65535), min_size=1, max_size=3))
+    elements = data.draw(st.sampled_from([SAMPLES, st.sampled_from(palette)]))
+    samples = data.draw(arrays(np.uint16, (height, width), elements=elements))
+    black = data.draw(st.integers(0, 65534))
+    white = data.draw(st.integers(black + 1, 65535))
+    for pattern, work in PAIRS:
+        img = RawImage(samples, pattern, black, white)
+        u, pad = unify_pad(img, work)
+        want = disunify_crop(unpack(denoise_packed(pack(u), spec)), pad)
+        got = denoise_pipeline(img, work, spec)
+        assert_same_image(got, want)
+        assert got is img if spec.name == "identity" else got.samples.flags.owndata
+        np.testing.assert_array_equal(img.samples, samples)
 
 
 def test_gaussian_pipeline_improves_psnr():

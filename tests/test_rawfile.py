@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from bayerkit import (
     gen_scene,
     load_raw,
     save_raw,
+    unify_crop,
     write_ppm,
 )
 
@@ -233,6 +235,31 @@ def test_loaded_samples_are_native_read_only_and_own_their_memory(tmp_path, rng)
     assert not samples.flags.writeable
     assert samples.flags.owndata and samples.base is None  # does not pin the file's bytes
     np.testing.assert_array_equal(samples, img.samples)
+
+
+def test_a_huge_header_over_a_short_payload_is_refused_before_allocating(tmp_path):
+    path = write_pair(tmp_path, b"P5\n100000 100000\n65535\n" + b"\x00" * 32, GOOD_SIDECAR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as e:
+            load_raw(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == f"{path}: payload is 32 bytes, expected 20000000000"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("height", [62, 64, 66, 130])
+def test_save_raw_writes_every_strip_of_a_frame_or_a_view(tmp_path, height):
+    img = rand_raw(np.random.default_rng(height), height, 12, BayerPattern.GRBG)
+    crop = unify_crop(img, BayerPattern.RGGB)  # a column crop: a strided view of img
+    assert not crop.samples.flags.c_contiguous
+    for k, x in enumerate((img, crop)):
+        path = tmp_path / f"{k}.pgm"
+        save_raw(x, None, path)
+        header = f"P5\n{x.width} {height}\n65535\n".encode()
+        assert path.read_bytes() == header + x.samples.astype(">u2").tobytes()
 
 
 DIMENSION_LINES = st.one_of(
