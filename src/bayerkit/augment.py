@@ -146,7 +146,10 @@ class AugPlan:
             if kind is None:
                 raise ParseError(f"{_PLAN}: step {i} has no known op: {json.dumps(entry)}")
             steps.append(kind(*(json_int(entry, f.name, _PLAN) for f in fields(kind))))
-        return cls(tuple(steps), seed=json_int(payload, "seed", _PLAN, 0))
+        seed = json_int(payload, "seed", _PLAN, 0)
+        if seed < 0:  # it records what sample_plan was given, and PCG64 refuses a negative seed
+            raise ParseError(f"{_PLAN}: 'seed' must be >= 0, got {seed}")
+        return cls(tuple(steps), seed=seed)
 
 
 def flip_bayer(img: RawImage, axis: str) -> RawImage:

@@ -9,24 +9,32 @@ is bit-exact. Those three properties make it a sharp structural oracle: any
 channel misassignment upstream shows up as a large, localized demosaic error
 instead of vanishing into a clever reconstruction.
 
-gen_scene runs over 64-row strips of the frame. A scene term along one
-axis takes the sine of one row or column and broadcasts it; a term along
-both axes fills one reused strip buffer per strip. gen_scene allocates its
-planes before anything else, so a frame too large to hold is refused as
-BadDimensions before any work. The demosaic runs on the four packed
-half-resolution planes, read as one site view of the mosaic through the
-edge-halo strips of image._halo_strips: 64 plane rows with one
-edge-duplicated row and column each side. Mosaic reflect-101 keeps a
-neighbor's parity, so in plane space it is edge duplication, and every
-neighbor term is a contiguous shifted slice of one plane. Each strip is
-clamped, less black and divided by the span in place, in float64; the clamp
-and the subtraction are exact. Each (block position, channel) result is a
-quarter of the strip's samples. Every sample takes the whole-frame float64
-steps in the same order, so neither the strip height nor the packing shows
-in the bytes. ``bayerkit demosaic`` quantizes the results into its PPM as
-they are made; gen_scene's planes still go through the copying ``RgbImage``
-constructor. add_noise works in place: one float64 working plane, plus one
-for the deviations and one for the normals.
+The simulator builds every frame in row strips of image._row_strips, and
+no whole-frame float temporary exists. gen_scene allocates its three planes
+before anything else, so a frame too large to hold is refused as
+BadDimensions before any work, and then draws every term, since no draw
+depends on a sample. Each 64-row strip of each plane is filled with its
+base, gets its terms added in draw order and is clipped in place; the
+planes are then adopted by the RgbImage, not copied. A term along one axis
+takes the sine of the strip's column (or of the row) and broadcasts it; a
+term along both axes fills one reused strip buffer. mosaic quantizes each
+64-plane-row strip of each block position in one reused float buffer, and
+add_noise uses three strip buffers (the working strip, the deviations and
+the normals): numpy's standard_normal drawn strip by strip into a buffer
+gives the whole-frame stream. So gen_scene holds its planes and one strip,
+and mosaic and add_noise hold their uint16 result and their strips.
+
+The demosaic runs on the four packed half-resolution planes, read as one
+site view of the mosaic through the edge-halo strips of image._halo_strips:
+64 plane rows with one edge-duplicated row and column each side. Mosaic
+reflect-101 keeps a neighbor's parity, so in plane space it is edge
+duplication, and every neighbor term is a contiguous shifted slice of one
+plane. Each strip is clamped, less black and divided by the span in place,
+in float64; the clamp and the subtraction are exact. Each (block position,
+channel) result is a quarter of the strip's samples. ``bayerkit demosaic``
+quantizes the results into its PPM as they are made. Every sample of every
+function here takes the whole-frame float64 steps in the same order, so
+neither the strip height nor the packing shows in the bytes.
 
 All randomized functions are pure functions of their seed (numpy PCG64 with
 a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is
@@ -104,25 +112,26 @@ def gen_scene(seed: int, height: int, width: int) -> RgbImage:
     bases = rng.permutation(_BASE_LEVELS) + rng.uniform(-0.02, 0.02, size=3)
     yy = np.arange(height, dtype=np.float64)[:, None] / height
     xx = np.arange(width, dtype=np.float64)[None, :] / width
+    # every term drawn first, in the pinned order: per channel and term, (ky, kx, amp, phase)
+    draws = [[(*divmod(int(rng.integers(1, 16)), 4), rng.uniform(0.04, 0.10),
+               rng.uniform(0.0, 2.0 * np.pi)) for _ in range(_TERMS_PER_CHANNEL)] for _ in bases]
     buf = np.empty((min(image.STRIP_ROWS, height), width))
-    for plane, base in zip(planes, bases):
-        plane[...] = base
-        for _ in range(_TERMS_PER_CHANNEL):
-            ky, kx = divmod(int(rng.integers(1, 16)), 4)  # (ky, kx) in {0..3}^2 minus (0,0)
-            amp = rng.uniform(0.04, 0.10)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            if not (kx and ky):  # one row or column, broadcast: 0 * xx + v adds 0.0 to v >= 0
-                plane += amp * np.sin(2.0 * np.pi * (kx * xx if kx else ky * yy) + phase)
-                continue
-            for r0, n in _row_strips(height):  # the whole-frame steps, in the same order
-                b = buf[:n]
-                np.add(kx * xx, ky * yy[r0 : r0 + n], out=b)
+    for r0, n in _row_strips(height):  # each sample takes the whole-frame steps, in order
+        y = yy[r0 : r0 + n]
+        for plane, base, terms in zip(planes[:, r0 : r0 + n], bases, draws):
+            plane[...] = base
+            for ky, kx, amp, phase in terms:  # (ky, kx) in {0..3}^2 minus (0,0)
+                if not (kx and ky):  # one row or column, broadcast: 0 * xx + v adds 0.0 to v >= 0
+                    plane += amp * np.sin(2.0 * np.pi * (kx * xx if kx else ky * y) + phase)
+                    continue
+                b = np.add(kx * xx, ky * y, out=buf[:n])
                 b *= 2.0 * np.pi
                 b += phase
                 np.sin(b, out=b)
                 b *= amp
-                plane[r0 : r0 + n] += b
-    return RgbImage(np.clip(planes, 0.0, 1.0))
+                plane += b
+            np.clip(plane, 0.0, 1.0, out=plane)
+    return _adopt(RgbImage, planes)
 
 
 def mosaic(
@@ -138,10 +147,16 @@ def mosaic(
     """
     scale = float(white_level - black_level)
     out = np.empty((rgb.height, rgb.width), dtype=np.uint16)
-    for k, letter in enumerate(pattern.value):  # block position k = 2a + b
-        a, b = divmod(k, 2)
-        plane = rgb.planes[CHANNEL_INDEX[ColorChannel(letter)], a::2, b::2]
-        out[a::2, b::2] = np.floor(plane * scale + 0.5) + black_level
+    buf = np.empty((min(image.STRIP_ROWS, rgb.height // 2), rgb.width // 2))
+    for r0, n in _row_strips(rgb.height // 2):  # plane rows: frame rows 2 * r0 .. 2 * (r0 + n) - 1
+        for k, letter in enumerate(pattern.value):  # block position k = 2a + b
+            sites = np.s_[2 * r0 + k // 2 : 2 * (r0 + n) : 2, k % 2 :: 2]
+            plane = rgb.planes[CHANNEL_INDEX[ColorChannel(letter)]]
+            x = np.multiply(plane[sites], scale, out=buf[:n])
+            x += 0.5
+            np.floor(x, out=x)
+            x += black_level
+            out[sites] = x
     return _adopt(RawImage, out, pattern, black_level, white_level)
 
 
@@ -155,20 +170,26 @@ def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
     if params.sigma_read == 0.0 and params.sigma_shot == 0.0:
         return img
     span = float(img.white_level - img.black_level)
-    x = np.subtract(img.samples, img.black_level, dtype=np.float64)  # the one working plane
-    x /= span
-    s = np.clip(x, 0.0, None)  # then the standard deviation, then the noise
-    s *= params.sigma_shot**2
-    s += params.sigma_read**2
-    np.sqrt(s, out=s)
-    s *= np.random.Generator(np.random.PCG64(seed)).standard_normal(x.shape)
-    x += s
-    x *= span
-    x += 0.5
-    np.floor(x, out=x)
-    x += img.black_level
-    np.clip(x, img.black_level, img.white_level, out=x)
-    return _adopt(RawImage, x.astype(np.uint16), img.pattern, img.black_level, img.white_level)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = np.empty((img.height, img.width), dtype=np.uint16)
+    # the working strip, the deviations, the normals; chunked draws give the whole-frame stream
+    xs, ss, zs = np.empty((3, min(image.STRIP_ROWS, img.height), img.width))
+    for r0, n in _row_strips(img.height):
+        x = np.subtract(img.samples[r0 : r0 + n], img.black_level, out=xs[:n], dtype=np.float64)
+        x /= span
+        s = np.clip(x, 0.0, None, out=ss[:n])  # then the standard deviation, then the noise
+        s *= params.sigma_shot**2
+        s += params.sigma_read**2
+        np.sqrt(s, out=s)
+        s *= rng.standard_normal(out=zs[:n])
+        x += s
+        x *= span
+        x += 0.5
+        np.floor(x, out=x)
+        x += img.black_level
+        np.clip(x, img.black_level, img.white_level, out=x)
+        out[r0 : r0 + n] = x
+    return _adopt(RawImage, out, img.pattern, img.black_level, img.white_level)
 
 
 def demosaic_bilinear(img: RawImage) -> RgbImage:

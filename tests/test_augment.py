@@ -305,6 +305,12 @@ def test_plan_json_rejects_garbage():
     )
 
 
+def test_plan_json_refuses_a_negative_seed():
+    with pytest.raises(ParseError, match=r"^bad augmentation plan: 'seed' must be >= 0, got -1$"):
+        AugPlan.from_json('{"seed": -1, "steps": [{"op": "hflip"}]}')
+    assert AugPlan.from_json('{"seed": 0, "steps": []}') == AugPlan((), seed=0)
+
+
 def test_plan_json_ignores_unknown_plan_and_step_keys():
     text = '{"seed": 3, "note": "x", "steps": [{"op": "hflip", "x": 1}]}'
     assert AugPlan.from_json(text) == AugPlan((HFlip(),), seed=3)

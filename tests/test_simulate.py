@@ -142,11 +142,11 @@ def _peak_planes(call, height, width):
     return peak / (height * width * 8)
 
 
-def test_gen_scene_peak_stays_below_nine_and_a_half_planes():
-    # its planes, the clipped planes and their public copy, 3 each, and one strip buffer;
-    # the whole-frame sum of the terms took 10
+def test_gen_scene_peak_stays_below_three_and_a_half_planes():
+    # its planes, clipped in place and adopted, and one strip buffer; the clip's copy and the
+    # constructor's copy took 9
     ratio = _peak_planes(lambda: gen_scene(1, 1024, 1536), 1024, 1536)
-    assert ratio < 9.5
+    assert ratio < 3.5
     assert _peak_planes(lambda: gen_scene(1, 2048, 1536), 2048, 1536) <= ratio
 
 
@@ -177,11 +177,38 @@ def test_add_noise_deterministic_and_clipped():
     assert (a.samples != c.samples).any()
 
 
-def test_add_noise_peak_stays_below_three_and_a_half_planes(rng):
-    # the working plane, the deviations, the normals; the whole-array formula took 5
+def test_add_noise_peak_stays_below_three_quarters_of_a_plane(rng):
+    # the uint16 result and three strip buffers: the working strip, the deviations, the
+    # normals; three whole float64 planes took 3, the whole-array formula 5
     h, w = 1024, 1536
     img = rand_raw(rng, h, w, BayerPattern.GRBG, black=64, white=16383)
-    assert _peak_planes(lambda: add_noise(img, NoiseParams(0.01, 0.05), 1), h, w) < 3.5
+    assert _peak_planes(lambda: add_noise(img, NoiseParams(0.01, 0.05), 1), h, w) < 0.75
+
+
+def test_mosaic_peak_stays_below_half_a_plane():
+    # the uint16 result and one strip buffer; four float temporaries per block position took 0.75
+    scene = gen_scene(1, 1024, 1536)
+    assert _peak_planes(lambda: mosaic(scene, BayerPattern.GRBG), 1024, 1536) < 0.5
+
+
+def test_simulate_command_peak_stays_below_four_and_a_quarter_planes(tmp_path):
+    # the scene's 3 planes, two mosaics and the writer's strips; the whole-frame simulator took 9
+    argv = ["simulate", "--pattern", "RGGB", "--size", "1024x1536", "--seed", "1", "--noise",
+            "0.02,0.04", "--clean", str(tmp_path / "c.pgm"), "-o", str(tmp_path / "n.pgm")]
+    assert _peak_planes(lambda: main(argv), 1024, 1536) < 4.25
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=12),
+       st.integers(1, 40))
+@example(0, [1, 6, 2, 5, 3, 6, 4, 1, 6, 3], 29)
+@settings(max_examples=100, deadline=None)
+def test_normals_drawn_in_uneven_strips_are_the_whole_frame_stream(seed, heights, width):
+    # add_noise draws its normals strip by strip into one buffer: the strip heights must not show
+    want = np.random.Generator(np.random.PCG64(seed)).standard_normal((sum(heights), width))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    buf = np.empty((max(heights), width))
+    got = np.concatenate([rng.standard_normal(out=buf[:n]).copy() for n in heights])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_add_noise_empirical_std():
@@ -443,10 +470,13 @@ def test_streamed_demosaic_ppm_equals_the_whole_frame_quantized(case):
     assert data == header + want.tobytes()
 
 
-@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(), st.integers(0, 2**32))
-@example(4, 4, BayerPattern.GRBG, (0, 2), 0)
+@given(st.integers(1, 6), EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), levels(),
+       st.integers(0, 2**32))
+@example(6, 4, 4, BayerPattern.GRBG, (0, 2), 0)
+@example(5, 24, 6, BayerPattern.RGGB, (64, 1023), 1)  # 12 plane rows: 5, 5 and a 2-row tail
+@example(1, 10, 8, BayerPattern.BGGR, (0, 65535), 2)  # every strip is one plane row
 @settings(max_examples=200, deadline=None)
-def test_mosaic_equals_index_grid_oracle(height, width, pattern, lv, seed):
+def test_mosaic_equals_index_grid_oracle(strip, height, width, pattern, lv, seed):
     rng = np.random.default_rng(seed)
     black, white = lv
     span = white - black
@@ -454,20 +484,25 @@ def test_mosaic_equals_index_grid_oracle(height, width, pattern, lv, seed):
     planes = np.where(rng.random((3, height, width)) < 0.5, halves, rng.random((3, height, width)))
     planes[:, 0, 0] = 0.5 / span  # scales to exactly 0.5 at least when span is a power of two
     rgb = RgbImage(planes)
-    out = mosaic(rgb, pattern, black, white)
+    with mock.patch.object(image, "STRIP_ROWS", strip):
+        out = mosaic(rgb, pattern, black, white)
     np.testing.assert_array_equal(out.samples, _mosaic_oracle(rgb, pattern, black, white))
 
 
-@given(EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS), st.integers(1, 30000),
-       st.floats(0.05, 2.0), st.floats(0.0, 2.0), st.integers(0, 2**32))
+@given(st.integers(1, 6), EVEN_SIDES, EVEN_SIDES, st.sampled_from(ALL_PATTERNS),
+       st.integers(1, 30000), st.floats(0.05, 2.0), st.floats(0.0, 2.0), st.integers(0, 2**32))
+@example(5, 22, 6, BayerPattern.GBRG, 100, 0.1, 0.2, 3)  # 22 rows: four of 5 and a 2-row tail
+@example(1, 8, 10, BayerPattern.RGGB, 1000, 0.5, 0.5, 4)  # every strip is one row
 @settings(max_examples=100, deadline=None)
-def test_add_noise_equals_round_half_away_oracle(height, width, pattern, black, read, shot, seed):
+def test_add_noise_equals_round_half_away_oracle(strip, height, width, pattern, black, read, shot,
+                                                 seed):
     rng = np.random.default_rng(seed)
     white = int(rng.integers(black + 1, 65536))
     samples = rng.integers(0, 65536, size=(height, width), dtype=np.uint16)
     img = RawImage(samples, pattern, black, white)
     params = NoiseParams(read, shot)
-    out = add_noise(img, params, seed)
+    with mock.patch.object(image, "STRIP_ROWS", strip):
+        out = add_noise(img, params, seed)
     np.testing.assert_array_equal(out.samples, _add_noise_oracle(img, params, seed))
 
 
