@@ -6,9 +6,11 @@ What this module actually guarantees is the plumbing around the filter:
 
 * ``denoise_pipeline`` gives what unify_pad -> pack -> denoise_packed -> unpack
   -> disunify_crop would give, without building any of those frames. Each filter
-  reads the input's site view ``samples[a::2, b::2]`` and writes the same site
-  view of one output mosaic. The working pattern only sets each plane's halo:
-  mosaic reflect-101 keeps a sample's parity, so in plane space a padded row is
+  reads the input's site plane ``image._sites(samples)[a, b]``, which is
+  ``samples[a::2, b::2]``, and writes the same site plane of one output mosaic;
+  ``denoise_packed`` reads its planes as (2, 2, h, w), so the two share one loop
+  over block positions k = 2a + b. The working pattern only sets each plane's
+  halo: mosaic reflect-101 keeps a sample's parity, so in plane space a padded row is
   the plane's edge row duplicated. With (dy, dx) = unify_offsets(pattern, work
   pattern), plane (a, b) gets one such row on top when dy and a == 1, one at the
   bottom when dy and a == 0, and likewise a column on the left or right by dx and
@@ -23,10 +25,11 @@ What this module actually guarantees is the plumbing around the filter:
 
 The Gaussian computes in float64, rounds by floor(x + 0.5) (half away from
 zero, as x >= 0) and clips to 16 bits once per plane. It runs on the 64-row
-edge-halo strips of image._halo_strips; its column pass covers the halo
-columns too, so they come out of that pass as the duplicated edge columns the
-row pass needs. Each sample takes the same float64 steps as in the whole-plane
-formula, so the strip size never shows in the bytes.
+edge-halo strips of image._halo_strips, which also hands it the one strip
+buffer of its column pass; that pass covers the halo columns too, so they come
+out of it as the duplicated edge columns the row pass needs. Each sample takes
+the same float64 steps as in the whole-plane formula, so the strip size never
+shows in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
 is one of them. Its windows do see the halo: it edge-pads the plane by its halo,
 then pads that whole plane (reflect-101), and takes the windows of the plane's
@@ -44,8 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadFilterParam
-from . import image
-from .image import PackedImage, RawImage, _adopt, _halo_strips
+from .image import PackedImage, RawImage, _adopt, _halo_strips, _sites
 from .patterns import BayerPattern
 from .unify import unify_offsets
 
@@ -62,10 +64,10 @@ def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo) -> Non
     # module docstring). Each sample takes the float64 steps (w1*up + w0*mid) + w1*down,
     # then the same along the row.
     w0, w1 = _gaussian_3tap(sigma)
-    h, w = plane.shape
-    cols = np.empty((min(image.STRIP_ROWS, h), w + 2))  # column pass, halo columns included
-    for r0, n, xs in _halo_strips(plane):
-        mid = np.multiply(w0, xs[1:-1], out=cols[:n])
+    w = plane.shape[1]
+    # the column pass writes cols, one strip buffer that includes the halo columns
+    for r0, n, xs, cols in _halo_strips(plane, w + 2):
+        mid = np.multiply(w0, xs[1:-1], out=cols)
         xs *= w1
         mid += xs[:-2]
         mid += xs[2:]
@@ -193,18 +195,19 @@ class DenoiserSpec:
 def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, planes, dy: int, dx: int):
     """A new ``type(img)`` with img's metadata, over an array like ``arr``, img's own array.
 
-    ``planes(x)`` lists the planes of such an array at block positions k = 2a + b. Plane k
-    of the result is plane k of arr filtered with the halo an origin shift (dy, dx) gives
-    it: dy * a edge rows on top and dy * (1 - a) at the bottom, dx * b edge columns on the
-    left and dx * (1 - b) on the right. The identity filter returns img itself.
+    ``planes(x)`` is a (2, 2, h, w) view of such an array whose [a, b] is the plane at block
+    position k = 2a + b. Plane [a, b] of the result is plane [a, b] of arr filtered with the
+    halo an origin shift (dy, dx) gives it: dy * a edge rows on top and dy * (1 - a) at the
+    bottom, dx * b edge columns on the left and dx * (1 - b) on the right. The identity
+    filter returns img itself.
     """
     plane_filter = _FILTERS[spec.name].plane
     if plane_filter is None:
         return img
     out = np.empty_like(arr)
-    for k, (plane, dst) in enumerate(zip(planes(arr), planes(out))):
-        a, b = divmod(k, 2)
-        plane_filter(plane, dst, spec.param, ((dy * a, dy - dy * a), (dx * b, dx - dx * b)))
+    for a, b in np.ndindex(2, 2):
+        halo = ((dy * a, dy - dy * a), (dx * b, dx - dx * b))
+        plane_filter(planes(arr)[a, b], planes(out)[a, b], spec.param, halo)
     return _adopt(type(img), out, img.pattern, img.black_level, img.white_level)
 
 
@@ -215,7 +218,8 @@ def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     reflect-101 borders; the Gaussian uses edge duplication (required for
     working-pattern invariance of the pipeline, see module docstring).
     """
-    return _denoise(p, p.planes, spec, list, 0, 0)  # a packed plane has no halo
+    # plane 2a + b is [a, b], and a packed plane has no halo
+    return _denoise(p, p.planes, spec, lambda x: x.reshape(2, 2, p.height, p.width), 0, 0)
 
 
 def denoise_pipeline(
@@ -225,10 +229,10 @@ def denoise_pipeline(
     restored: equal to ``disunify_crop(unpack(denoise_packed(pack(u), spec)), pad)`` with
     ``u, pad = unify_pad(img, work_pattern)``.
 
-    Each filter reads the input's site view ``samples[a::2, b::2]`` and writes the same site
-    view of one output mosaic; the working pattern only sets each plane's halo. Output
-    dimensions and pattern always equal the input's. The identity filter returns the input
-    itself; with the Gaussian the result is independent of work_pattern.
+    Each filter reads the input's site view ``image._sites(samples)[a, b]``, which is
+    ``samples[a::2, b::2]``, and writes the same site view of one output mosaic; the working
+    pattern only sets each plane's halo. Output dimensions and pattern always equal the
+    input's. The identity filter returns the input itself; with the Gaussian the result is
+    independent of work_pattern.
     """
-    sites = lambda arr: [arr[a::2, b::2] for a in (0, 1) for b in (0, 1)]
-    return _denoise(img, img.samples, spec, sites, *unify_offsets(img.pattern, work_pattern))
+    return _denoise(img, img.samples, spec, _sites, *unify_offsets(img.pattern, work_pattern))

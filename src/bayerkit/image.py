@@ -2,10 +2,15 @@
 
 The three containers share one frozen-array base: each names only how its constructor copies
 its array and what it checks. Each keeps its frame, or its planes, in the last two axes of its
-array, so ``height`` and ``width`` are defined once, on the base. Every full-frame kernel runs
-over the (r0, n) row strips of ``_row_strips``; a kernel that reads rows beneath its own
-slices them itself. The Gaussian and the bilinear demosaic read their planes through
-``_halo_strips``, the one place that builds the plane-space edge halo.
+array, so ``height`` and ``width`` are defined once, on the base.
+
+The frame's geometry lives here too. Every full-frame kernel runs over the (r0, n) row strips
+of ``_row_strips``, which also allocates the kernel's reused strip buffers, sized from
+``STRIP_ROWS`` when the call starts; no other module reads ``STRIP_ROWS``. A kernel that reads
+rows beneath its own slices them itself. The Gaussian and the bilinear demosaic read their
+planes through ``_halo_strips``, the one place that builds the plane-space edge halo. Every
+kernel that works on the four half-resolution planes of a mosaic reads and writes them through
+one site view, ``_sites``.
 """
 
 from __future__ import annotations
@@ -23,29 +28,43 @@ from .patterns import BayerPattern
 STRIP_ROWS = 64
 
 
-def _row_strips(h: int):
-    """(r0, n) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1, and
-    n <= STRIP_ROWS. A caller that reads rows beneath its own slices them, and a slice stops
-    at the frame."""
+def _row_strips(h: int, *widths: int, dtype=np.float64):
+    """(r0, n, *bufs) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1,
+    and n <= STRIP_ROWS. Each width asks for one strip buffer of ``dtype``, allocated once, at
+    the first strip, with as many rows as the tallest strip, by STRIP_ROWS as it reads then;
+    each strip gets its C-contiguous (n, width) head, which the next strip overwrites. With h
+    alone it yields (r0, n). A caller that reads rows beneath its own slices them, and a slice
+    stops at the frame."""
+    bufs = [np.empty((min(STRIP_ROWS, h), width), dtype) for width in widths]
     for r0 in range(0, h, STRIP_ROWS):
-        yield r0, min(STRIP_ROWS, h - r0)
+        n = min(STRIP_ROWS, h - r0)
+        yield (r0, n, *(buf[:n] for buf in bufs))
 
 
-def _halo_strips(planes: np.ndarray):
-    """(r0, n, strip) per strip of the uint16 planes (..., h, w), top to bottom: the strip is
-    float64 (..., n + 2, w + 2), plane rows r0 - 1 .. r0 + n and columns -1 .. w, where a row or
-    column past the plane is the edge one duplicated. Mosaic reflect-101 keeps a sample's
-    parity, so in plane space it is this edge halo. Each strip is C-contiguous in one reused
-    buffer that the next strip overwrites; the caller may overwrite it too."""
+def _halo_strips(planes: np.ndarray, *widths: int):
+    """(r0, n, strip, *bufs) per strip of the uint16 planes (..., h, w), top to bottom: the
+    strip is float64 (..., n + 2, w + 2), plane rows r0 - 1 .. r0 + n and columns -1 .. w, where
+    a row or column past the plane is the edge one duplicated. Mosaic reflect-101 keeps a
+    sample's parity, so in plane space it is this edge halo. Each strip is C-contiguous in one
+    reused buffer that the next strip overwrites; the caller may overwrite it too. ``widths``
+    asks ``_row_strips`` for float64 strip buffers, yielded after the strip."""
     *lead, h, w = planes.shape
     buf = np.empty((*lead, min(STRIP_ROWS, h) + 2, w + 2))
-    for r0, n in _row_strips(h):
+    for r0, n, *bufs in _row_strips(h, *widths):
         strip = np.ndarray((*lead, n + 2, w + 2), buf.dtype, buf)  # the head of the buffer
         strip[..., 1:-1, 1:-1] = planes[..., r0 : r0 + n, :]
         strip[..., 0, 1:-1] = planes[..., max(r0 - 1, 0), :]
         strip[..., -1, 1:-1] = planes[..., min(r0 + n, h - 1), :]
         strip[..., 0], strip[..., -1] = strip[..., 1], strip[..., -2]
-        yield r0, n, strip
+        yield r0, n, strip, *bufs
+
+
+def _sites(arr: np.ndarray) -> np.ndarray:
+    """The site view of an (h, w) mosaic: (2, 2, h/2, w/2), where [a, b] is arr[a::2, b::2],
+    the plane of block position k = 2a + b. It only splits each axis in two, so it never
+    copies, whatever the strides, and a write through it lands in arr."""
+    h, w = arr.shape
+    return arr.reshape(h // 2, 2, w // 2, 2).transpose(1, 3, 0, 2)
 
 
 def _frozen_u16(samples) -> np.ndarray:

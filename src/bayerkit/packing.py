@@ -2,14 +2,16 @@
 
 Denoisers consume the mosaic as four half-resolution planes, one per 2x2
 block position. ``pack`` and ``unpack`` are exact inverses; no value is
-touched, so the pair is a lossless relabeling of the same data.
+touched, so the pair is a lossless relabeling of the same data. Both reach
+the mosaic through its site view, ``image._sites``: ``pack`` copies it once,
+and ``unpack`` stores each plane into it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .image import PackedImage, RawImage, _adopt
+from .image import PackedImage, RawImage, _adopt, _sites
 
 
 def pack(img: RawImage) -> PackedImage:
@@ -17,19 +19,17 @@ def pack(img: RawImage) -> PackedImage:
 
     planes[2a + b][r, c] == img.samples[2r + a, 2c + b] for a, b in {0, 1}.
     """
-    h, w = img.height // 2, img.width // 2
-    # one copy in C order: plane 2a + b is samples[a::2, b::2], C-contiguous
-    planes = img.samples.reshape(h, 2, w, 2).transpose(1, 3, 0, 2).copy().reshape(4, h, w)
+    # one copy in C order of the site view: plane 2a + b is its [a, b], C-contiguous
+    planes = _sites(img.samples).copy().reshape(4, img.height // 2, img.width // 2)
     return _adopt(PackedImage, planes, img.pattern, img.black_level, img.white_level)
 
 
 def unpack(p: PackedImage) -> RawImage:
     """Exact inverse of pack; metadata is carried through unchanged."""
-    h, w = p.height, p.width
-    mosaic = np.empty((2 * h, 2 * w), dtype=np.uint16)
-    # four slice assignments: one via pack's site view took 16-20 ms, not 3, on (4, 1025, 1537)
-    mosaic[0::2, 0::2] = p.planes[0]
-    mosaic[0::2, 1::2] = p.planes[1]
-    mosaic[1::2, 0::2] = p.planes[2]
-    mosaic[1::2, 1::2] = p.planes[3]
+    mosaic = np.empty((2 * p.height, 2 * p.width), dtype=np.uint16)
+    sites = _sites(mosaic)
+    # one store per plane: one store of all four through the site view took 16-20 ms, not 3,
+    # on (4, 1025, 1537)
+    for k, plane in enumerate(p.planes):
+        sites[divmod(k, 2)] = plane
     return _adopt(RawImage, mosaic, p.pattern, p.black_level, p.white_level)

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from .image import STRIP_ROWS, RawImage, RgbImage, _adopt, _row_strips
+from .image import RawImage, RgbImage, _adopt, _row_strips
 from .patterns import BayerPattern
 from .unify import PadSpec
 
@@ -150,7 +150,9 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
 def _atomic_write(*files) -> None:
     """Write each (path, chunks) pair's iterable of byte buffers in order to a temp file of
     its own, then, once every temp file is complete, rename each over its path in order.
-    The chunks are written as they come; on any exception every temp file goes."""
+    The chunks are written as they come; on any exception every temp file goes. An OSError
+    from opening a temp file or renaming it names the output's path instead, so the message
+    is the same on every run and names no file that is gone."""
     tmps = []
     try:
         for path, chunks in files:
@@ -159,13 +161,14 @@ def _atomic_write(*files) -> None:
             tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
             with open(tmp, "xb") as fh:  # unlike mkstemp, keeps the umask's permission bits
                 tmps.append(tmp)
-                for chunk in chunks:
-                    fh.write(chunk)
+                fh.writelines(chunks)  # one write per chunk, as it comes
         for tmp, (path, _) in zip(tmps, files):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         for tmp in tmps:  # a renamed one is gone already
             tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename is not None:  # from the open or the rename
+            raise type(e)(e.errno, e.strerror, str(path)) from None  # the output, not a temp file
         raise
 
 
@@ -188,10 +191,9 @@ def _pgm_chunks(img: RawImage):
     """The PGM's header, then its payload in row strips, each converted to big-endian in one
     reused buffer that the next strip overwrites once the strip is written."""
     yield _pnm_header(_PGM_MAGIC, img.width, img.height)
-    buf = np.empty((min(STRIP_ROWS, img.height), img.width), ">u2")
-    for r0, n in _row_strips(img.height):
-        buf[:n] = img.samples[r0 : r0 + n]
-        yield buf[:n]
+    for r0, n, buf in _row_strips(img.height, img.width, dtype=">u2"):
+        buf[...] = img.samples[r0 : r0 + n]
+        yield buf
 
 
 def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:

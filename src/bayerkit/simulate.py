@@ -9,32 +9,37 @@ is bit-exact. Those three properties make it a sharp structural oracle: any
 channel misassignment upstream shows up as a large, localized demosaic error
 instead of vanishing into a clever reconstruction.
 
-The simulator builds every frame in row strips of image._row_strips, and
-no whole-frame float temporary exists. gen_scene allocates its three planes
-before anything else, so a frame too large to hold is refused as
-BadDimensions before any work, and then draws every term, since no draw
-depends on a sample. Each 64-row strip of each plane is filled with its
-base, gets its terms added in draw order and is clipped in place; the
-planes are then adopted by the RgbImage, not copied. A term along one axis
-takes the sine of the strip's column (or of the row) and broadcasts it; a
-term along both axes fills one reused strip buffer. mosaic quantizes each
-64-plane-row strip of each block position in one reused float buffer, and
+The simulator builds every frame in row strips of image._row_strips, which
+also hands each function its reused strip buffers, and no whole-frame
+float temporary exists. gen_scene allocates its three planes before
+anything else, so a frame too large to hold is refused as BadDimensions
+before any work, and then draws every term, since no draw depends on a
+sample. Each 64-row strip of each plane is filled with its base, gets its
+terms added in draw order and is clipped in place; the planes are then
+adopted by the RgbImage, not copied. A term along one axis takes the sine
+of the strip's column (or of the row) and broadcasts it; a term along both
+axes fills one reused strip buffer. mosaic quantizes each 64-plane-row
+strip of each block position in one reused float buffer: it reads the
+sites [a, b] of the scene plane of the channel the pattern puts at block
+position k = 2a + b and stores them into the same sites of its output,
+both through the site view image._sites, built once per call. And
 add_noise uses three strip buffers (the working strip, the deviations and
 the normals): numpy's standard_normal drawn strip by strip into a buffer
 gives the whole-frame stream. So gen_scene holds its planes and one strip,
 and mosaic and add_noise hold their uint16 result and their strips.
 
-The demosaic runs on the four packed half-resolution planes, read as one
-site view of the mosaic through the edge-halo strips of image._halo_strips:
-64 plane rows with one edge-duplicated row and column each side. Mosaic
-reflect-101 keeps a neighbor's parity, so in plane space it is edge
-duplication, and every neighbor term is a contiguous shifted slice of one
-plane. Each strip is clamped, less black and divided by the span in place,
-in float64; the clamp and the subtraction are exact. Each (block position,
-channel) result is a quarter of the strip's samples. ``bayerkit demosaic``
-quantizes the results into its PPM as they are made. Every sample of every
-function here takes the whole-frame float64 steps in the same order, so
-neither the strip height nor the packing shows in the bytes.
+The demosaic runs on the four packed half-resolution planes, read as the
+site view image._sites of the mosaic through the edge-halo strips of
+image._halo_strips: 64 plane rows with one edge-duplicated row and column
+each side. Mosaic reflect-101 keeps a neighbor's parity, so in plane space
+it is edge duplication, and every neighbor term is a contiguous shifted
+slice of one plane. Each strip is clamped, less black and divided by the
+span in place, in float64; the clamp and the subtraction are exact. Each
+(block position, channel) result is a quarter of the strip's samples.
+``bayerkit demosaic`` quantizes the results into its PPM as they are made.
+Every sample of every function here takes the whole-frame float64 steps in
+the same order, so neither the strip height nor the packing shows in the
+bytes.
 
 All randomized functions are pure functions of their seed (numpy PCG64 with
 a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is
@@ -49,8 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from . import image
-from .image import RawImage, RgbImage, _adopt, _halo_strips, _row_strips
+from .image import RawImage, RgbImage, _adopt, _halo_strips, _row_strips, _sites
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -115,8 +119,7 @@ def gen_scene(seed: int, height: int, width: int) -> RgbImage:
     # every term drawn first, in the pinned order: per channel and term, (ky, kx, amp, phase)
     draws = [[(*divmod(int(rng.integers(1, 16)), 4), rng.uniform(0.04, 0.10),
                rng.uniform(0.0, 2.0 * np.pi)) for _ in range(_TERMS_PER_CHANNEL)] for _ in bases]
-    buf = np.empty((min(image.STRIP_ROWS, height), width))
-    for r0, n in _row_strips(height):  # each sample takes the whole-frame steps, in order
+    for r0, n, buf in _row_strips(height, width):  # each sample: the whole-frame steps, in order
         y = yy[r0 : r0 + n]
         for plane, base, terms in zip(planes[:, r0 : r0 + n], bases, draws):
             plane[...] = base
@@ -124,7 +127,7 @@ def gen_scene(seed: int, height: int, width: int) -> RgbImage:
                 if not (kx and ky):  # one row or column, broadcast: 0 * xx + v adds 0.0 to v >= 0
                     plane += amp * np.sin(2.0 * np.pi * (kx * xx if kx else ky * y) + phase)
                     continue
-                b = np.add(kx * xx, ky * y, out=buf[:n])
+                b = np.add(kx * xx, ky * y, out=buf)
                 b *= 2.0 * np.pi
                 b += phase
                 np.sin(b, out=b)
@@ -147,16 +150,17 @@ def mosaic(
     """
     scale = float(white_level - black_level)
     out = np.empty((rgb.height, rgb.width), dtype=np.uint16)
-    buf = np.empty((min(image.STRIP_ROWS, rgb.height // 2), rgb.width // 2))
-    for r0, n in _row_strips(rgb.height // 2):  # plane rows: frame rows 2 * r0 .. 2 * (r0 + n) - 1
-        for k, letter in enumerate(pattern.value):  # block position k = 2a + b
-            sites = np.s_[2 * r0 + k // 2 : 2 * (r0 + n) : 2, k % 2 :: 2]
-            plane = rgb.planes[CHANNEL_INDEX[ColorChannel(letter)]]
-            x = np.multiply(plane[sites], scale, out=buf[:n])
+    # per block position k = 2a + b: the output's sites [a, b], and the same sites of the plane
+    # of the channel the pattern puts there
+    sites = [(_sites(out)[a, b], _sites(rgb.planes[CHANNEL_INDEX[ColorChannel(letter)]])[a, b])
+             for (a, b), letter in zip(np.ndindex(2, 2), pattern.value)]
+    for r0, n, buf in _row_strips(rgb.height // 2, rgb.width // 2):  # plane rows
+        for dst, src in sites:
+            x = np.multiply(src[r0 : r0 + n], scale, out=buf)
             x += 0.5
             np.floor(x, out=x)
             x += black_level
-            out[sites] = x
+            dst[r0 : r0 + n] = x
     return _adopt(RawImage, out, pattern, black_level, white_level)
 
 
@@ -173,15 +177,14 @@ def add_noise(img: RawImage, params: NoiseParams, seed: int) -> RawImage:
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty((img.height, img.width), dtype=np.uint16)
     # the working strip, the deviations, the normals; chunked draws give the whole-frame stream
-    xs, ss, zs = np.empty((3, min(image.STRIP_ROWS, img.height), img.width))
-    for r0, n in _row_strips(img.height):
-        x = np.subtract(img.samples[r0 : r0 + n], img.black_level, out=xs[:n], dtype=np.float64)
+    for r0, n, xs, ss, zs in _row_strips(img.height, img.width, img.width, img.width):
+        x = np.subtract(img.samples[r0 : r0 + n], img.black_level, out=xs, dtype=np.float64)
         x /= span
-        s = np.clip(x, 0.0, None, out=ss[:n])  # then the standard deviation, then the noise
+        s = np.clip(x, 0.0, None, out=ss)  # then the standard deviation, then the noise
         s *= params.sigma_shot**2
         s += params.sigma_read**2
         np.sqrt(s, out=s)
-        s *= rng.standard_normal(out=zs[:n])
+        s *= rng.standard_normal(out=zs)
         x += s
         x *= span
         x += 0.5
@@ -213,10 +216,10 @@ def _demosaic_strips(img: RawImage):
     to bottom. Each result is ((channel, rows, cols), values): the float64 values of one channel
     at one block position's sites [rows, cols] of the strip, a quarter of its samples.
 
-    Works on the four packed planes, as the halo strips of the site view
-    samples[a::2, b::2] -> [a, b] (image._halo_strips): a mosaic neighbor at reflect-101 is the
-    strip's edge duplicate in plane space, so every term is a contiguous shifted slice of one
-    plane. The view never copies: it only splits each axis in two, whatever the strides. A
+    Works on the four packed planes, as the halo strips (image._halo_strips) of the site view
+    image._sites(samples), which never copies: a mosaic neighbor at reflect-101 is the strip's
+    edge duplicate in plane space, so every term is a contiguous shifted slice of one plane. A
+    mean of several terms is summed in one strip buffer that _halo_strips hands out. A
     generator: it checks the size at the first strip, so a caller writing a file must undo what
     it wrote before then (``_atomic_write`` removes its temp file). Results are views of buffers
     that the next result or strip overwrites; read each before asking for the next.
@@ -225,11 +228,9 @@ def _demosaic_strips(img: RawImage):
     if h < 4 or w < 4:
         raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
     span = float(img.white_level - img.black_level)
-    pattern, ph, pw = img.pattern.value, h // 2, w // 2
-    sites = img.samples.reshape(ph, 2, pw, 2).transpose(1, 3, 0, 2)  # [a, b] is plane 2a + b
-    acc = np.empty((min(image.STRIP_ROWS, ph), pw))
+    pattern, pw = img.pattern.value, w // 2
 
-    def results(xs, n):
+    def results(xs, acc, n):
         for k, own in enumerate(pattern):
             a, b = divmod(k, 2)
             for channel, ch in CHANNEL_INDEX.items():
@@ -242,17 +243,17 @@ def _demosaic_strips(img: RawImage):
                          for dy, dx in offsets]
                 mean = terms[0]  # a pass-through: x / 1 is x
                 if len(terms) > 1:
-                    mean = np.add(terms[0], terms[1], out=acc[:n])  # summed in term order
+                    mean = np.add(terms[0], terms[1], out=acc)  # summed in term order
                     for t in terms[2:]:
                         mean += t
                     mean /= len(terms)
                 yield np.s_[ch, a::2, b::2], mean
 
-    for r0, n, xs in _halo_strips(sites):
+    for r0, n, xs, acc in _halo_strips(_sites(img.samples), pw):
         # samples outside [black, white] are legal in RawImage; clamp so the normalized
         # plane honors the [0, 1] contract. In float64 the clamp and the subtraction are
         # exact, so the bytes are those of a uint16 clamp
         np.clip(xs, img.black_level, img.white_level, out=xs)
         xs -= img.black_level
         xs /= span
-        yield 2 * r0, 2 * n, results(xs.reshape(4, n + 2, pw + 2), n)
+        yield 2 * r0, 2 * n, results(xs.reshape(4, n + 2, pw + 2), acc, n)

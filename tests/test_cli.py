@@ -209,6 +209,28 @@ def test_pack_roundtrip_command(sample_pair, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("case", ["missing directory", "output is a directory"])
+def test_a_write_error_names_the_output_not_a_temp_file(tmp_path, sample_pair, capsys, case):
+    _, path = sample_pair
+    if case == "missing directory":  # the temp file cannot be opened
+        out = tmp_path / "nodir" / "x.pgm"
+        argv = ["simulate", "--pattern", "RGGB", "--size", "8x8", "--seed", "1", "-o", str(out)]
+    else:  # the temp file is written, and its rename fails
+        out = tmp_path / "adir"
+        out.mkdir()
+        argv = ["demosaic", str(path), "-o", str(out)]
+    before = sorted(tmp_path.rglob("*"))
+    lines = []
+    for _ in range(2):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("bayerkit: error: ")
+        assert repr(str(out)) in err and ".tmp" not in err
+        lines.append(err)
+    assert lines[0] == lines[1]
+    assert sorted(tmp_path.rglob("*")) == before  # no file is left
+
+
 def test_simulate_command(tmp_path):
     out = tmp_path / "sim.pgm"
     clean = tmp_path / "clean.pgm"

@@ -1,13 +1,31 @@
-"""The strip engine of image.py: row strips and the plane-space edge-halo strips."""
+"""The frame's geometry in image.py: row strips and their buffers, the plane-space edge-halo
+strips, and the site view."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bayerkit.image as image
-from bayerkit.image import _halo_strips, _row_strips
+from bayerkit import (
+    BayerPattern,
+    DenoiserSpec,
+    NoiseParams,
+    RawImage,
+    add_noise,
+    demosaic_bilinear,
+    denoise_pipeline,
+    gen_scene,
+    load_raw,
+    metric_report,
+    mosaic,
+    save_raw,
+    unify_crop,
+)
+from bayerkit.cli import main
+from bayerkit.image import _halo_strips, _row_strips, _sites
 
 SAMPLES = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 65535))
 
@@ -16,8 +34,7 @@ def _planes(draw, layout, height, width):
     """uint16 planes (..., height, width): contiguous, column-strided, or the (2, 2, h, w)
     site view of a mosaic that the demosaic reads."""
     if layout == "site view":
-        mosaic = draw(arrays(np.uint16, (2 * height, 2 * width), elements=SAMPLES))
-        return mosaic.reshape(height, 2, width, 2).transpose(1, 3, 0, 2)
+        return _sites(draw(arrays(np.uint16, (2 * height, 2 * width), elements=SAMPLES)))
     if layout == "strided":
         return draw(arrays(np.uint16, (height, 2 * width), elements=SAMPLES))[:, ::2]
     return draw(arrays(np.uint16, (height, width), elements=SAMPLES))
@@ -54,3 +71,101 @@ def test_row_strips_own_every_row_once_and_read_none_past_the_frame(strip_rows, 
             assert (r0, n) == (owned, min(strip_rows, height - r0))  # so n <= STRIP_ROWS
             owned += n
     assert owned == height
+
+
+@given(st.integers(1, 50), st.lists(st.integers(1, 9), max_size=3),
+       st.sampled_from([np.float64, np.dtype(">u2")]))
+def test_row_strips_hand_out_reused_strip_buffers(height, widths, dtype):
+    addresses = set()
+    with mock.patch.object(image, "STRIP_ROWS", 4):
+        for r0, n, *bufs in _row_strips(height, *widths, dtype=dtype):
+            assert [buf.shape for buf in bufs] == [(n, width) for width in widths]
+            assert all(buf.dtype == dtype and buf.flags.c_contiguous for buf in bufs)
+            for buf in bufs:  # each buffer is its own memory
+                assert sum(np.shares_memory(buf, other) for other in bufs) == 1
+            addresses.add(tuple(buf.__array_interface__["data"][0] for buf in bufs))
+    assert len(addresses) == 1  # every strip reuses the first strip's buffers
+
+
+def test_halo_strips_forward_their_buffer_request():
+    planes = np.arange(2 * 2 * 9 * 5, dtype=np.uint16).reshape(2, 2, 9, 5)
+    addresses = set()
+    with mock.patch.object(image, "STRIP_ROWS", 4):
+        for r0, n, strip, acc, cols in _halo_strips(planes, 5, 7):
+            assert (acc.shape, cols.shape) == ((n, 5), (n, 7))
+            assert acc.dtype == cols.dtype == np.float64
+            assert not np.shares_memory(acc, strip) and not np.shares_memory(cols, strip)
+            addresses.add((acc.__array_interface__["data"][0], cols.__array_interface__["data"][0]))
+        assert len(addresses) == 1  # every strip reuses the first strip's buffers
+        assert len(next(_halo_strips(planes))) == 3  # with no widths: (r0, n, strip)
+
+
+def _in_layout(values, layout, writable=False):
+    """An array equal to ``values`` (h, w) in the given memory layout, sharing nothing with it:
+    C order, F order, a crop view of a larger frame, or a view with negative strides."""
+    if layout == "C":
+        return values.copy()
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "crop":  # unify_crop's view is frozen; a write goes to a slice of the same kind
+        if writable:
+            return np.pad(values, 1)[1:-1, 1:-1]
+        return unify_crop(RawImage(np.pad(values, 1), BayerPattern.RGGB), BayerPattern.BGGR).samples
+    return values[::-1, ::-1].copy()[::-1, ::-1]
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(["C", "F", "crop", "reversed"]),
+       st.data())
+def test_sites_is_the_copy_free_site_view_in_every_layout(h, w, layout, data):
+    values = data.draw(arrays(np.uint16, (2 * h, 2 * w), elements=SAMPLES))
+    arr = _in_layout(values, layout)
+    np.testing.assert_array_equal(arr, values)
+    sites = _sites(arr)
+    assert sites.shape == (2, 2, h, w)
+    out = _in_layout(np.zeros_like(values), layout, writable=True)
+    for i in (0, 1):
+        for j in (0, 1):
+            np.testing.assert_array_equal(sites[i, j], arr[i::2, j::2])
+            assert np.shares_memory(sites[i, j], arr)
+            _sites(out)[i, j] = sites[i, j]
+            np.testing.assert_array_equal(out[i::2, j::2], values[i::2, j::2])
+    np.testing.assert_array_equal(out, values)
+
+
+def _strip_kernel_outputs(tmp_path):
+    """What every strip kernel makes of one 260x196 frame: 130 plane rows, so a strip height of
+    64 leaves a 2-row tail, 65 cuts the planes in two, 100 leaves a 30-row tail, and 300 is
+    taller than the frame."""
+    scene = gen_scene(11, 260, 196)
+    clean = mosaic(scene, BayerPattern.GBRG, 64, 4095)
+    noisy = add_noise(clean, NoiseParams(0.02, 0.04), 12)
+    pgm, ppm = tmp_path / "n.pgm", tmp_path / "n.ppm"
+    save_raw(noisy, None, pgm)
+    loaded, _ = load_raw(pgm)
+    assert main(["demosaic", str(pgm), "-o", str(ppm)]) == 0
+    report = metric_report(noisy, clean)
+    gaussian, median = DenoiserSpec.parse("gaussian:1.0"), DenoiserSpec.parse("median:2")
+    return {
+        "gen_scene": scene.planes,
+        "mosaic": clean.samples,
+        "add_noise": noisy.samples,
+        "save_raw": pgm.read_bytes(),
+        "load_raw": loaded.samples,
+        "gaussian:1.0": denoise_pipeline(noisy, BayerPattern.BGGR, gaussian).samples,
+        "median:2": denoise_pipeline(noisy, BayerPattern.RGGB, median).samples,
+        "demosaic_bilinear": demosaic_bilinear(noisy).planes,
+        "demosaic PPM": ppm.read_bytes(),
+        "mse": report.mse,
+        "metrics JSON": report.to_json(),
+    }, report.ssim
+
+
+@pytest.mark.parametrize("strip_rows", [65, 100, 300])
+def test_no_strip_kernel_output_depends_on_the_strip_height(tmp_path, strip_rows):
+    want, want_ssim = _strip_kernel_outputs(tmp_path)
+    with mock.patch.object(image, "STRIP_ROWS", strip_rows):
+        got, got_ssim = _strip_kernel_outputs(tmp_path)
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
+    # SSIM sums its windows strip by strip, so the last bit may follow the strip boundaries
+    assert abs(got_ssim - want_ssim) <= 1e-15
