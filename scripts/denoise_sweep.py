@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """PSNR/SSIM sweep of the denoising pipeline over filters and noise levels.
 
-Generates seeded noisy mosaics, runs the full unify/pack/filter/unpack/
-disunify pipeline for each configured filter, and prints the metric table.
-Also spot-checks that the gaussian path is independent of the working
-pattern (it must be, bit for bit).
+Generates seeded noisy mosaics, runs denoise_pipeline with each configured
+filter, and prints the metric table. The pipeline filters each site plane of
+the mosaic as if it were pad-unified to the working pattern, packed, filtered
+and restored, without building any of those frames. Also spot-checks that the
+gaussian output is independent of the working pattern (it must be, bit for
+bit).
 
 Usage: python scripts/denoise_sweep.py [--seeds N] [--size HxW]
 """

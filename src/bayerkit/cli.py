@@ -20,6 +20,7 @@ earlier one succeeded still leaves the earlier file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", metavar="clean.pgm")
     p.add_argument("-o", "--output", required=True)
 
-    p = _command(sub, "denoise", cmd_denoise, "run the unify/pack/filter/unpack/disunify pipeline")
+    p = _command(sub, "denoise", cmd_denoise, "filter each plane as if padded to --work-pattern")
     p.add_argument("--filter", required=True, dest="filter_spec",
                    metavar="identity|gaussian:<s>|median:<r>")
     p.add_argument("--work-pattern", type=_pattern, required=True)
@@ -238,9 +239,13 @@ def cmd_baseline_demo(args) -> None:
     print(json.dumps(baselines.sweep(args.seed, 128, 128), indent=2))
 
 
+# main's parser, built once per process: its nine subparsers take about 2 ms to build, and
+# parse_args leaves it as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _atomic_write(*(args.func(args) or ()))  # a command that only prints returns None
     except (BayerKitError, OSError, MemoryError) as e:  # a bare MemoryError has no message

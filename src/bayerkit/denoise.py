@@ -23,13 +23,17 @@ What this module actually guarantees is the plumbing around the filter:
   ignores the halo; a wider kernel, or mirror extension, sees different values
   near the border and the working pattern would leak into the result.
 
-The Gaussian computes in float64, rounds by floor(x + 0.5) (half away from
-zero, as x >= 0) and clips to 16 bits once per plane. It runs on the 64-row
-edge-halo strips of image._halo_strips, which also hands it the one strip
-buffer of its column pass; that pass covers the halo columns too, so they come
-out of it as the duplicated edge columns the row pass needs. Each sample takes
-the same float64 steps as in the whole-plane formula, so the strip size never
-shows in the bytes.
+The Gaussian computes in float64 and rounds by floor(x + 0.5) (half away from
+zero, as x >= 0). Its weights sum to 1, so x + 0.5 lies in [0.5, 65535.5 +
+3e-11] for every sigma, and the truncating uint16 cast of the store is that
+floor: no floor and no clip pass is run. It runs on the 64-row edge-halo strips
+of image._halo_strips, which also hands it the one strip buffer of its column
+pass; that pass covers the halo columns too, so they come out of it as the
+duplicated edge columns the row pass needs. The row pass runs on flat spans
+(image._span) of that buffer and writes a flat span of the spent strip; the
+samples between the spans' rows are computed and never stored. Each sample takes
+the same float64 steps as in the whole-plane formula, so neither the strip size
+nor the spans show in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
 is one of them. Its windows do see the halo: it edge-pads the plane by its halo,
 then pads that whole plane (reflect-101), and takes the windows of the plane's
@@ -47,7 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadFilterParam
-from .image import PackedImage, RawImage, _adopt, _halo_strips, _sites
+from .image import PackedImage, RawImage, _adopt, _halo_strips, _sites, _span
 from .patterns import BayerPattern
 from .unify import unify_offsets
 
@@ -71,13 +75,14 @@ def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo) -> Non
         xs *= w1
         mid += xs[:-2]
         mid += xs[2:]
-        # the row pass writes a contiguous (n, w) result into the spent strip
-        acc = np.multiply(w0, mid[:, 1:-1], out=np.ndarray((n, w), xs.dtype, xs))
+        # the row pass runs on flat spans of cols and writes the spent strip, both with rows
+        # w + 2 long; acc lies in [0.5, 65536), where the truncating uint16 cast is its floor
+        acc = np.multiply(w0, _span(mid, 0, 1, n, w), out=_span(xs, 0, 0, n, w))
         mid *= w1
-        acc += mid[:, :-2]
-        acc += mid[:, 2:]
+        acc += _span(mid, 0, 0, n, w)
+        acc += _span(mid, 0, 2, n, w)
         acc += 0.5
-        out[r0 : r0 + n] = np.clip(np.floor(acc, out=acc), 0, 65535, out=acc)
+        out[r0 : r0 + n] = xs[:n, :w]
 
 
 def _batcher_pairs(n: int):

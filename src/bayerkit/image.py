@@ -10,7 +10,9 @@ of ``_row_strips``, which also allocates the kernel's reused strip buffers, size
 rows beneath its own slices them itself. The Gaussian and the bilinear demosaic read their
 planes through ``_halo_strips``, the one place that builds the plane-space edge halo. Every
 kernel that works on the four half-resolution planes of a mosaic reads and writes them through
-one site view, ``_sites``.
+one site view, ``_sites``. The Gaussian's row pass and the demosaic's means run their
+elementwise steps on ``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy
+runs one 1-D loop over it, where the same step over the 2-D slice costs nearly twice as much.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ def _halo_strips(planes: np.ndarray, *widths: int):
         strip[..., -1, 1:-1] = planes[..., min(r0 + n, h - 1), :]
         strip[..., 0], strip[..., -1] = strip[..., 1], strip[..., -2]
         yield r0, n, strip, *bufs
+
+
+def _span(buf: np.ndarray, i: int, j: int, n: int, w: int) -> np.ndarray:
+    """The flat span of buf[i : i + n, j : j + w], where buf is a C-contiguous 2-D buffer with
+    rows ``pitch`` long: span[r * pitch + c] is buf[i + r, j + c], so the slice one neighbour
+    (di, dj) away is the same span shifted by di * pitch + dj. It runs from buf[i, j] to
+    buf[i + n - 1, j + w - 1]; its positions c >= w are the buffer's samples between the
+    slice's rows, junk that the caller keeps finite and never stores. A write through the
+    span lands in buf. An elementwise step over a span is one 1-D loop, which numpy runs
+    nearly twice as fast as the same step over the 2-D slice."""
+    assert buf.flags.c_contiguous  # else the reshape would copy
+    pitch = buf.shape[1]
+    return buf.reshape(-1)[i * pitch + j : (i + n - 1) * pitch + j + w]
 
 
 def _sites(arr: np.ndarray) -> np.ndarray:

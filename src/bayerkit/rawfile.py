@@ -27,9 +27,10 @@ A PGM's payload is written in row strips, each converted to big-endian in one re
 so no big-endian copy of the frame is made.
 A PPM's chunks come from one writer, in row strips: each result of a strip, the float samples
 of one channel at some of the strip's sites, is quantized straight into one reused interleaved
-16-bit buffer, and the strip is written before the next is made. ``write_ppm`` feeds it views
-of an image's planes, and ``bayerkit demosaic`` the demosaic's results, so a streamed demosaic
-never holds its float frame.
+16-bit buffer, and the strip is written before the next is made. A sample x in [0, 1] becomes
+65535 x + 0.5, in [0.5, 65535.5], whose truncating uint16 cast in that store is its floor, so
+no floor pass is run. ``write_ppm`` feeds it views of an image's planes, and ``bayerkit
+demosaic`` the demosaic's results, so a streamed demosaic never holds its float frame.
 """
 
 from __future__ import annotations
@@ -226,10 +227,11 @@ def _ppm_file(path, height: int, width: int, strips) -> tuple:
             if out is None:
                 out, scaled = np.empty((n, width, 3), dtype=">u2"), np.empty(n * width)
             for (c, rows, cols), values in results:
-                # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero
+                # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero; x + 0.5
+                # lies in [0.5, 65535.5], where the truncating uint16 cast is that floor
                 x = np.multiply(values, 65535.0, out=scaled[: values.size].reshape(values.shape))
                 x += 0.5
-                out[:n][rows, cols, c] = np.floor(x, out=x)
+                out[:n][rows, cols, c] = x
             yield out[:n]
 
     return Path(path), chunks()

@@ -32,10 +32,12 @@ The demosaic runs on the four packed half-resolution planes, read as the
 site view image._sites of the mosaic through the edge-halo strips of
 image._halo_strips: 64 plane rows with one edge-duplicated row and column
 each side. Mosaic reflect-101 keeps a neighbor's parity, so in plane space
-it is edge duplication, and every neighbor term is a contiguous shifted
-slice of one plane. Each strip is clamped, less black and divided by the
-span in place, in float64; the clamp and the subtraction are exact. Each
-(block position, channel) result is a quarter of the strip's samples.
+it is edge duplication, and every neighbor term is a shifted slice of one
+plane, which the mean reads as its flat span (image._span) and sums into a
+flat span of one strip buffer, rows as long as the strip's. Each strip is
+clamped, less black and divided by the span in place, in float64; the clamp
+and the subtraction are exact. Each (block position, channel) result is a
+quarter of the strip's samples.
 ``bayerkit demosaic`` quantizes the results into its PPM as they are made.
 Every sample of every function here takes the whole-frame float64 steps in
 the same order, so neither the strip height nor the packing shows in the
@@ -44,6 +46,8 @@ bytes.
 All randomized functions are pure functions of their seed (numpy PCG64 with
 a pinned draw order). 16-bit output is quantized as floor(x + 0.5): that is
 round-half-away-from-zero for x >= 0, and add_noise clips every x < 0 to black.
+mosaic and add_noise run np.floor, as ``+ black`` or the clip follows it; the PPM writer of
+``bayerkit demosaic`` leaves that floor to its uint16 cast.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .image import RawImage, RgbImage, _adopt, _halo_strips, _row_strips, _sites
+from .image import RawImage, RgbImage, _adopt, _halo_strips, _row_strips, _sites, _span
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -218,8 +222,9 @@ def _demosaic_strips(img: RawImage):
 
     Works on the four packed planes, as the halo strips (image._halo_strips) of the site view
     image._sites(samples), which never copies: a mosaic neighbor at reflect-101 is the strip's
-    edge duplicate in plane space, so every term is a contiguous shifted slice of one plane. A
-    mean of several terms is summed in one strip buffer that _halo_strips hands out. A
+    edge duplicate in plane space, so every term is a shifted slice of one plane. A mean of
+    several terms is summed over their flat spans (image._span) in one strip buffer that
+    _halo_strips hands out, with rows as long as the strip's. A
     generator: it checks the size at the first strip, so a caller writing a file must undo what
     it wrote before then (``_atomic_write`` removes its temp file). Results are views of buffers
     that the next result or strip overwrites; read each before asking for the next.
@@ -234,22 +239,21 @@ def _demosaic_strips(img: RawImage):
         for k, own in enumerate(pattern):
             a, b = divmod(k, 2)
             for channel, ch in CHANNEL_INDEX.items():
-                groups = ((0, ((0, 0),)),) if channel.value == own else _NEIGHBORS
+                if channel.value == own:  # a pass-through: x / 1 is x
+                    yield np.s_[ch, a::2, b::2], xs[k, 1:-1, 1:-1]
+                    continue
                 # the neighbor at (2i + a + dy, 2j + b + dx) is plane k ^ j's sample at
-                # (i + (a + dy) // 2, j + (b + dx) // 2)
-                terms = [xs[k ^ j, 1 + (a + dy) // 2 : 1 + (a + dy) // 2 + n,
-                            1 + (b + dx) // 2 : 1 + (b + dx) // 2 + pw]
-                         for j, offsets in groups if pattern[k ^ j] == channel.value
+                # (i + (a + dy) // 2, j + (b + dx) // 2): each term is a flat span of the strip
+                terms = [_span(xs[k ^ j], 1 + (a + dy) // 2, 1 + (b + dx) // 2, n, pw)
+                         for j, offsets in _NEIGHBORS if pattern[k ^ j] == channel.value
                          for dy, dx in offsets]
-                mean = terms[0]  # a pass-through: x / 1 is x
-                if len(terms) > 1:
-                    mean = np.add(terms[0], terms[1], out=acc)  # summed in term order
-                    for t in terms[2:]:
-                        mean += t
-                    mean /= len(terms)
-                yield np.s_[ch, a::2, b::2], mean
+                mean = np.add(terms[0], terms[1], out=_span(acc, 0, 0, n, pw))  # in term order
+                for t in terms[2:]:
+                    mean += t
+                mean /= len(terms)
+                yield np.s_[ch, a::2, b::2], acc[:, :pw]
 
-    for r0, n, xs, acc in _halo_strips(_sites(img.samples), pw):
+    for r0, n, xs, acc in _halo_strips(_sites(img.samples), pw + 2):
         # samples outside [black, white] are legal in RawImage; clamp so the normalized
         # plane honors the [0, 1] contract. In float64 the clamp and the subtraction are
         # exact, so the bytes are those of a uint16 clamp

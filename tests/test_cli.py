@@ -26,6 +26,7 @@ from bayerkit import (
     unify_crop,
     unify_pad,
 )
+import bayerkit.cli as cli
 from bayerkit.cli import build_parser, main
 from bayerkit.image import STRIP_ROWS
 
@@ -194,6 +195,19 @@ def test_every_subcommand_prints_its_own_help(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith(f"usage: bayerkit {name}"), out
+
+
+def test_main_builds_its_parser_once_and_each_parse_leaves_it_as_it_was(capsys, tmp_path):
+    argv = ["augment", "--seed", "3", str(tmp_path / "absent.pgm"), "-o", str(tmp_path / "x.pgm")]
+    errs = []
+    for args in (argv, ["denoise", "--help"], argv):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        errs.append((exc.value.code, capsys.readouterr().err))
+    assert errs[0] == errs[2] == (2, errs[0][1])
+    assert errs[0][1].splitlines()[-1] == "bayerkit augment: error: --seed requires --patch-size"
+    assert cli._parser.cache_info().misses == 1 and cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()  # still a fresh parser per call
 
 
 def test_augment_illegal_transpose_is_processing_error(tmp_path, sample_pair, capsys):

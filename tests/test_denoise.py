@@ -68,6 +68,22 @@ def test_gaussian_preserves_constant_planes():
     assert out.pattern is p.pattern
 
 
+@pytest.mark.parametrize("value", [0, 65535])
+@pytest.mark.parametrize("sigma", [0.02, 1.0, 1e6])
+def test_gaussian_returns_constant_planes_at_both_ends_of_the_cast(value, sigma):
+    # x + 0.5 lies in [0.5, 65535.5 + 3e-11], which the truncating uint16 cast takes to its floor
+    planes = np.full((4, 67, 5), value, dtype=np.uint16)  # 67 rows: a 64-row strip and a tail
+    out = np.empty_like(planes[0])
+    denoise._smooth_plane(planes[0], out, sigma, ((1, 0), (0, 1)))
+    np.testing.assert_array_equal(out, planes[0])
+    spec = DenoiserSpec("gaussian", sigma)
+    np.testing.assert_array_equal(denoise_packed(PackedImage(planes, BayerPattern.RGGB), spec)
+                                  .planes, planes)
+    for pattern, work in PAIRS:
+        img = RawImage(np.full((134, 10), value, dtype=np.uint16), pattern)
+        assert_same_image(denoise_pipeline(img, work, spec), img)
+
+
 @pytest.mark.parametrize("sigma", [0.02, 1e-160, 5e-324])
 def test_gaussian_below_its_underflow_is_the_identity(rng, sigma):
     # the side weight exp(-0.5 / sigma^2) is 0.0 once sigma < 0.0259, even where sigma^2 is 0.0

@@ -25,7 +25,7 @@ from bayerkit import (
     unify_crop,
 )
 from bayerkit.cli import main
-from bayerkit.image import _halo_strips, _row_strips, _sites
+from bayerkit.image import _halo_strips, _row_strips, _sites, _span
 
 SAMPLES = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 65535))
 
@@ -59,6 +59,29 @@ def test_halo_strips_equal_the_edge_padded_planes(strip_rows, data, width, layou
             strip[...] = -1.0  # the caller may overwrite it
             owned += n
     assert owned == height
+
+
+@given(st.data(), st.sampled_from(["C order", "site view"]), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_span_rows_are_the_slices_rows(data, layout, pitch):
+    # widths 1 and 2 included; a site view's halo strips hold planes of pitch + 2
+    rows = data.draw(st.integers(1, 6))
+    if layout == "C order":
+        bufs = [data.draw(arrays(np.float64, (rows, pitch), elements=st.floats(-9, 9)))]
+    else:
+        mosaic = data.draw(arrays(np.uint16, (2 * rows, 2 * pitch), elements=SAMPLES))
+        bufs = [plane for _, _, strip in _halo_strips(_sites(mosaic))
+                for plane in strip.reshape(4, rows + 2, pitch + 2)]
+    for buf in bufs:
+        height, width = buf.shape
+        i, j = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
+        n, w = data.draw(st.integers(1, height - i)), data.draw(st.integers(1, width - j))
+        span = _span(buf, i, j, n, w)
+        assert span.size == (n - 1) * width + w and np.shares_memory(span, buf)
+        for r in range(n):
+            np.testing.assert_array_equal(span[r * width : r * width + w], buf[i + r, j : j + w])
+        span[:] = -1.0  # a write through the span lands in the slice
+        assert (buf[i : i + n, j : j + w] == -1.0).all()
 
 
 @given(st.integers(1, 6), st.integers(1, 50))

@@ -18,6 +18,7 @@ from bayerkit import (
     MissingSidecar,
     PadSpec,
     ParseError,
+    RawImage,
     RgbImage,
     UnknownPattern,
     gen_scene,
@@ -26,6 +27,8 @@ from bayerkit import (
     unify_crop,
     write_ppm,
 )
+
+from bayerkit.cli import main
 
 from conftest import assert_same_image, rand_raw
 
@@ -474,6 +477,35 @@ def test_write_ppm_quantizes_every_strip_and_leaves_its_input(tmp_path, height):
     want = np.floor(planes * 65535 + 0.5).transpose(1, 2, 0).astype(">u2")
     assert data[len(header):] == want.tobytes()
     np.testing.assert_array_equal(rgb.planes, planes)
+
+
+def _ppm_payload(path, height, width) -> np.ndarray:
+    data = path.read_bytes()
+    header = f"P6\n{width} {height}\n65535\n".encode()
+    assert data[: len(header)] == header
+    return np.frombuffer(data[len(header):], dtype=">u2").reshape(height, width, 3)
+
+
+@pytest.mark.parametrize("value, sample", [(0.0, 0), (1.0, 65535)])
+def test_ppm_ends_of_the_range_quantize_to_0_and_65535(tmp_path, value, sample):
+    # 65535 * 1.0 + 0.5 is 65535.5, which the truncating cast takes to 65535
+    write_ppm(RgbImage(np.full((3, 130, 6), value)), tmp_path / "w.ppm")
+    assert (_ppm_payload(tmp_path / "w.ppm", 130, 6) == sample).all()
+    # the streamed demosaic: a frame below black or above white clamps to 0.0 or 1.0, and every
+    # mean of those is the same value again
+    img = RawImage(np.full((132, 8), 65535 * int(value)), BayerPattern.GRBG, 64, 1023)
+    save_raw(img, None, tmp_path / "in.pgm")
+    assert main(["demosaic", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "d.ppm")]) == 0
+    assert (_ppm_payload(tmp_path / "d.ppm", 132, 8) == sample).all()
+
+
+def test_write_ppm_of_an_f_ordered_image_equals_the_c_ordered_one(tmp_path):
+    planes = np.random.default_rng(3).random((3, 130, 10))
+    f_ordered = RgbImage(np.asfortranarray(planes))
+    assert f_ordered.planes.flags.f_contiguous and not f_ordered.planes.flags.c_contiguous
+    write_ppm(RgbImage(planes), tmp_path / "c.ppm")
+    write_ppm(f_ordered, tmp_path / "f.ppm")
+    assert (tmp_path / "f.ppm").read_bytes() == (tmp_path / "c.ppm").read_bytes()
 
 
 def test_write_ppm_layout(tmp_path):
