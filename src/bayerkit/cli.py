@@ -56,7 +56,6 @@ def _numbers(text: str, sep: str, n: int, kind) -> tuple:
 
 
 _pattern = _typed(BayerPattern.from_name, "{!r} is not one of RGGB, BGGR, GRBG, GBRG")
-_size = _typed(lambda t: _numbers(t, "x", 2, int), "size must look like 128x128, got {!r}")
 _patch_args = _typed(lambda t: _numbers(t, ",", 4, int), "patch must be T,L,H,W integers, got {!r}")
 _noise = _typed(lambda t: NoiseParams(*_numbers(t, ",", 2, float)),
                 "noise must be READ,SHOT finite floats >= 0, got {!r}")
@@ -71,6 +70,7 @@ def _digits(text: str, least: int = 0, step: int = 1) -> int:
 
 
 _seed = _typed(_digits, "seed must be an integer >= 0, got {!r}")
+_size = _typed(lambda t: _numbers(t, "x", 2, _digits), "size must look like 128x128, got {!r}")
 _patch_size = _typed(lambda t: _digits(t, 2, 2), "patch size must be an even integer >= 2, got {!r}")
 
 

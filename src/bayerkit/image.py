@@ -8,7 +8,9 @@ The frame's geometry lives here too. Every full-frame kernel runs over the (r0, 
 of ``_row_strips``, which also allocates the kernel's reused strip buffers, sized from
 ``STRIP_ROWS`` when the call starts; no other module reads ``STRIP_ROWS``. A kernel that reads
 rows beneath its own slices them itself. The Gaussian and the bilinear demosaic read their
-planes through ``_halo_strips``, the one place that builds the plane-space edge halo. Every
+planes through ``_halo_strips``, which builds their plane-space edge halo; the one other edge
+halo is the median's whole-plane ``np.pad(plane, halo, mode="edge")`` in
+``denoise._median_plane``, which waits for ROADMAP item 10. Every
 kernel that works on the four half-resolution planes of a mosaic reads and writes them through
 one site view, ``_sites``. The Gaussian's row pass and the demosaic's means run their
 elementwise steps on ``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy

@@ -501,6 +501,9 @@ _BAD_ARGUMENTS = [
      "argument --size: size must look like 128x128, got '16'"),
     ("simulate --pattern RGGB --size 1x2x3 --seed 1 -o {out}",
      "argument --size: size must look like 128x128, got '1x2x3'"),
+    *((f"simulate --pattern RGGB --size={size} --seed 1 -o {{out}}",
+       f"argument --size: size must look like 128x128, got {size.format(sp=' ')!r}")
+      for size in ("+8x8", "{sp}8x8", "8_0x80", "\u0668x\u0668", "-8x8")),
     ("augment --seed -1 --patch-size 4 {inp} -o {out}", f"argument --seed: {_SEED} '-1'"),
     *((f"augment --seed 1 --patch-size {size} {{inp}} -o {{out}}",
        f"argument --patch-size: patch size must be an even integer >= 2, got {size.format(sp=' ')!r}")
@@ -511,6 +514,15 @@ _BAD_ARGUMENTS = [
     ("unify --target rggb --mode crop {inp} -o {out}",
      "argument --target: 'rggb' is not one of RGGB, BGGR, GRBG, GBRG"),
 ]
+
+
+def test_a_plain_decimal_size_too_small_for_a_scene_is_processing_error(tmp_path, capsys):
+    out = tmp_path / "x.pgm"
+    assert main(["simulate", "--pattern", "RGGB", "--size", "0x8", "--seed", "1",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "bayerkit: error: scene dimensions must be even and >= 8, got 0x8\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, last", _BAD_ARGUMENTS, ids=[argv for argv, _ in _BAD_ARGUMENTS])

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bayerkit.rawfile as rawfile
+from bayerkit import image
 from bayerkit import (
     BayerKitError,
     BayerPattern,
@@ -251,6 +253,36 @@ def test_a_huge_header_over_a_short_payload_is_refused_before_allocating(tmp_pat
         tracemalloc.stop()
     assert str(e.value) == f"{path}: payload is 32 bytes, expected 20000000000"
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("kept", [10, 128, 134], ids=["first strip", "strip boundary", "third strip"])
+def test_a_payload_that_shrank_after_the_fstat_check_names_the_bytes_read(
+        tmp_path, rng, monkeypatch, kept):
+    # 16 rows of 8 samples in 4-row strips of 64 bytes; fstat still reports the whole payload
+    monkeypatch.setattr(image, "STRIP_ROWS", 4)
+    path = tmp_path / "img.pgm"
+    save_raw(rand_raw(rng, 16, 8, BayerPattern.RGGB), None, path)
+    header = b"P5\n8 16\n65535\n"
+    path.write_bytes(path.read_bytes()[: len(header) + kept])
+    fstat = os.fstat
+    monkeypatch.setattr(rawfile.os, "fstat", lambda fd: types.SimpleNamespace(
+        st_size=fstat(fd).st_size + 256 - kept))
+    with pytest.raises(ParseError) as e:
+        load_raw(path)
+    assert str(e.value) == f"{path}: payload is {kept} bytes, expected 256"
+
+
+def test_load_raw_peaks_at_one_frame_and_one_strip_buffer(tmp_path, rng):
+    path = tmp_path / "img.pgm"
+    save_raw(rand_raw(rng, 512, 1536, BayerPattern.GBRG), None, path)
+    frame, strip = 512 * 1536 * 2, image.STRIP_ROWS * 1536 * 2
+    tracemalloc.start()
+    try:
+        load_raw(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame <= peak <= frame + strip + 2**16  # no whole-frame big-endian copy
 
 
 @pytest.mark.parametrize("height", [62, 64, 66, 130])
