@@ -2,9 +2,9 @@
 
 A fixed sequence of ``bayerkit`` invocations runs in one scratch directory on
 64x96 inputs that the sequence itself simulates, plus one 260x200 input whose
-padded planes span several Gaussian row strips and whose rows span several
-demosaic and metric row strips; a 258x198 crop of it leaves the demosaic a
-one-plane-row tail strip. One 24x1400 pair spans several SSIM column tiles.
+padded planes span several Gaussian and median row strips and whose rows span
+several demosaic and metric row strips; a 258x198 crop of it leaves the demosaic
+a one-plane-row tail strip. One 24x1400 pair spans several SSIM column tiles.
 For each invocation the test pins the exit code, the sha256 of the captured
 stdout, and the sha256 of every file the invocation wrote (PGM, sidecar, PPM).
 Refactors and optimisations of the library are gated by these hashes: a change
@@ -92,6 +92,12 @@ CASES = [
                                       "RGGB", "big_GBRG.pgm", "-o", "den_big_RGGB.pgm"]),
     ("denoise-gaussian-strips-GBRG", ["denoise", "--filter", "gaussian:1.0", "--work-pattern",
                                       "GBRG", "big_GBRG.pgm", "-o", "den_big_GBRG.pgm"]),
+    # the median on the same 130-row planes: two 64-row strips and a 2-row tail, with a row
+    # halo (RGGB), then a row and a column halo (GRBG)
+    ("denoise-median1-strips-RGGB", ["denoise", "--filter", "median:1", "--work-pattern", "RGGB",
+                                     "big_GBRG.pgm", "-o", "den_big_median1_RGGB.pgm"]),
+    ("denoise-median2-strips-GRBG", ["denoise", "--filter", "median:2", "--work-pattern", "GRBG",
+                                     "big_GBRG.pgm", "-o", "den_big_median2_GRBG.pgm"]),
     ("denoise-bad-filter", ["denoise", "--filter", "median:3", "--work-pattern", "RGGB",
                             "noisy_RGGB.pgm", "-o", "never.pgm"]),
     ("demosaic-GRBG", ["demosaic", "noisy_GRBG.pgm", "-o", "rgb_GRBG.ppm"]),
@@ -251,6 +257,14 @@ EXPECTED = {
     "denoise-gaussian-strips-GBRG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
         "den_big_GBRG.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
         "den_big_GBRG.pgm": "bdf320e5f7df1ef62e53c8869bf4d040c5dbb53b826c72ff4f97c3b8c7d5d7ec",
+    }),
+    "denoise-median1-strips-RGGB": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "den_big_median1_RGGB.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
+        "den_big_median1_RGGB.pgm": "77833f227106042f8320241b967b25cc44e7bad6de00e68a977883b557bf1be3",
+    }),
+    "denoise-median2-strips-GRBG": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
+        "den_big_median2_GRBG.json": "2067f86d0814877ac4edfc8ee9fa3ec24cfa28993ab02f014c635b31df15a703",
+        "den_big_median2_GRBG.pgm": "a2355afecf78fd60e175a459855cb9bdf03a96fb2cbc84dfc7a6814e9004182f",
     }),
     "denoise-bad-filter": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
     }),
