@@ -35,11 +35,12 @@ samples between the spans' rows are computed and never stored. Each sample takes
 the same float64 steps as in the whole-plane formula, so neither the strip size
 nor the spans show in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
-is one of them. Its windows do see the halo: it edge-pads the plane by its halo,
-then pads that whole plane (reflect-101), and takes the windows of the plane's
-own samples. It pads whole planes instead of running on strips: on strips it was
-faster on a 1024x1536 plane but slower on the 257x257 planes of the quality
-sweep (see README).
+is one of them. Its windows do see the halo: it reads the uint16 strips of
+image._halo_strips with its radius and the plane's halo, whose rule is the edge pad
+by the halo, then the reflect-101 pad by the radius, and takes the windows of the
+plane's own samples. Each window offset of a strip is copied into one of the lane
+buffers the engine hands out, and a pruned min/max network over the lanes selects
+the middle one, so the median holds one strip's lanes, never a plane-sized copy.
 """
 
 from __future__ import annotations
@@ -123,25 +124,20 @@ _MEDIAN_NETWORKS = {r: _median_network((2 * r + 1) ** 2) for r in (1, 2)}
 
 
 def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo) -> None:
-    h, w = plane.shape
+    w = plane.shape[1]
     size = 2 * radius + 1
-    (top, _), (left, _) = halo
-    # two pads, not one gather (slower on the quality sweep's 257x256 planes); the lanes
-    # start past the top and left halo, so only the plane's own samples get a window
-    p = np.pad(np.pad(plane, halo, mode="edge"), radius, mode="reflect")[top:, left:]
-    lanes = [p[dy : dy + h, dx : dx + w].copy() for dy in range(size) for dx in range(size)]
-    spare = np.empty_like(plane)
-    for lo, hi, keep_min, keep_max in _MEDIAN_NETWORKS[radius]:
-        a, b = lanes[lo], lanes[hi]
-        if keep_min and keep_max:
-            np.minimum(a, b, out=spare)
-            np.maximum(a, b, out=b)
-            lanes[lo], spare = spare, a
-        elif keep_min:
-            np.minimum(a, b, out=a)
-        else:
-            np.maximum(a, b, out=b)
-    out[...] = lanes[len(lanes) // 2]
+    # one strip buffer per window offset, and the network's spare
+    for r0, n, strip, spare, *lanes in _halo_strips(
+            plane, *(w,) * (size * size + 1), radius=radius, halo=halo, dtype=np.uint16):
+        for lane, (dy, dx) in zip(lanes, np.ndindex(size, size)):
+            lane[...] = strip[dy : dy + n, dx : dx + w]
+        for lo, hi, keep_min, keep_max in _MEDIAN_NETWORKS[radius]:
+            a, b = lanes[lo], lanes[hi]
+            if keep_min:  # the min goes to the spare, which takes lane lo; a is the new spare
+                lanes[lo], spare = np.minimum(a, b, out=spare), a
+            if keep_max:  # a still holds lane lo's samples
+                np.maximum(a, b, out=b)
+        out[r0 : r0 + n] = lanes[len(lanes) // 2]
 
 
 class _Filter(NamedTuple):

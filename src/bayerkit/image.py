@@ -7,12 +7,13 @@ array, so ``height`` and ``width`` are defined once, on the base.
 The frame's geometry lives here too. Every full-frame kernel runs over the (r0, n) row strips
 of ``_row_strips``, which also allocates the kernel's reused strip buffers, sized from
 ``STRIP_ROWS`` when the call starts; no other module reads ``STRIP_ROWS``. A kernel that reads
-rows beneath its own slices them itself. The Gaussian and the bilinear demosaic read their
-planes through ``_halo_strips``, which builds their plane-space edge halo; the one other edge
-halo is the median's whole-plane ``np.pad(plane, halo, mode="edge")`` in
-``denoise._median_plane``, which waits for ROADMAP item 10. Every
-kernel that works on the four half-resolution planes of a mosaic reads and writes them through
-one site view, ``_sites``. The Gaussian's row pass and the demosaic's means run their
+rows beneath its own slices them itself. Every kernel that reads past a plane's edge, the
+Gaussian, the median and the bilinear demosaic, reads its planes through ``_halo_strips``, the
+one place that builds such a halo, by one rule: the strip is the matching rows and columns of
+np.pad(np.pad(planes, halo, "edge"), radius, "reflect"). SSIM stays outside it: it reads only
+fully interior windows, so it has no edge rule, and slices the rows beneath its strip itself.
+Every kernel that works on the four half-resolution planes of a mosaic reads and writes them
+through one site view, ``_sites``. The Gaussian's row pass and the demosaic's means run their
 elementwise steps on ``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy
 runs one 1-D loop over it, where the same step over the 2-D slice costs nearly twice as much.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .patterns import BayerPattern
 
-# Rows per strip of every full-frame kernel. A strip's float64 buffers grow with the frame's
+# Rows per strip of every full-frame kernel. A strip's buffers grow with the frame's
 # width, never its height, and they are in cache only at modest widths: at 2048x3072 the
 # demosaic's halo strip of the four planes, (2, 2, 66, 1538), is 3.2 MB on its own, past the
 # 2 MiB L2 of one core of a 2-core Xeon. SSIM alone also cuts its strips into column tiles.
@@ -45,21 +46,32 @@ def _row_strips(h: int, *widths: int, dtype=np.float64):
         yield (r0, n, *(buf[:n] for buf in bufs))
 
 
-def _halo_strips(planes: np.ndarray, *widths: int):
+def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1)),
+                 dtype=np.float64):
     """(r0, n, strip, *bufs) per strip of the uint16 planes (..., h, w), top to bottom: the
-    strip is float64 (..., n + 2, w + 2), plane rows r0 - 1 .. r0 + n and columns -1 .. w, where
-    a row or column past the plane is the edge one duplicated. Mosaic reflect-101 keeps a
-    sample's parity, so in plane space it is this edge halo. Each strip is C-contiguous in one
-    reused buffer that the next strip overwrites; the caller may overwrite it too. ``widths``
-    asks ``_row_strips`` for float64 strip buffers, yielded after the strip."""
+    strip is (..., n + 2 * radius, w + 2 * radius) of ``dtype``, the radius-wide window halo
+    around plane rows r0 .. r0 + n - 1 and columns 0 .. w - 1. One rule sets what lies past the
+    plane: the strip is those rows and columns of np.pad(np.pad(planes, halo, "edge"), radius,
+    "reflect"), where ``halo`` is ((top, bottom), (left, right)) and plane sample (i, j) sits
+    at (i + top + radius, j + left + radius). Mosaic reflect-101 keeps a sample's parity, so in
+    plane space it is the edge halo a working pattern gives a plane; the default, radius 1 and
+    one edge row and column on each side, is a one-sample edge-duplicated border. Each strip is
+    C-contiguous in one reused buffer that the next strip overwrites; the caller may overwrite
+    it too. ``widths`` asks ``_row_strips`` for strip buffers of ``dtype``, yielded after the
+    strip."""
     *lead, h, w = planes.shape
-    buf = np.empty((*lead, min(STRIP_ROWS, h) + 2, w + 2))
-    for r0, n, *bufs in _row_strips(h, *widths):
-        strip = np.ndarray((*lead, n + 2, w + 2), buf.dtype, buf)  # the head of the buffer
-        strip[..., 1:-1, 1:-1] = planes[..., r0 : r0 + n, :]
-        strip[..., 0, 1:-1] = planes[..., max(r0 - 1, 0), :]
-        strip[..., -1, 1:-1] = planes[..., min(r0 + n, h - 1), :]
-        strip[..., 0], strip[..., -1] = strip[..., 1], strip[..., -2]
+    # the index maps of the rule: row i of the strip at r0 is plane row rows[r0 + i], and
+    # strip column j is plane column cols[j], which the strip holds at cols[j] + radius
+    rows, cols = (np.pad(np.arange(-a, size + b).clip(0, size - 1), radius, "reflect")[a:]
+                  for size, (a, b) in zip((h, w), halo))
+    buf = np.empty((*lead, min(STRIP_ROWS, h) + 2 * radius, w + 2 * radius), dtype)
+    for r0, n, *bufs in _row_strips(h, *widths, dtype=dtype):
+        strip = np.ndarray((*lead, n + 2 * radius, w + 2 * radius), dtype, buf)  # buf's head
+        strip[..., radius : radius + n, radius : radius + w] = planes[..., r0 : r0 + n, :]
+        for i in (*range(radius), *range(radius + n, n + 2 * radius)):  # the halo rows
+            strip[..., i, radius : radius + w] = planes[..., rows[r0 + i], :]
+        for j in (*range(radius), *range(radius + w, w + 2 * radius)):  # then the halo columns
+            strip[..., j] = strip[..., cols[j] + radius]
         yield r0, n, strip, *bufs
 
 

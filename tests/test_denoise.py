@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -113,12 +113,20 @@ SAMPLES = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 3),
                     st.integers(0, 65535))
 
 
-@given(st.integers(1, 24), st.integers(1, 24), st.sampled_from([1, 2]), st.data())
+# 9 rows in strips of 4: two whole strips and a 1-row tail, which radius 2 reads past on both
+# sides, its lower halo reflected back into the strip above
+TAIL_ROW_PLANES = (np.arange(4 * 9 * 5) * 7919 % 65536).astype(np.uint16).reshape(4, 9, 5)
+
+
+@given(arrays(np.uint16, st.tuples(st.just(4), st.integers(1, 24), st.integers(1, 24)),
+              elements=SAMPLES),
+       st.sampled_from([1, 2]), st.integers(1, 6))
+@example(TAIL_ROW_PLANES, 2, 4)
 @settings(max_examples=150, deadline=None)
-def test_median_equals_np_median_of_reflected_windows(height, width, radius, data):
-    planes = data.draw(arrays(np.uint16, (4, height, width), elements=SAMPLES))
+def test_median_equals_np_median_of_reflected_windows(planes, radius, strip_rows):
     p = PackedImage(planes, BayerPattern.RGGB)
-    out = denoise_packed(p, DenoiserSpec("median", radius))
+    with mock.patch.object(image, "STRIP_ROWS", strip_rows):
+        out = denoise_packed(p, DenoiserSpec("median", radius))
     assert out.planes.dtype == np.uint16
     want = np.stack([_median_oracle(pl, radius) for pl in planes])
     np.testing.assert_array_equal(out.planes, want)
@@ -186,6 +194,23 @@ def test_denoise_packed_holds_its_output_once():
         tracemalloc.stop()
     # the output, one plane's result before it is stored and the strip buffers
     assert peak < 1.5 * out.planes.nbytes
+
+
+def test_median_memory_does_not_grow_with_the_frame_height():
+    # 27 plane-sized copies (two pads and 25 lanes) would grow with the height; the strip
+    # median holds its output frame plus one strip and its 26 lane buffers
+    width, spec = 512, DenoiserSpec("median", 2)
+    lanes = 26 * image.STRIP_ROWS * (width // 2) * 2  # one strip's lanes, uint16
+    beyond = []
+    for height in (256, 2048):
+        img = rand_raw(np.random.default_rng(height), height, width, BayerPattern.GBRG)
+        tracemalloc.start()
+        try:
+            out = denoise_pipeline(img, BayerPattern.RGGB, spec)
+            beyond.append(tracemalloc.get_traced_memory()[1] - out.samples.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(beyond[1] - beyond[0]) < lanes
 
 
 def test_filters_keep_shape_and_metadata(rng):

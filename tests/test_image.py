@@ -1,5 +1,5 @@
-"""The frame's geometry in image.py: row strips and their buffers, the plane-space edge-halo
-strips, and the site view."""
+"""The frame's geometry in image.py: row strips and their buffers, the plane-space halo strips
+of every neighbourhood kernel, and the site view."""
 
 from unittest import mock
 
@@ -31,32 +31,53 @@ SAMPLES = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 65535)
 
 
 def _planes(draw, layout, height, width):
-    """uint16 planes (..., height, width): contiguous, column-strided, or the (2, 2, h, w)
-    site view of a mosaic that the demosaic reads."""
+    """uint16 planes (..., height, width): contiguous, column-strided, column-major, or the
+    (2, 2, h, w) site view of a mosaic that the demosaic reads."""
     if layout == "site view":
         return _sites(draw(arrays(np.uint16, (2 * height, 2 * width), elements=SAMPLES)))
     if layout == "strided":
         return draw(arrays(np.uint16, (height, 2 * width), elements=SAMPLES))[:, ::2]
+    if layout == "F order":
+        return np.asfortranarray(draw(arrays(np.uint16, (height, width), elements=SAMPLES)))
     return draw(arrays(np.uint16, (height, width), elements=SAMPLES))
 
 
+# the engine's keywords: none (its defaults, radius 1 and one edge row and column a side, the
+# strips of the Gaussian and the demosaic), or radius 1 or 2, any of the 16 per-side halos of
+# 0 or 1 edge rows and columns, and either strip dtype
+ENGINE_KWARGS = st.one_of(st.just({}), st.fixed_dictionaries({
+    "radius": st.sampled_from([1, 2]),
+    "halo": st.tuples(*[st.integers(0, 1)] * 4).map(lambda t: (t[:2], t[2:])),
+    "dtype": st.sampled_from([np.uint16, np.float64]),
+}))
+
+
 @given(st.integers(1, 4), st.data(), st.integers(1, 9),
-       st.sampled_from(["contiguous", "strided", "site view"]))
-@settings(max_examples=200, deadline=None)
-def test_halo_strips_equal_the_edge_padded_planes(strip_rows, data, width, layout):
-    # heights of 1, whole multiples of the strip and partial last strips
-    height = data.draw(st.one_of(st.just(1), st.integers(1, 4).map(strip_rows.__mul__),
+       st.sampled_from(["contiguous", "strided", "F order", "site view"]), ENGINE_KWARGS)
+@settings(max_examples=400, deadline=None)
+def test_halo_strips_equal_the_edge_padded_planes(strip_rows, data, width, layout, kwargs):
+    # heights of 1 and 2, whole multiples of the strip and partial last strips
+    height = data.draw(st.one_of(st.sampled_from([1, 2]),
+                                 st.integers(1, 4).map(strip_rows.__mul__),
                                  st.integers(1, 4 * strip_rows + 3)))
     planes = _planes(data.draw, layout, height, width)
+    radius, halo = kwargs.get("radius", 1), kwargs.get("halo", ((1, 1), (1, 1)))
+    dtype = kwargs.get("dtype", np.float64)
+    # the one rule: the edge pad by the halo, then the reflect pad by the radius, cut to the
+    # strip's rows and the plane's columns, each with the radius around them
     lead = [(0, 0)] * (planes.ndim - 2)
-    want = np.pad(planes.astype(np.float64), lead + [(1, 1), (1, 1)], mode="edge")
+    want = np.pad(np.pad(planes.astype(dtype), lead + list(halo), mode="edge"),
+                  lead + [(radius, radius)] * 2, mode="reflect")
+    (top, _), (left, _) = halo
     owned = 0
     with mock.patch.object(image, "STRIP_ROWS", strip_rows):
-        for r0, n, strip in _halo_strips(planes):
+        for r0, n, strip in _halo_strips(planes, **kwargs):
             assert (r0, n) == (owned, min(strip_rows, height - r0))
-            assert strip.dtype == np.float64 and strip.flags.c_contiguous
-            np.testing.assert_array_equal(strip, want[..., r0 : r0 + n + 2, :])
-            strip[...] = -1.0  # the caller may overwrite it
+            assert strip.dtype == dtype and strip.flags.c_contiguous
+            np.testing.assert_array_equal(
+                strip, want[..., top + r0 : top + r0 + n + 2 * radius,
+                            left : left + width + 2 * radius])
+            strip[...] = 7  # the caller may overwrite it
             owned += n
     assert owned == height
 
@@ -112,15 +133,17 @@ def test_row_strips_hand_out_reused_strip_buffers(height, widths, dtype):
 
 def test_halo_strips_forward_their_buffer_request():
     planes = np.arange(2 * 2 * 9 * 5, dtype=np.uint16).reshape(2, 2, 9, 5)
-    addresses = set()
-    with mock.patch.object(image, "STRIP_ROWS", 4):
-        for r0, n, strip, acc, cols in _halo_strips(planes, 5, 7):
-            assert (acc.shape, cols.shape) == ((n, 5), (n, 7))
-            assert acc.dtype == cols.dtype == np.float64
-            assert not np.shares_memory(acc, strip) and not np.shares_memory(cols, strip)
-            addresses.add((acc.__array_interface__["data"][0], cols.__array_interface__["data"][0]))
-        assert len(addresses) == 1  # every strip reuses the first strip's buffers
-        assert len(next(_halo_strips(planes))) == 3  # with no widths: (r0, n, strip)
+    for dtype in (np.float64, np.uint16):
+        addresses = set()
+        with mock.patch.object(image, "STRIP_ROWS", 4):
+            for r0, n, strip, acc, cols in _halo_strips(planes, 5, 7, dtype=dtype):
+                assert (acc.shape, cols.shape) == ((n, 5), (n, 7))
+                assert acc.dtype == cols.dtype == strip.dtype == dtype
+                assert not np.shares_memory(acc, strip) and not np.shares_memory(cols, strip)
+                addresses.add((acc.__array_interface__["data"][0],
+                               cols.__array_interface__["data"][0]))
+            assert len(addresses) == 1  # every strip reuses the first strip's buffers
+    assert len(next(_halo_strips(planes))) == 3  # with no widths: (r0, n, strip)
 
 
 def _in_layout(values, layout, writable=False):
