@@ -6,15 +6,16 @@ What this module actually guarantees is the plumbing around the filter:
 
 * ``denoise_pipeline`` gives what unify_pad -> pack -> denoise_packed -> unpack
   -> disunify_crop would give, without building any of those frames. Each filter
-  reads the input's site plane ``image._sites(samples)[a, b]``, which is
-  ``samples[a::2, b::2]``, and writes the same site plane of one output mosaic;
-  ``denoise_packed`` reads its planes as (2, 2, h, w), so the two share one loop
-  over block positions k = 2a + b. The working pattern only sets each plane's
-  halo: mosaic reflect-101 keeps a sample's parity, so in plane space a padded row is
-  the plane's edge row duplicated. With (dy, dx) = unify_offsets(pattern, work
-  pattern), plane (a, b) gets one such row on top when dy and a == 1, one at the
-  bottom when dy and a == 0, and likewise a column on the left or right by dx and
-  b. The identity filter returns the input itself.
+  runs once per frame, on strips of the mosaic's own contiguous rows
+  (image._halo_strips with step 2), where a site's same-site neighbours sit two
+  samples apart, and writes the strip's rows of one output mosaic. The working
+  pattern only sets each site plane's halo: mosaic reflect-101 keeps a sample's
+  parity, so in plane space a padded row is the plane's edge row duplicated. With
+  (dy, dx) = unify_offsets(pattern, work pattern), plane (a, b) gets one such row
+  on top when dy and a == 1, one at the bottom when dy and a == 0, and likewise a
+  column on the left or right by dx and b: the engine's halo ((dy, dy), (dx, dx)).
+  ``denoise_packed`` runs the same kernels on each of its planes, neighbours one
+  sample apart, with no halo. The identity filter returns the input itself.
 * With the Gaussian filter the output does not depend on the working pattern
   at all. This holds exactly, not approximately, and it pins two design
   choices: the kernel has radius 1 per plane, and plane borders are extended
@@ -26,21 +27,23 @@ What this module actually guarantees is the plumbing around the filter:
 The Gaussian computes in float64 and rounds by floor(x + 0.5) (half away from
 zero, as x >= 0). Its weights sum to 1, so x + 0.5 lies in [0.5, 65535.5 +
 3e-11] for every sigma, and the truncating uint16 cast of the store is that
-floor: no floor and no clip pass is run. It runs on the 64-row edge-halo strips
-of image._halo_strips, which also hands it the one strip buffer of its column
-pass; that pass covers the halo columns too, so they come out of it as the
-duplicated edge columns the row pass needs. The row pass runs on flat spans
-(image._span) of that buffer and writes a flat span of the spent strip; the
+floor: no floor and no clip pass is run. It runs on the edge-halo strips of
+image._halo_strips, which give every site plane one edge row and column, and
+which also hand it the one strip buffer of its column pass; that pass covers the
+halo columns too, so they come out of it as the duplicated edge columns the row
+pass needs. The row pass runs on flat spans (image._span) of that buffer, at
+offsets 0, step and 2 * step, and writes a flat span of the spent strip; the
 samples between the spans' rows are computed and never stored. Each sample takes
-the same float64 steps as in the whole-plane formula, so neither the strip size
-nor the spans show in the bytes.
+the same float64 steps as in the whole-plane formula, so neither the strip size,
+the spans nor the interleaving of the site planes show in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
 is one of them. Its windows do see the halo: it reads the uint16 strips of
-image._halo_strips with its radius and the plane's halo, whose rule is the edge pad
-by the halo, then the reflect-101 pad by the radius, and takes the windows of the
-plane's own samples. Each window offset of a strip is copied into one of the lane
-buffers the engine hands out, and a pruned min/max network over the lanes selects
-the middle one, so the median holds one strip's lanes, never a plane-sized copy.
+image._halo_strips with its radius and the planes' halo, whose rule is the edge
+pad by the halo, then the reflect-101 pad by the radius, and takes the windows of
+the planes' own samples, with offsets ``step`` samples apart. Each window offset
+of a strip is copied into one of the lane buffers the engine hands out, and a
+pruned min/max network over the lanes selects the middle one, so the median
+holds one strip's lanes, never a plane-sized copy.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadFilterParam
-from .image import PackedImage, RawImage, _adopt, _halo_strips, _sites, _span
+from .image import PackedImage, RawImage, _adopt, _halo_strips, _span
 from .patterns import BayerPattern
 from .unify import unify_offsets
 
@@ -64,24 +67,25 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     return 1.0 / total, g1 / total
 
 
-def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo) -> None:
-    # separable 3x3 kernel; edge-duplicated borders, so the halo changes no window (see
-    # module docstring). Each sample takes the float64 steps (w1*up + w0*mid) + w1*down,
-    # then the same along the row.
+def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> None:
+    # separable 3x3 kernel over same-site neighbours ``step`` apart; edge-duplicated borders,
+    # so the halo changes no window (see module docstring). Each sample takes the float64 steps
+    # (w1*up + w0*mid) + w1*down, then the same along the row.
     w0, w1 = _gaussian_3tap(sigma)
-    w = plane.shape[1]
-    # the column pass writes cols, one strip buffer that includes the halo columns
-    for r0, n, xs, cols in _halo_strips(plane, w + 2):
-        mid = np.multiply(w0, xs[1:-1], out=cols)
+    w, s = plane.shape[1], step
+    # one edge row and column of every site plane; the column pass writes cols, one strip
+    # buffer that includes the halo columns
+    for r0, n, xs, cols in _halo_strips(plane, w + 2 * s, halo=((s, s), (s, s)), step=s):
+        mid = np.multiply(w0, xs[s:-s], out=cols)
         xs *= w1
-        mid += xs[:-2]
-        mid += xs[2:]
+        mid += xs[: -2 * s]
+        mid += xs[2 * s :]
         # the row pass runs on flat spans of cols and writes the spent strip, both with rows
-        # w + 2 long; acc lies in [0.5, 65536), where the truncating uint16 cast is its floor
-        acc = np.multiply(w0, _span(mid, 0, 1, n, w), out=_span(xs, 0, 0, n, w))
+        # w + 2 * step long; acc lies in [0.5, 65536), where the uint16 cast is its floor
+        acc = np.multiply(w0, _span(mid, 0, s, n, w), out=_span(xs, 0, 0, n, w))
         mid *= w1
         acc += _span(mid, 0, 0, n, w)
-        acc += _span(mid, 0, 2, n, w)
+        acc += _span(mid, 0, 2 * s, n, w)
         acc += 0.5
         out[r0 : r0 + n] = xs[:n, :w]
 
@@ -123,14 +127,14 @@ def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
 _MEDIAN_NETWORKS = {r: _median_network((2 * r + 1) ** 2) for r in (1, 2)}
 
 
-def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo) -> None:
+def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo, step: int) -> None:
     w = plane.shape[1]
     size = 2 * radius + 1
     # one strip buffer per window offset, and the network's spare
     for r0, n, strip, spare, *lanes in _halo_strips(
-            plane, *(w,) * (size * size + 1), radius=radius, halo=halo, dtype=np.uint16):
+            plane, *(w,) * (size * size + 1), radius=radius, halo=halo, dtype=np.uint16, step=step):
         for lane, (dy, dx) in zip(lanes, np.ndindex(size, size)):
-            lane[...] = strip[dy : dy + n, dx : dx + w]
+            lane[...] = strip[step * dy : step * dy + n, step * dx : step * dx + w]
         for lo, hi, keep_min, keep_max in _MEDIAN_NETWORKS[radius]:
             a, b = lanes[lo], lanes[hi]
             if keep_min:  # the min goes to the spare, which takes lane lo; a is the new spare
@@ -144,8 +148,9 @@ class _Filter(NamedTuple):
     parse_arg: Callable[[str], float | int] | None  # None: takes no argument
     accepts: Callable[[object], bool]
     expects: str  # what accepts() checks, for error messages
-    # (plane, out, param, halo): filters the uint16 plane into out; None: identity
-    plane: Callable[[np.ndarray, np.ndarray, float | int, tuple], None] | None
+    # (plane, out, param, halo, step): filters the uint16 plane, whose same-site neighbours
+    # sit step apart, into out; None: identity
+    plane: Callable[[np.ndarray, np.ndarray, float | int, tuple, int], None] | None
 
 
 def _finite_positive(v) -> bool:
@@ -193,22 +198,21 @@ class DenoiserSpec:
             raise BadFilterParam(f"bad {name} parameter: {arg!r}") from None
 
 
-def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, planes, dy: int, dx: int):
+def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, step: int, dy: int, dx: int):
     """A new ``type(img)`` with img's metadata, over an array like ``arr``, img's own array.
 
-    ``planes(x)`` is a (2, 2, h, w) view of such an array whose [a, b] is the plane at block
-    position k = 2a + b. Plane [a, b] of the result is plane [a, b] of arr filtered with the
-    halo an origin shift (dy, dx) gives it: dy * a edge rows on top and dy * (1 - a) at the
-    bottom, dx * b edge columns on the left and dx * (1 - b) on the right. The identity
-    filter returns img itself.
+    Each (h, w) frame in arr's last two axes, a PackedImage's planes or a RawImage's mosaic,
+    is filtered into the same frame of the result, its same-site neighbours ``step`` apart,
+    with the engine's halo ((dy, dy), (dx, dx)) (see ``image._halo_strips``): on a mosaic,
+    the edge rows and columns that unify_pad's reflect-101 pad by the origin shift (dy, dx)
+    gives each site plane. The identity filter returns img itself.
     """
     plane_filter = _FILTERS[spec.name].plane
     if plane_filter is None:
         return img
     out = np.empty_like(arr)
-    for a, b in np.ndindex(2, 2):
-        halo = ((dy * a, dy - dy * a), (dx * b, dx - dx * b))
-        plane_filter(planes(arr)[a, b], planes(out)[a, b], spec.param, halo)
+    for i in np.ndindex(arr.shape[:-2]):
+        plane_filter(arr[i], out[i], spec.param, ((dy, dy), (dx, dx)), step)
     return _adopt(type(img), out, img.pattern, img.black_level, img.white_level)
 
 
@@ -219,8 +223,7 @@ def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:
     reflect-101 borders; the Gaussian uses edge duplication (required for
     working-pattern invariance of the pipeline, see module docstring).
     """
-    # plane 2a + b is [a, b], and a packed plane has no halo
-    return _denoise(p, p.planes, spec, lambda x: x.reshape(2, 2, p.height, p.width), 0, 0)
+    return _denoise(p, p.planes, spec, 1, 0, 0)  # a packed plane has no halo
 
 
 def denoise_pipeline(
@@ -230,10 +233,9 @@ def denoise_pipeline(
     restored: equal to ``disunify_crop(unpack(denoise_packed(pack(u), spec)), pad)`` with
     ``u, pad = unify_pad(img, work_pattern)``.
 
-    Each filter reads the input's site view ``image._sites(samples)[a, b]``, which is
-    ``samples[a::2, b::2]``, and writes the same site view of one output mosaic; the working
-    pattern only sets each plane's halo. Output dimensions and pattern always equal the
-    input's. The identity filter returns the input itself; with the Gaussian the result is
-    independent of work_pattern.
+    Each filter runs once, on strips of the mosaic's own rows, where a site's neighbours sit
+    two samples apart; the working pattern only sets each site plane's halo. Output
+    dimensions and pattern always equal the input's. The identity filter returns the input
+    itself; with the Gaussian the result is independent of work_pattern.
     """
-    return _denoise(img, img.samples, spec, _sites, *unify_offsets(img.pattern, work_pattern))
+    return _denoise(img, img.samples, spec, 2, *unify_offsets(img.pattern, work_pattern))

@@ -10,12 +10,15 @@ of ``_row_strips``, which also allocates the kernel's reused strip buffers, size
 rows beneath its own slices them itself. Every kernel that reads past a plane's edge, the
 Gaussian, the median and the bilinear demosaic, reads its planes through ``_halo_strips``, the
 one place that builds such a halo, by one rule: the strip is the matching rows and columns of
-np.pad(np.pad(planes, halo, "edge"), radius, "reflect"). SSIM stays outside it: it reads only
-fully interior windows, so it has no edge rule, and slices the rows beneath its strip itself.
-Every kernel that works on the four half-resolution planes of a mosaic reads and writes them
-through one site view, ``_sites``. The Gaussian's row pass and the demosaic's means run their
-elementwise steps on ``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy
-runs one 1-D loop over it, where the same step over the 2-D slice costs nearly twice as much.
+np.pad(np.pad(planes, halo, "edge"), radius, "reflect"). With step 2 the engine reads a
+mosaic's own rows, and its strip interleaves that rule's strips of the four site planes, each
+with its own halo; ``denoise_pipeline`` runs each filter once per frame so. SSIM stays outside
+the engine: it reads only fully interior windows, so it has no edge rule, and slices the rows
+beneath its strip itself. ``pack``, ``unpack``, ``mosaic`` and the demosaic, which keep their
+own strips of the four half-resolution planes, read and write them through one site view,
+``_sites``. The Gaussian's row pass and the demosaic's means run their elementwise steps on
+``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy runs one 1-D loop
+over it, where the same step over the 2-D slice costs nearly twice as much.
 """
 
 from __future__ import annotations
@@ -26,52 +29,73 @@ import numpy as np
 
 from .patterns import BayerPattern
 
-# Rows per strip of every full-frame kernel. A strip's buffers grow with the frame's
-# width, never its height, and they are in cache only at modest widths: at 2048x3072 the
-# demosaic's halo strip of the four planes, (2, 2, 66, 1538), is 3.2 MB on its own, past the
-# 2 MiB L2 of one core of a 2-core Xeon. SSIM alone also cuts its strips into column tiles.
+# Rows per strip of every full-frame kernel; a kernel on a mosaic's own rows takes
+# STRIP_ROWS // 2 of them, so its strip holds as many samples of each site plane as a plane
+# strip. A strip's buffers grow with the frame's width, never its height, and they are in cache
+# only at modest widths: at 2048x3072 the demosaic's halo strip of the four planes,
+# (2, 2, 66, 1538), is 3.2 MB on its own, past the 2 MiB L2 of one core of a 2-core Xeon. SSIM
+# alone also cuts its strips into column tiles. The Gaussian through denoise_pipeline on a
+# 2048x3072 mosaic took 17.8-17.9 ms on 32-row mosaic strips and 30.1-31.1 ms on 64-row ones
+# (2-core Xeon, numpy 2.4, best of 7 in two alternated rounds).
 STRIP_ROWS = 64
 
 
-def _row_strips(h: int, *widths: int, dtype=np.float64):
+def _row_strips(h: int, *widths: int, dtype=np.float64, step=1):
     """(r0, n, *bufs) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1,
-    and n <= STRIP_ROWS. Each width asks for one strip buffer of ``dtype``, allocated once, at
-    the first strip, with as many rows as the tallest strip, by STRIP_ROWS as it reads then;
-    each strip gets its C-contiguous (n, width) head, which the next strip overwrites. With h
-    alone it yields (r0, n). A caller that reads rows beneath its own slices them, and a slice
-    stops at the frame."""
-    bufs = [np.empty((min(STRIP_ROWS, h), width), dtype) for width in widths]
-    for r0 in range(0, h, STRIP_ROWS):
-        n = min(STRIP_ROWS, h - r0)
+    and n <= max(1, STRIP_ROWS // step), so a frame whose site planes interleave with ``step``
+    (2 on a mosaic) gets strips that hold as many samples of each plane as a plane's own
+    strips. Each width asks for one strip buffer of ``dtype``, allocated once, at the first
+    strip, with as many rows as the tallest strip, by STRIP_ROWS as it reads then; each strip
+    gets its C-contiguous (n, width) head, which the next strip overwrites. With h alone it
+    yields (r0, n). A caller that reads rows beneath its own slices them, and a slice stops at
+    the frame."""
+    rows = max(1, STRIP_ROWS // step)
+    bufs = [np.empty((min(rows, h), width), dtype) for width in widths]
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
         yield (r0, n, *(buf[:n] for buf in bufs))
 
 
 def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1)),
-                 dtype=np.float64):
+                 dtype=np.float64, step=1):
     """(r0, n, strip, *bufs) per strip of the uint16 planes (..., h, w), top to bottom: the
-    strip is (..., n + 2 * radius, w + 2 * radius) of ``dtype``, the radius-wide window halo
-    around plane rows r0 .. r0 + n - 1 and columns 0 .. w - 1. One rule sets what lies past the
+    strip is (..., n + 2 * pad, w + 2 * pad) of ``dtype``, pad = step * radius, the window halo
+    around rows r0 .. r0 + n - 1 and columns 0 .. w - 1. One rule sets what lies past the
     plane: the strip is those rows and columns of np.pad(np.pad(planes, halo, "edge"), radius,
     "reflect"), where ``halo`` is ((top, bottom), (left, right)) and plane sample (i, j) sits
     at (i + top + radius, j + left + radius). Mosaic reflect-101 keeps a sample's parity, so in
     plane space it is the edge halo a working pattern gives a plane; the default, radius 1 and
-    one edge row and column on each side, is a one-sample edge-duplicated border. Each strip is
-    C-contiguous in one reused buffer that the next strip overwrites; the caller may overwrite
-    it too. ``widths`` asks ``_row_strips`` for strip buffers of ``dtype``, yielded after the
-    strip."""
+    one edge row and column on each side, is a one-sample edge-duplicated border.
+
+    With step 2, ``planes`` is an (h, w) mosaic, sides even, and the strip interleaves the
+    strips of its four site planes [a::2, b::2], so same-site neighbours sit two samples apart;
+    the strips are max(1, STRIP_ROWS // 2) mosaic rows tall. ``halo`` then counts mosaic rows
+    and columns, each a copy of the nearest sample of its own site: plane [a, b] gets
+    (top + a) // 2 edge rows on top and (bottom + 1 - a) // 2 at the bottom, and its columns
+    likewise by b. So ((dy, dy), (dx, dx)) is unify_pad's reflect-101 pad by an origin shift,
+    and ((2, 2), (2, 2)) gives every plane one edge row and column.
+
+    Each strip is C-contiguous in one reused buffer that the next strip overwrites; the caller
+    may overwrite it too. ``widths`` asks ``_row_strips`` for strip buffers of ``dtype``,
+    yielded after the strip."""
     *lead, h, w = planes.shape
-    # the index maps of the rule: row i of the strip at r0 is plane row rows[r0 + i], and
-    # strip column j is plane column cols[j], which the strip holds at cols[j] + radius
-    rows, cols = (np.pad(np.arange(-a, size + b).clip(0, size - 1), radius, "reflect")[a:]
-                  for size, (a, b) in zip((h, w), halo))
-    buf = np.empty((*lead, min(STRIP_ROWS, h) + 2 * radius, w + 2 * radius), dtype)
-    for r0, n, *bufs in _row_strips(h, *widths, dtype=dtype):
-        strip = np.ndarray((*lead, n + 2 * radius, w + 2 * radius), dtype, buf)  # buf's head
-        strip[..., radius : radius + n, radius : radius + w] = planes[..., r0 : r0 + n, :]
-        for i in (*range(radius), *range(radius + n, n + 2 * radius)):  # the halo rows
-            strip[..., i, radius : radius + w] = planes[..., rows[r0 + i], :]
-        for j in (*range(radius), *range(radius + w, w + 2 * radius)):  # then the halo columns
-            strip[..., j] = strip[..., cols[j] + radius]
+    pad = step * radius
+    # the index maps of the rule: row i of the strip at r0 is row rows[r0 + i], and strip
+    # column j is column cols[j], which the strip holds at cols[j] + pad. Each axis holds m
+    # samples of each phase a; phase a's map, made by the rule on its own halo, is interleaved
+    # at a, a + step, ... as the samples step * map + a
+    rows, cols = ((step * np.stack([
+        np.pad(np.arange(-t, m + b).clip(0, m - 1), radius, "reflect")[t : t + m + 2 * radius]
+        for t, b in (((top + a) // step, (bottom + step - 1 - a) // step) for a in range(step))
+    ], -1) + np.arange(step)).ravel() for m, (top, bottom) in zip((h // step, w // step), halo))
+    buf = np.empty((*lead, min(max(1, STRIP_ROWS // step), h) + 2 * pad, w + 2 * pad), dtype)
+    for r0, n, *bufs in _row_strips(h, *widths, dtype=dtype, step=step):
+        strip = np.ndarray((*lead, n + 2 * pad, w + 2 * pad), dtype, buf)  # buf's head
+        strip[..., pad : pad + n, pad : pad + w] = planes[..., r0 : r0 + n, :]
+        for i in (*range(pad), *range(pad + n, n + 2 * pad)):  # the halo rows
+            strip[..., i, pad : pad + w] = planes[..., rows[r0 + i], :]
+        for j in (*range(pad), *range(pad + w, w + 2 * pad)):  # then the halo columns
+            strip[..., j] = strip[..., cols[j] + pad]
         yield r0, n, strip, *bufs
 
 

@@ -396,8 +396,11 @@ def test_denoise_command_holds_two_frames_and_its_strip_buffers(tmp_path, rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the Gaussian's halo and column-pass strips of one plane, and the writer's strip
-    strips = (2 * STRIP_ROWS + 2) * (w // 2 + 2) * 8 + STRIP_ROWS * w * 2
+    # the Gaussian's halo and column-pass strips of the mosaic, STRIP_ROWS // 2 + 4 and
+    # STRIP_ROWS // 2 rows of w + 4 float64, and the engine's index maps of the frame's rows and
+    # columns; the writer's smaller strip comes after they are freed
+    strips = (2 * (STRIP_ROWS // 2) + 4) * (w + 4) * 8 + 4 * (h + w) * 8
+    assert STRIP_ROWS * w * 2 < strips
     assert peak < 2 * h * w * 2 + strips
 
 

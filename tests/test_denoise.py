@@ -74,7 +74,7 @@ def test_gaussian_returns_constant_planes_at_both_ends_of_the_cast(value, sigma)
     # x + 0.5 lies in [0.5, 65535.5 + 3e-11], which the truncating uint16 cast takes to its floor
     planes = np.full((4, 67, 5), value, dtype=np.uint16)  # 67 rows: a 64-row strip and a tail
     out = np.empty_like(planes[0])
-    denoise._smooth_plane(planes[0], out, sigma, ((1, 0), (0, 1)))
+    denoise._smooth_plane(planes[0], out, sigma, ((1, 0), (0, 1)), 1)
     np.testing.assert_array_equal(out, planes[0])
     spec = DenoiserSpec("gaussian", sigma)
     np.testing.assert_array_equal(denoise_packed(PackedImage(planes, BayerPattern.RGGB), spec)
@@ -148,18 +148,23 @@ SIGMAS = st.one_of(st.sampled_from([5e-324, 0.02, 0.0258, 0.026, 0.3, 1.0, 2.5, 
                    st.floats(1e-3, 0.0258), st.floats(0.026, 1e6))
 
 
-@given(st.integers(1, 4), st.data(), st.integers(1, 9), SIGMAS, st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_strip_gaussian_equals_the_whole_plane_formula(strip, data, width, sigma, strided):
-    # heights of 1 and 2, whole multiples of the strip and a partial last strip
+@given(st.integers(1, 4), st.data(), st.integers(1, 9), SIGMAS, st.booleans(),
+       st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_strip_gaussian_equals_the_whole_plane_formula(strip, data, width, sigma, strided, step):
+    # heights of 1 and 2, whole multiples of the strip and a partial last strip. Step 1 filters
+    # a plane; step 2 a mosaic of step x step site planes, in strips of `strip` mosaic rows, so
+    # an odd strip ends inside a row pair, and each site plane must get the formula's result
     height = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 5).map(strip.__mul__),
                                  st.integers(1, 5 * strip + 3)))
-    wide = data.draw(arrays(np.uint16, (height, 2 * width), elements=SAMPLES))
-    plane = wide[:, ::2] if strided else wide[:, :width]  # pack hands out strided planes
+    wide = data.draw(arrays(np.uint16, (step * height, 2 * step * width), elements=SAMPLES))
+    plane = wide[:, ::2] if strided else wide[:, : step * width]  # pack hands out strided planes
     got = np.empty_like(plane)
-    with mock.patch.object(image, "STRIP_ROWS", strip):
-        denoise._smooth_plane(plane, got, sigma, NO_HALO)
-    np.testing.assert_array_equal(got, _whole_plane_gaussian(plane, sigma))
+    with mock.patch.object(image, "STRIP_ROWS", step * strip):
+        denoise._smooth_plane(plane, got, sigma, NO_HALO, step)
+    for a, b in np.ndindex(step, step):
+        np.testing.assert_array_equal(got[a::step, b::step],
+                                      _whole_plane_gaussian(plane[a::step, b::step], sigma))
     assert got.dtype == np.uint16
 
 
@@ -174,7 +179,7 @@ def test_gaussian_working_set_stays_below_one_float64_plane():
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         one = np.empty_like(planes[0])
-        denoise._smooth_plane(planes[0], one, 1.0, NO_HALO)
+        denoise._smooth_plane(planes[0], one, 1.0, NO_HALO, 1)
         plane_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -198,9 +203,9 @@ def test_denoise_packed_holds_its_output_once():
 
 def test_median_memory_does_not_grow_with_the_frame_height():
     # 27 plane-sized copies (two pads and 25 lanes) would grow with the height; the strip
-    # median holds its output frame plus one strip and its 26 lane buffers
+    # median holds its output frame plus one mosaic strip and its 26 lane buffers
     width, spec = 512, DenoiserSpec("median", 2)
-    lanes = 26 * image.STRIP_ROWS * (width // 2) * 2  # one strip's lanes, uint16
+    lanes = 26 * (image.STRIP_ROWS // 2) * width * 2  # one mosaic strip's lanes, uint16
     beyond = []
     for height in (256, 2048):
         img = rand_raw(np.random.default_rng(height), height, width, BayerPattern.GBRG)

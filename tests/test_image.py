@@ -1,6 +1,7 @@
 """The frame's geometry in image.py: row strips and their buffers, the plane-space halo strips
-of every neighbourhood kernel, and the site view."""
+of every neighbourhood kernel and their mosaic mode, and the site view."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -23,9 +24,12 @@ from bayerkit import (
     mosaic,
     save_raw,
     unify_crop,
+    unify_offsets,
 )
 from bayerkit.cli import main
 from bayerkit.image import _halo_strips, _row_strips, _sites, _span
+
+from conftest import ALL_PATTERNS
 
 SAMPLES = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 65535))
 
@@ -80,6 +84,61 @@ def test_halo_strips_equal_the_edge_padded_planes(strip_rows, data, width, layou
             strip[...] = 7  # the caller may overwrite it
             owned += n
     assert owned == height
+
+
+# the mosaic-mode halos: denoise_pipeline's for each of the 16 (pattern, work pattern) pairs,
+# and None for the Gaussian's, which gives every site plane one edge row and column
+MOSAIC_CASES = [*itertools.product(ALL_PATTERNS, ALL_PATTERNS), None]
+
+
+@given(st.integers(1, 6), st.booleans(), st.data(), st.integers(1, 7),
+       st.sampled_from(MOSAIC_CASES), st.sampled_from([1, 2]),
+       st.sampled_from([np.uint16, np.float64]))
+@settings(max_examples=400, deadline=None)
+def test_mosaic_halo_strips_interleave_the_padded_site_planes(strip_rows, odd, data, width, case,
+                                                              radius, dtype):
+    # plane heights from 1; strips of STRIP_ROWS // 2 mosaic rows, odd ones included, so a
+    # strip boundary may fall inside a row pair
+    height = data.draw(st.one_of(st.sampled_from([1, 2]),
+                                 st.integers(1, 4).map(strip_rows.__mul__),
+                                 st.integers(1, 2 * strip_rows + 3)))
+    mosaic = data.draw(arrays(np.uint16, (2 * height, 2 * width), elements=SAMPLES))
+    if case is None:
+        halo, site_halos = ((2, 2), (2, 2)), lambda a, b: ((1, 1), (1, 1))
+    else:  # unify_pad's reflect-101 pad by (dy, dx), as edge rows and columns in plane space
+        dy, dx = unify_offsets(*case)
+        halo = ((dy, dy), (dx, dx))
+        site_halos = lambda a, b: ((dy * a, dy - dy * a), (dx * b, dx - dx * b))
+    # the oracle: each site plane padded by the rule with its own halo, cut to its rows and
+    # columns with the radius around them, and interleaved: row 2k + a of want is row k of
+    # plane a's cut
+    want = np.empty((2 * height + 4 * radius, 2 * width + 4 * radius), dtype)
+    for a, b in np.ndindex(2, 2):
+        (top, _), (left, _) = plane_halo = site_halos(a, b)
+        padded = np.pad(np.pad(mosaic[a::2, b::2].astype(dtype), plane_halo, mode="edge"),
+                        radius, mode="reflect")
+        want[a::2, b::2] = padded[top : top + height + 2 * radius,
+                                  left : left + width + 2 * radius]
+    # the row source: a float copy of the frame, whose rows outside a strip's window are set
+    # to NaN before the strip is asked for, so a read of any of them shows in the strip. The
+    # window is rows r0 - 2 * radius .. r0 + n + 2 * radius - 1; a 1-row strip may reach one
+    # row further, where a site plane with no halo row reflects about its own edge row, the
+    # far row of the frame's edge pair
+    source = mosaic.astype(np.float64)
+    owned = 0
+    with mock.patch.object(image, "STRIP_ROWS", 2 * strip_rows + odd):
+        sourced = _halo_strips(source, radius=radius, halo=halo, dtype=np.float64, step=2)
+        for r0, n, strip in _halo_strips(mosaic, radius=radius, halo=halo, dtype=dtype, step=2):
+            assert (r0, n) == (owned, min(strip_rows, 2 * height - r0))
+            assert strip.dtype == dtype and strip.flags.c_contiguous
+            np.testing.assert_array_equal(strip, want[r0 : r0 + n + 4 * radius])
+            window = slice(max(0, r0 - 2 * radius - (n == 1)), r0 + n + 2 * radius + (n == 1))
+            source[...] = np.nan
+            source[window] = mosaic[window]
+            np.testing.assert_array_equal(next(sourced)[2], want[r0 : r0 + n + 4 * radius])
+            owned += n
+    assert owned == 2 * height
+    assert next(sourced, None) is None
 
 
 @given(st.data(), st.sampled_from(["C order", "site view"]), st.integers(1, 4))
