@@ -103,18 +103,19 @@ def test_mosaic_halo_strips_interleave_the_padded_site_planes(strip_rows, odd, d
                                  st.integers(1, 4).map(strip_rows.__mul__),
                                  st.integers(1, 2 * strip_rows + 3)))
     mosaic = data.draw(arrays(np.uint16, (2 * height, 2 * width), elements=SAMPLES))
-    if case is None:
-        halo, site_halos = ((2, 2), (2, 2)), lambda a, b: ((1, 1), (1, 1))
-    else:  # unify_pad's reflect-101 pad by (dy, dx), as edge rows and columns in plane space
-        dy, dx = unify_offsets(*case)
-        halo = ((dy, dy), (dx, dx))
-        site_halos = lambda a, b: ((dy * a, dy - dy * a), (dx * b, dx - dx * b))
+    dy, dx = (2, 2) if case is None else unify_offsets(*case)
+    halo = ((dy, dy), (dx, dx))
     # the oracle: each site plane padded by the rule with its own halo, cut to its rows and
     # columns with the radius around them, and interleaved: row 2k + a of want is row k of
     # plane a's cut
     want = np.empty((2 * height + 4 * radius, 2 * width + 4 * radius), dtype)
     for a, b in np.ndindex(2, 2):
-        (top, _), (left, _) = plane_halo = site_halos(a, b)
+        # the Gaussian's halo is one edge row and column a side; unify_pad's reflect-101 pad by
+        # (dy, dx) is one edge row on top of an odd-row plane, or at the bottom of an even one,
+        # and likewise a column by b
+        plane_halo = (((1, 1), (1, 1)) if case is None
+                      else ((dy * a, dy - dy * a), (dx * b, dx - dx * b)))
+        (top, _), (left, _) = plane_halo
         padded = np.pad(np.pad(mosaic[a::2, b::2].astype(dtype), plane_halo, mode="edge"),
                         radius, mode="reflect")
         want[a::2, b::2] = padded[top : top + height + 2 * radius,
