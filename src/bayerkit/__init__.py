@@ -11,10 +11,7 @@ from .augment import (
     Transpose,
     VFlip,
     apply_plan,
-    crop_patch,
-    flip_bayer,
     sample_plan,
-    transpose_bayer,
 )
 from .denoise import DenoiserSpec, denoise_packed, denoise_pipeline
 from .errors import (

@@ -45,7 +45,11 @@ from .patterns import transpose_is_legal, BayerPattern
 
 @dataclass(frozen=True)
 class HFlip:
-    """Mirror left-right and drop the boundary column pair: out(r, c) = a(r, w-2-c)."""
+    """Mirror left-right and drop the boundary column pair: out(r, c) = a(r, w-2-c).
+
+    The mirror alone would turn C1C2C3C4 into C2C1C4C3; dropping the first and
+    last column of the mirrored image shifts the origin back to the input's pattern.
+    """
 
     op = "hflip"
 
@@ -57,7 +61,11 @@ class HFlip:
 
 @dataclass(frozen=True)
 class VFlip:
-    """Mirror top-bottom and drop the boundary row pair: out(r, c) = a(h-2-r, c)."""
+    """Mirror top-bottom and drop the boundary row pair: out(r, c) = a(h-2-r, c).
+
+    The mirror alone would turn C1C2C3C4 into C3C4C1C2; dropping the first and
+    last row of the mirrored image shifts the origin back to the input's pattern.
+    """
 
     op = "vflip"
 
@@ -69,6 +77,13 @@ class VFlip:
 
 @dataclass(frozen=True)
 class Transpose:
+    """Swap rows and columns: out(r, c) = a(c, r).
+
+    A transpose keeps the diagonal cells of the 2x2 block and swaps the
+    off-diagonal ones, so it keeps the pattern only when both off-diagonal
+    cells are green (RGGB, BGGR); for GRBG and GBRG it raises IllegalTranspose.
+    """
+
     op = "transpose"
 
     def view(self, a: np.ndarray, pattern: BayerPattern) -> np.ndarray:
@@ -82,6 +97,13 @@ class Transpose:
 
 @dataclass(frozen=True)
 class Patch:
+    """The height x width window at (top, left); the pattern is unchanged.
+
+    Every offset and size must be even, and an odd one raises OddOffset at
+    construction: an odd offset is precisely the operation that unification
+    uses to CHANGE a pattern, and must never happen here.
+    """
+
     top: int
     left: int
     height: int
@@ -136,7 +158,7 @@ class AugPlan:
             payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
         except (ValueError, RecursionError) as e:
             raise ParseError(f"{_PLAN}: {e}") from e
-        entries = payload.get("steps", []) if isinstance(payload, dict) else None
+        entries = payload.get("steps") if isinstance(payload, dict) else None
         if not isinstance(entries, list):
             raise ParseError(f"{_PLAN}: expected an object with a 'steps' list")
         steps = []
@@ -150,33 +172,6 @@ class AugPlan:
         if seed < 0:  # it records what sample_plan was given, and PCG64 refuses a negative seed
             raise ParseError(f"{_PLAN}: 'seed' must be >= 0, got {seed}")
         return cls(tuple(steps), seed=seed)
-
-
-def flip_bayer(img: RawImage, axis: str) -> RawImage:
-    """``HFlip`` (axis "horizontal") or ``VFlip`` (axis "vertical") of one image.
-
-    The flip alone would turn C1C2C3C4 into C2C1C4C3 (or C3C4C1C2); dropping
-    the first and last column (row) of the flipped image shifts the origin back.
-    """
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    step = HFlip() if axis == "horizontal" else VFlip()
-    return img.with_samples(step.view(img.samples, img.pattern))
-
-
-def transpose_bayer(img: RawImage) -> RawImage:
-    """Transpose the mosaic; only legal when the greens sit on the off-diagonal."""
-    return img.with_samples(Transpose().view(img.samples, img.pattern))
-
-
-def crop_patch(img: RawImage, top: int, left: int, height: int, width: int) -> RawImage:
-    """``Patch`` of one image; the pattern is unchanged and odd arguments raise OddOffset.
-
-    An odd offset is precisely the operation that unification uses to CHANGE
-    a pattern, and must never happen here.
-    """
-    patch = Patch(top, left, height, width)
-    return img.with_samples(patch.view(img.samples, img.pattern))
 
 
 def sample_plan(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .augment import flip_bayer
+from .augment import AugPlan, HFlip, VFlip, apply_plan
 from .image import PackedImage, RawImage
 from .packing import pack, unpack
 from .patterns import BayerPattern
@@ -31,11 +31,12 @@ from .unify import unify_crop, unify_offsets
 # one 16-bit code value in the normalized [0, 1] units of the RMSE figures
 QUANTIZATION_STEP = 1.0 / 65535.0
 
-# axis -> (mirror, crop) of a (planes, H, W) stack: the mirror flips the packed
-# planes or the demosaic reference, and the crop drops the first and last column
-# (row), as ``flip_bayer`` does; the order is that of baseline-demo's JSON
-_MIRRORS = {"horizontal": (np.s_[:, :, ::-1], np.s_[:, :, 1:-1]),
-            "vertical": (np.s_[:, ::-1], np.s_[:, 1:-1])}
+# axis -> (mirror, crop, step) of a (planes, H, W) stack: the mirror flips the packed
+# planes or the demosaic reference, the crop drops the first and last column (row), and
+# the step is the correct flip, which does both on the mosaic; the order is that of
+# baseline-demo's JSON
+_MIRRORS = {"horizontal": (np.s_[:, :, ::-1], np.s_[:, :, 1:-1], HFlip()),
+            "vertical": (np.s_[:, ::-1], np.s_[:, 1:-1], VFlip())}
 
 
 def naive_unify(p: PackedImage, target: BayerPattern) -> PackedImage:
@@ -108,8 +109,9 @@ def compare_flip_paths(img: RawImage, axis: str) -> tuple[float, float]:
     reference minus its first and last column/row, the naive path against
     the full mirrored reference. Returns (correct_rmse, naive_rmse).
     """
-    correct = flip_bayer(img, axis)  # refuses an unknown axis
-    return _compare(img, correct, naive_flip(pack(img), axis), *_MIRRORS[axis])
+    naive = naive_flip(pack(img), axis)  # refuses an unknown axis before any other work
+    mirror, crop, step = _MIRRORS[axis]
+    return _compare(img, apply_plan(img, AugPlan((step,))), naive, mirror, crop)
 
 
 def _summary(rows: list[dict]) -> dict:

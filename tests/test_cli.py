@@ -116,7 +116,7 @@ def test_augment_plan_file(tmp_path, sample_pair):
 
 @pytest.mark.parametrize("payload", ["[1,2]", '{"steps": [{"op": "patch", "top": 0, '
                                      '"left": 0, "height": 4.9, "width": 4}]}', b"\xff\xfe",
-                                     '{"seed": -1, "steps": [{"op": "hflip"}]}'])
+                                     '{"seed": -1, "steps": [{"op": "hflip"}]}', "{}"])
 def test_augment_bad_plan_is_processing_error(tmp_path, sample_pair, capsys, payload):
     _, path = sample_pair
     plan_path = tmp_path / "plan.json"

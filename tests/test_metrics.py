@@ -8,17 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from bayerkit import image, metrics
 from bayerkit import (
+    AugPlan,
     BayerPattern,
     MetricReport,
     PSNR_CAP_DB,
     RawImage,
     ShapeMismatch,
     TooSmall,
+    Transpose,
+    apply_plan,
     metric_report,
     mse,
     psnr,
     ssim,
-    transpose_bayer,
 )
 
 from conftest import rand_raw
@@ -230,6 +232,7 @@ def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, s
     # ssim's tiles are the column ranges whose column-pass products fit _BLAS_SERIAL_MNK
     mnk = block * (block + 10) * (tile + 10)  # tile window columns, with their 10 halo columns
     with (patch.object(image, "STRIP_ROWS", strip_rows), patch.object(metrics, "_BLOCK", block),
+          patch.object(metrics, "_BAND", metrics._band(block)),
           patch.object(metrics, "_BLAS_SERIAL_MNK", mnk)):
         got = mse(a, b), ssim(a, b), metric_report(a, b), psnr(a, b)
     want_mse, want_ssim = full_frame_oracle(a, b)
@@ -240,16 +243,16 @@ def test_metrics_match_the_full_frame_oracle(height, width, strip_rows, block, s
     assert got[2] == MetricReport(got[0], got[3], got[1])  # the report is the composition
 
 
-@pytest.mark.parametrize("layout", ["transpose_bayer", "fortran"])
+@pytest.mark.parametrize("layout", ["transpose", "fortran"])
 def test_metrics_read_any_sample_layout(rng, layout):
     # RawImage keeps its source's memory order, so these samples are not C-contiguous; both
     # layouts give a 40x1300 frame, whose 1,290 window columns span three SSIM tiles
-    shape = (1300, 40) if layout == "transpose_bayer" else (40, 1300)
+    shape = (1300, 40) if layout == "transpose" else (40, 1300)
     clean = rng.integers(1000, 60001, size=shape)
     noisy = np.clip(clean + rng.integers(-3000, 3001, size=clean.shape), 0, 65535)
     a, b = (RawImage(v, BayerPattern.RGGB) for v in (clean, noisy))
-    if layout == "transpose_bayer":
-        a, b = transpose_bayer(a), transpose_bayer(b)
+    if layout == "transpose":
+        a, b = (apply_plan(v, AugPlan((Transpose(),))) for v in (a, b))
     else:
         a, b = (RawImage(np.asfortranarray(v.samples), v.pattern) for v in (a, b))
     assert not a.samples.flags.c_contiguous

@@ -12,6 +12,7 @@ from bayerkit.image import _adopt
 from bayerkit import (
     AugPlan,
     DenoiserSpec,
+    HFlip,
     NoiseParams,
     Transpose,
     add_noise,
@@ -19,7 +20,6 @@ from bayerkit import (
     channel_index_grid,
     demosaic_bilinear,
     denoise_packed,
-    flip_bayer,
     gen_scene,
     mosaic,
     transpose_is_legal,
@@ -134,7 +134,7 @@ def test_naive_flip_double_application_restores(rng):
 def test_naive_flip_constant_matches_correct_up_to_shrink():
     img = RawImage(np.full((6, 8), 123, dtype=np.uint16), BayerPattern.BGGR)
     naive = unpack(naive_flip(pack(img), "horizontal"))
-    correct = flip_bayer(img, "horizontal")
+    correct = apply_plan(img, AugPlan((HFlip(),)))
     assert (naive.samples == 123).all()
     assert (correct.samples == 123).all()
 
@@ -143,7 +143,7 @@ def test_naive_flip_diverges_on_gradient():
     ramp = np.tile(np.arange(0, 1200, 100, dtype=np.uint16), (6, 1))
     img = RawImage(ramp, BayerPattern.BGGR)
     naive = unpack(naive_flip(pack(img), "horizontal"))
-    correct = flip_bayer(img, "horizontal")
+    correct = apply_plan(img, AugPlan((HFlip(),)))
     # compare on the naive output cropped to the correct frame
     assert (naive.samples[:, 1:-1] != correct.samples).any()
 
