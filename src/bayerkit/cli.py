@@ -32,8 +32,9 @@ from .errors import BayerKitError
 from .metrics import metric_report
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .rawfile import _atomic_write, _ppm_file, _raw_files, load_raw, sidecar_path
-from .simulate import NoiseParams, _demosaic_strips, add_noise, gen_scene, mosaic
+from .rawfile import (_atomic_write, _ppm_bufs, _ppm_file, _ppm_strip, _raw_files, load_raw,
+                      sidecar_path)
+from .simulate import NoiseParams, _demosaic, add_noise, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
 
 
@@ -225,8 +226,9 @@ def cmd_denoise(args) -> tuple:
 
 def cmd_demosaic(args) -> tuple:
     img, _ = load_raw(args.input)
-    # the float frame is never built: each result is quantized as it is made
-    return (_ppm_file(args.output, img.height, img.width, _demosaic_strips(img)),)
+    # the float frame is never built: each strip is quantized in the task that makes it
+    strips = _demosaic(img, _ppm_strip, _ppm_bufs)
+    return (_ppm_file(args.output, img.height, img.width, strips),)
 
 
 def cmd_metrics(args) -> None:

@@ -19,10 +19,21 @@ own strips of the four half-resolution planes, read and write them through one s
 ``_sites``. The Gaussian's row pass and the demosaic's means run their elementwise steps on
 ``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy runs one 1-D loop
 over it, where the same step over the 2-D slice costs nearly twice as much.
+
+SSIM's strips of tiles, MSE's strips and the demosaic's strips, each with its PPM quantize,
+run on the strip pool, ``_strip_map``: one task per strip on min(CPUs of the process,
+POOL_WORKERS) worker threads, whose results are consumed in strip order, so a sum or a file
+comes out as one loop would make it. numpy releases the GIL inside its ufuncs and BLAS
+products, so the tasks overlap. Each worker writes into a buffer set that the caller allocated
+before any task ran, so a call's memory does not depend on the threads' timing. A call of one
+task, on a frame under POOL_MIN_SAMPLES or in a process of one CPU runs inline. The workers
+start on the first call that needs them.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +67,120 @@ def _row_strips(h: int, *widths: int, dtype=np.float64, step=1):
         yield (r0, n, *(buf[:n] for buf in bufs))
 
 
+# Worker threads of the strip pool at most. Each worker's task writes into a buffer set of its
+# own, so the cap also bounds the sets a call holds: two keep `bayerkit demosaic` of a
+# 1024x1536 frame within its pinned peak, where three did not.
+POOL_WORKERS = 2
+# Samples a frame needs for its strips to run on the pool; a smaller frame's strips run inline.
+# There a task is too short to pay for waking a worker: at 512x512 the pool made `eval_sweep`
+# items 4.9 ms slower, mse 0.31-0.33 -> 0.46-0.51 ms and ssim only 4.2-4.4 -> 3.4-4.1 ms, where
+# at 1024x1024 it took ssim 17.3-17.9 -> 14.5-16.3 ms and demosaic_bilinear 11.8-12.3 -> 8.2-9.9
+# ms (2-core Xeon, numpy 2.4, best of 15 in three alternated rounds).
+POOL_MIN_SAMPLES = 1 << 20
+
+
+def _cpus() -> set:
+    """The CPUs this process may run on; all of them where the OS does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity(0) if affinity else set(range(os.cpu_count() or 1))
+
+
+def _lanes(tasks: int, samples: int) -> int:
+    """How many tasks of a call on a frame of ``samples`` samples run at once: min(CPUs this
+    process may run on, POOL_WORKERS), and 1, inline, for a call of one task or on a frame
+    under POOL_MIN_SAMPLES."""
+    if tasks < 2 or samples < POOL_MIN_SAMPLES:
+        return 1
+    return min(len(_cpus()), POOL_WORKERS)
+
+
+@functools.cache
+def _workers(lanes: int) -> list:
+    """One single-thread executor per lane, made on the first call that needs them, so importing
+    bayerkit, and every call that runs inline, starts no thread and imports no executor."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return [ThreadPoolExecutor(1, f"bayerkit-strip-{k}", _place, (k,)) for k in range(lanes)]
+
+
+# a pool inherited through fork has no threads, so a task submitted to it would never run
+os.register_at_fork(after_in_child=_workers.cache_clear)
+
+
+def _place(k: int) -> None:
+    """Worker k's first step: it moves to the k-th of the process's CPUs, then takes them all
+    back. Where the kernel does not balance load between CPUs (a cpuset with
+    sched_load_balance 0), a thread stays on the CPU of the thread that started it, so every
+    worker would share the caller's; elsewhere this only sets where the worker starts. Best
+    effort: a refusal leaves the worker where it is."""
+    cpus = sorted(_cpus())
+    try:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})  # 0: this thread
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
+def _strip_map(task, items: list, new_bufs, samples: int):
+    """task(item, bufs) for each of ``items``, the strips of a frame of ``samples`` samples,
+    yielded in their order, on the strip pool.
+
+    The call has _lanes(len(items), samples) lanes, and each lane one worker thread and one
+    buffer set, made by new_bufs() in the caller's thread before any task runs; a task writes
+    only into its lane's set, so the call's memory does not depend on the threads' timing, and
+    a set stays in the cache of its worker's CPU. Task i runs in lane i % lanes, and starts
+    only once the result of task i - lanes is yielded and the next one asked for, so a result
+    may be a view of its set. With one lane every task runs inline, in the caller's thread. A
+    task's exception is raised in its turn; on it, or when the caller closes the generator,
+    the tasks already started finish before it returns, so the pool is left idle."""
+    lanes = _lanes(len(items), samples)
+    sets = [new_bufs() for _ in range(lanes)]
+    if lanes == 1:
+        for item in items:
+            yield task(item, sets[0])
+        return
+    workers, running = _workers(lanes), []
+    try:
+        for i, item in enumerate(items):
+            if i >= lanes:  # lane i % lanes is free once the result of task i - lanes is taken
+                yield running.pop(0).result()
+            running.append(workers[i % lanes].submit(task, item, sets[i % lanes]))
+        while running:
+            yield running.pop(0).result()
+    finally:  # every task started finishes before the call returns
+        for future in running:
+            future.exception()
+
+
+def _halo_fill(planes: np.ndarray, radius=1, halo=((1, 1), (1, 1)), step=1):
+    """(fill, shape) for the halo strips of the uint16 planes (..., h, w) with step ``step``:
+    fill(r0, n, buf) writes the strip of rows r0 .. r0 + n - 1 into the head of buf, a buffer
+    of ``shape`` (the tallest strip's), and returns it. See ``_halo_strips`` for the rule; the
+    index maps are made once, here, so strips may be filled in any order, each into a buffer
+    of its own."""
+    *lead, h, w = planes.shape
+    pad = step * radius
+    # the index maps of the rule: row i of the strip at r0 is row rows[r0 + i], and strip
+    # column j is column cols[j], which the strip holds at cols[j] + pad. Each axis holds m
+    # samples of each phase a; phase a's map, made by the rule on its own halo, is interleaved
+    # at a, a + step, ... as the samples step * map + a
+    rows, cols = ((step * np.stack([
+        np.pad(np.arange(-t, m + b).clip(0, m - 1), radius, "reflect")[t : t + m + 2 * radius]
+        for t, b in (((top + a) // step, (bottom + step - 1 - a) // step) for a in range(step))
+    ], -1) + np.arange(step)).ravel() for m, (top, bottom) in zip((h // step, w // step), halo))
+
+    def fill(r0: int, n: int, buf: np.ndarray) -> np.ndarray:
+        strip = np.ndarray((*lead, n + 2 * pad, w + 2 * pad), buf.dtype, buf)  # buf's head
+        strip[..., pad : pad + n, pad : pad + w] = planes[..., r0 : r0 + n, :]
+        for i in (*range(pad), *range(pad + n, n + 2 * pad)):  # the halo rows
+            strip[..., i, pad : pad + w] = planes[..., rows[r0 + i], :]
+        for j in (*range(pad), *range(pad + w, w + 2 * pad)):  # then the halo columns
+            strip[..., j] = strip[..., cols[j] + pad]
+        return strip
+
+    return fill, (*lead, min(max(1, STRIP_ROWS // step), h) + 2 * pad, w + 2 * pad)
+
+
 def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1)),
                  dtype=np.float64, step=1):
     """(r0, n, strip, *bufs) per strip of the uint16 planes (..., h, w), top to bottom: the
@@ -77,26 +202,11 @@ def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1
 
     Each strip is C-contiguous in one reused buffer that the next strip overwrites; the caller
     may overwrite it too. ``widths`` asks ``_row_strips`` for strip buffers of ``dtype``,
-    yielded after the strip."""
-    *lead, h, w = planes.shape
-    pad = step * radius
-    # the index maps of the rule: row i of the strip at r0 is row rows[r0 + i], and strip
-    # column j is column cols[j], which the strip holds at cols[j] + pad. Each axis holds m
-    # samples of each phase a; phase a's map, made by the rule on its own halo, is interleaved
-    # at a, a + step, ... as the samples step * map + a
-    rows, cols = ((step * np.stack([
-        np.pad(np.arange(-t, m + b).clip(0, m - 1), radius, "reflect")[t : t + m + 2 * radius]
-        for t, b in (((top + a) // step, (bottom + step - 1 - a) // step) for a in range(step))
-    ], -1) + np.arange(step)).ravel() for m, (top, bottom) in zip((h // step, w // step), halo))
-    buf = np.empty((*lead, min(max(1, STRIP_ROWS // step), h) + 2 * pad, w + 2 * pad), dtype)
-    for r0, n, *bufs in _row_strips(h, *widths, dtype=dtype, step=step):
-        strip = np.ndarray((*lead, n + 2 * pad, w + 2 * pad), dtype, buf)  # buf's head
-        strip[..., pad : pad + n, pad : pad + w] = planes[..., r0 : r0 + n, :]
-        for i in (*range(pad), *range(pad + n, n + 2 * pad)):  # the halo rows
-            strip[..., i, pad : pad + w] = planes[..., rows[r0 + i], :]
-        for j in (*range(pad), *range(pad + w, w + 2 * pad)):  # then the halo columns
-            strip[..., j] = strip[..., cols[j] + pad]
-        yield r0, n, strip, *bufs
+    yielded after the strip. The strips are made by ``_halo_fill``."""
+    fill, shape = _halo_fill(planes, radius, halo, step)
+    buf = np.empty(shape, dtype)
+    for r0, n, *bufs in _row_strips(planes.shape[-2], *widths, dtype=dtype, step=step):
+        yield r0, n, fill(r0, n, buf), *bufs
 
 
 def _span(buf: np.ndarray, i: int, j: int, n: int, w: int) -> np.ndarray:

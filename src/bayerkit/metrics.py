@@ -7,23 +7,29 @@ stay total and ordered. SSIM follows the reference formulation: 11-tap Gaussian
 window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the mean is taken over
 windows that fit entirely inside the frame (no padding).
 
-Each metric is its own loop over the row strips of image._row_strips on the
-uint16 inputs, so memory is bounded by the strip, not the frame, and each pays
-only for its own reduction; metric_report runs both loops. MSE strips the frame
-rows: the exact integer sum of the squared uint16 differences, so the one
-division at the end, in Python integers, gives the correctly rounded MSE. SSIM
-strips the H - _SSIM_WINDOW + 1 window rows, the top rows of the fully interior
-windows, and cuts each strip into tiles of window columns the same way: a tile
-of n window rows and t window columns reads its n + _SSIM_WINDOW - 1 frame rows
-and t + _SSIM_WINDOW - 1 frame columns, so every window lies in exactly one
-tile and every tile holds one. A tile is at most as wide as a column-pass
-product within _BLAS_SERIAL_MNK, 630 frame columns, so each of its float64
-arrays is at most 0.37 MB whatever the frame width. A tile is made float once,
-as samples less black in row-major layout, and is not divided by the span: the
-SSIM map is invariant under a common scale of x, y, C1 and C2, so the constants
-take the span instead, C = (K * span)**2, which is the normalized L = 1 form.
-Its four windowed means are banded block products for both passes (see
-_windowed_mean), and the map is built in place on them.
+Each metric runs its tasks over the row strips of image._row_strips on the
+uint16 inputs on the strip pool (image._strip_map), so memory is bounded by one
+buffer set per worker, allocated when the call starts, not by the frame, and
+each pays only for its own reduction; metric_report runs both. The results are
+added in strip order. MSE strips the frame rows: each strip is cast-copied into
+two int64 buffers, and the exact integer sum of their squared differences does
+not depend on the order, so the one division at the end, in Python integers,
+gives the correctly rounded MSE. SSIM strips the H - _SSIM_WINDOW + 1 window
+rows, the top rows of the fully interior windows, and cuts each strip into tiles
+of window columns the same way: a tile of n window rows and t window columns
+reads its n + _SSIM_WINDOW - 1 frame rows and t + _SSIM_WINDOW - 1 frame
+columns, so every window lies in exactly one tile and every tile holds one. A
+tile is at most as wide as a column-pass product within _BLAS_SERIAL_MNK, 630
+frame columns, so each of its float64 arrays is at most 0.37 MB whatever the
+frame width, and a worker's buffer set (_tile_bufs) about 2.7 MB. The tile sums
+are added in tile order, so the result is bit-identical to one loop's whatever
+the worker count. A tile is made float once, as samples less black in row-major
+layout, and is not divided by the span: the SSIM map is invariant under a
+common scale of x, y, C1 and C2, so the constants take the span instead,
+C = (K * span)**2, which is the normalized L = 1 form. Its four windowed means
+are banded block products for both passes (see _windowed_mean), and the map is
+built in place on them. A task's casts are plain copies into its buffers, never
+a mixed-type ufunc, which would allocate numpy's own buffers in the worker.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, TooSmall
-from .image import RawImage, _row_strips
+from .image import RawImage, _row_strips, _strip_map
 
 PSNR_CAP_DB = 99.0
 
@@ -74,8 +80,11 @@ def mse(a: RawImage, b: RawImage) -> float:
     """Mean squared error in normalized units, correctly rounded."""
     _check_comparable(a, b)
     span = int(a.white_level) - int(a.black_level)  # exact, any int type
-    return sum(_square_sum(a.samples[r0 : r0 + n], b.samples[r0 : r0 + n])
-               for r0, n in _row_strips(a.height)) / (span * span * a.samples.size)
+    strips = list(_row_strips(a.height))
+    sums = _strip_map(lambda strip, bufs: _square_sum(a, b, *strip, bufs), strips,
+                      lambda: [np.empty(strips[0][1] * a.width, np.int64) for _ in range(2)],
+                      a.samples.size)
+    return sum(sums) / (span * span * a.samples.size)
 
 
 def _psnr_db(m: float) -> float:
@@ -109,23 +118,30 @@ def _band(cols: int) -> np.ndarray:
 _BAND = _band(_BLOCK)
 
 
-def _windowed_mean(x: np.ndarray) -> np.ndarray:
+def _head(buf: np.ndarray, shape) -> np.ndarray:
+    """The C-contiguous array of ``shape`` over the first samples of the flat buffer buf."""
+    return np.ndarray(shape, buf.dtype, buf)
+
+
+def _windowed_mean(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Weighted local mean of the C-contiguous x over every fully interior window (valid mode),
-    row-major (H-n+1, W-n+1). Both passes are banded block products with b = _BLOCK: the
-    column pass views x as (H-n+1) // b row blocks of b + n - 1 rows at stride b and multiplies
-    the (b, b + n - 1) transposed band by each, one product per block over all W columns, which
-    ssim's tiles keep within _BLAS_SERIAL_MNK; the row pass views that result as (W-n+1) // b
-    column blocks of width b + n - 1 at stride b and multiplies each by the band. Both write
-    straight into their results, and the last (H-n+1) % b rows and (W-n+1) % b columns take the
-    band's corner. A tile then costs a few BLAS products per mean, not one per output line."""
+    row-major (H-n+1, W-n+1), in the head of the flat buffer ``out``; the column pass goes to
+    the head of the flat buffer ``rows``. Both passes are banded block products with
+    b = _BLOCK: the column pass views x as (H-n+1) // b row blocks of b + n - 1 rows at
+    stride b and multiplies the (b, b + n - 1) transposed band by each, one product per block
+    over all W columns, which ssim's tiles keep within _BLAS_SERIAL_MNK; the row pass views
+    that result as (W-n+1) // b column blocks of width b + n - 1 at stride b and multiplies
+    each by the band. Both write straight into their results, and the last (H-n+1) % b rows and
+    (W-n+1) % b columns take the band's corner. A tile then costs a few BLAS products per
+    mean, not one per output line."""
     (h, wd), n, f, b, band = x.shape, _SSIM_WINDOW, x.itemsize, _BLOCK, _BAND
     m, k = h - n + 1, wd - n + 1  # output rows and columns
-    rows = np.empty((m, wd))
+    rows = _head(rows, (m, wd))
     nb, tail = divmod(m, b)
     np.matmul(band.T, np.ndarray((nb, b + n - 1, wd), x.dtype, x, 0, (b * wd * f, wd * f, f)),
               out=rows[: nb * b].reshape(nb, b, wd))
     np.matmul(band[: tail + n - 1, :tail].T, x[nb * b :], out=rows[nb * b :])
-    out = np.empty((m, k))
+    out = _head(out, (m, k))
     nb, tail = divmod(k, b)
     np.matmul(np.ndarray((nb, m, b + n - 1), x.dtype, rows, 0, (b * f, wd * f, f)), band,
               out=np.ndarray((nb, m, b), x.dtype, out, 0, (b * f, k * f, f)))
@@ -133,16 +149,29 @@ def _windowed_mean(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ssim_map_sum(x: np.ndarray, y: np.ndarray, span: int) -> float:
+def _tile_bufs(n: int, t: int) -> tuple:
+    """One SSIM task's buffer set, which each tile of its strip reuses: flat float64 buffers for
+    tiles of at most n window rows and t window columns, x, y and x * y with their halo, the
+    column pass, and the four windowed means of _ssim_map_sum. A ninth buffer made an inline
+    512x512 ssim 2-4% slower."""
+    halo = _SSIM_WINDOW - 1
+    return (*(np.empty((n + halo) * (t + halo)) for _ in range(3)), np.empty(n * (t + halo)),
+            *(np.empty(n * t) for _ in range(4)))
+
+
+def _ssim_map_sum(x: np.ndarray, y: np.ndarray, span: int, bufs: tuple) -> float:
     """Sum of the SSIM map over the fully interior windows of x and y, two tiles of samples
     less black: the map is invariant under a common scale of x, y, C1 and C2, so the
     constants take the span, (K * span)**2, instead of the tiles being divided by it.
-    Works in place on the four windowed means; x and y are overwritten."""
+    Works in place on the four windowed means, in the buffers ``bufs`` after x and y of a
+    _tile_bufs set; x and y are overwritten, and mu_x * mu_y goes where x * y was."""
     c1, c2 = (_SSIM_K1 * span) ** 2, (_SSIM_K2 * span) ** 2
-    mu_x, mu_y, e_xy = _windowed_mean(x), _windowed_mean(y), _windowed_mean(x * y)
+    xy, rows, *maps = bufs
+    mu_x, mu_y = _windowed_mean(x, rows, maps[0]), _windowed_mean(y, rows, maps[1])
+    e_xy = _windowed_mean(np.multiply(x, y, out=_head(xy, x.shape)), rows, maps[2])
     # var_x + var_y appears only as a sum, so x*x + y*y is filtered once
-    e_sq = _windowed_mean(np.add(np.square(x, out=x), np.square(y, out=y), out=x))
-    mu_xy = mu_x * mu_y
+    e_sq = _windowed_mean(np.add(np.square(x, out=x), np.square(y, out=y), out=x), rows, maps[3])
+    mu_xy = np.multiply(mu_x, mu_y, out=_head(xy, mu_x.shape))
     mu_sq = np.add(np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y), out=mu_x)
     e_xy -= mu_xy
     e_xy *= 2.0
@@ -157,31 +186,50 @@ def _ssim_map_sum(x: np.ndarray, y: np.ndarray, span: int) -> float:
     return float(np.sum(num))
 
 
-def _square_sum(a: np.ndarray, b: np.ndarray) -> int:
-    """The exact sum of the squared differences of two uint16 arrays, as a Python int."""
-    d = np.subtract(a, b, dtype=np.int64)
+def _square_sum(a: RawImage, b: RawImage, r0: int, n: int, bufs: list) -> int:
+    """The exact sum of the squared differences of rows r0 .. r0 + n - 1 of the two mosaics, as
+    a Python int: both are cast-copied into the int64 buffers ``bufs``, a copy that, unlike a
+    mixed-type subtraction, needs no buffer of numpy's own."""
+    d, e = (_head(buf, (n, a.width)) for buf in bufs)
+    d[...], e[...] = a.samples[r0 : r0 + n], b.samples[r0 : r0 + n]
+    np.subtract(d, e, out=d)
     return int(np.einsum("ij,ij->", d, d))  # exact: d*d < 2**32 per sample
+
+
+def _ssim_tile(a: RawImage, b: RawImage, tile: tuple, bufs: tuple) -> float:
+    """The SSIM map sum of one tile (r0, n, c0, t), n window rows from r0 by t window columns
+    from c0, read with its halo into the head of the buffer set ``bufs`` (_tile_bufs), in C
+    order whatever the samples' own: _windowed_mean views x with row-major strides."""
+    r0, n, c0, t = tile
+    halo, black = _SSIM_WINDOW - 1, int(a.black_level)
+    x, y = (_head(buf, (n + halo, t + halo)) for buf in bufs[:2])
+    for img, v in ((a, x), (b, y)):
+        v[...] = img.samples[r0 : r0 + n + halo, c0 : c0 + t + halo]  # a cast copy: exact
+        v -= black
+    return _ssim_map_sum(x, y, int(a.white_level) - black, bufs[2:])
 
 
 def ssim(a: RawImage, b: RawImage) -> float:
     """Mean local structural similarity of the two mosaics as gray planes. The map is summed
     over tiles of at most STRIP_ROWS window rows by 620 window columns, the widest whose
     column-pass products stay within _BLAS_SERIAL_MNK, each read with its halo, so memory and
-    cache use follow the tile, not the frame."""
+    cache use follow the tile, not the frame. Each strip's tiles are one task on the strip
+    pool, and their sums are added in tile order, so the result does not depend on the pool."""
     _check_comparable(a, b)
     if min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
-    black, span = int(a.black_level), int(a.white_level) - int(a.black_level)  # exact, any int type
-    halo, map_sum = _SSIM_WINDOW - 1, 0.0  # rows or columns a window reads past its first
-    tile = _BLAS_SERIAL_MNK // (_BLOCK * (_BLOCK + halo)) - halo  # window columns per tile
-    for r0, n in _row_strips(a.height - halo):
-        for c0 in range(0, a.width - halo, tile):
-            # the tile's window rows and columns and their halo, in C order whatever the
-            # samples' own: _windowed_mean views x with row-major strides
-            x, y = (np.subtract(img.samples[r0 : r0 + n + halo, c0 : c0 + tile + halo], black,
-                                dtype=np.float64, order="C") for img in (a, b))
-            map_sum += _ssim_map_sum(x, y, span)
-    return map_sum / ((a.height - halo) * (a.width - halo))
+    halo = _SSIM_WINDOW - 1  # rows or columns a window reads past its first
+    wide = a.width - halo
+    step = _BLAS_SERIAL_MNK // (_BLOCK * (_BLOCK + halo)) - halo  # window columns per tile
+    strips = [[(r0, n, c0, min(step, wide - c0)) for c0 in range(0, wide, step)]
+              for r0, n in _row_strips(a.height - halo)]  # one task per strip of tiles
+    map_sum = 0.0
+    first = strips[0][0]  # the tallest and widest tile
+    for sums in _strip_map(lambda tiles, bufs: [_ssim_tile(a, b, tile, bufs) for tile in tiles],
+                           strips, lambda: _tile_bufs(first[1], first[3]), a.samples.size):
+        for tile_sum in sums:  # in tile order, as one loop would
+            map_sum += tile_sum
+    return map_sum / ((a.height - halo) * wide)
 
 
 def metric_report(a: RawImage, b: RawImage) -> MetricReport:

@@ -29,16 +29,19 @@ beside the target and completes every temp file before it renames the first over
 ``save_raw`` and ``write_ppm`` commit one image's files; the CLI commits all of a command's.
 A PGM's payload is written in row strips, each converted to big-endian in one reused buffer,
 so no big-endian copy of the frame is made.
-A PPM's chunks come from one writer, in row strips: each result of a strip, the float samples
-of one channel at some of the strip's sites, is quantized straight into one reused interleaved
-16-bit buffer, and the strip is written before the next is made. A sample x in [0, 1] becomes
-65535 x + 0.5, in [0.5, 65535.5], whose truncating uint16 cast in that store is its floor, so
-no floor pass is run. ``write_ppm`` feeds it views of an image's planes, and ``bayerkit
-demosaic`` the demosaic's results, so a streamed demosaic never holds its float frame.
+A PPM's payload is written in row strips, each made by a task on the strip pool
+(image._strip_map) and written in strip order: ``_ppm_strip`` quantizes each result of a strip,
+the float samples of one channel at some of the strip's sites, straight into the interleaved
+16-bit buffer of the task's buffer set, which is reused once the strip is written. A sample x
+in [0, 1] becomes 65535 x + 0.5, in [0.5, 65535.5], whose truncating uint16 cast in that store
+is its floor, so no floor pass is run. ``write_ppm`` feeds it views of an image's planes, and
+``bayerkit demosaic`` the demosaic's results in the task that makes them, so a streamed
+demosaic never holds its float frame.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import asdict
@@ -47,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BayerKitError, MissingSidecar, ParseError, json_int
-from .image import RawImage, RgbImage, _adopt, _row_strips
+from .image import RawImage, RgbImage, _adopt, _row_strips, _strip_map
 from .patterns import BayerPattern
 from .unify import PadSpec
 
@@ -211,34 +214,40 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    strips = ((r0, n, ((np.s_[c, :, :], rgb.planes[c, r0 : r0 + n]) for c in range(3)))
-              for r0, n in _row_strips(rgb.height))
-    _atomic_write(_ppm_file(path, rgb.height, rgb.width, strips))
+    strips, width = list(_row_strips(rgb.height)), rgb.width
+    rows = strips[0][1]
+
+    def task(strip, bufs):
+        r0, n = strip
+        return _ppm_strip(r0, n, ((np.s_[c, :, :], rgb.planes[c, r0 : r0 + n]) for c in range(3)),
+                          *bufs)
+
+    chunks = _strip_map(task, strips, lambda: _ppm_bufs(rows, width, rows * width),
+                        rgb.height * width)
+    _atomic_write(_ppm_file(path, rgb.height, width, chunks))
+
+
+def _ppm_bufs(rows: int, width: int, size: int) -> tuple:
+    """A PPM strip task's buffers: the interleaved 16-bit strip of at most ``rows`` rows, and
+    the float buffer that scales a result of at most ``size`` samples."""
+    return np.empty((rows, width, 3), dtype=">u2"), np.empty(size)
+
+
+def _ppm_strip(r0: int, n: int, results, out: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """The PPM payload of a strip of n rows, quantized into out[:n] (``_ppm_bufs``) and
+    returned. Each result is ((channel, rows, cols), values), float values in [0, 1] of the
+    strip's samples [rows, cols] of one channel; it is scaled in ``scaled`` and quantized
+    straight into ``out``, and is itself only read."""
+    for (c, rows, cols), values in results:
+        # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero; x + 0.5 lies
+        # in [0.5, 65535.5], where the truncating uint16 cast is that floor
+        x = np.multiply(values, 65535.0, out=scaled[: values.size].reshape(values.shape))
+        x += 0.5
+        out[:n][rows, cols, c] = x
+    return out[:n]
 
 
 def _ppm_file(path, height: int, width: int, strips) -> tuple:
-    """The (path, chunks) pair, for _atomic_write, of a PPM of float results in [0, 1] that
-    cover height x width x 3 samples.
-
-    ``strips`` yields (r0, n, results) per strip of n rows, top to bottom, and each result is
-    ((channel, rows, cols), values) for the strip's samples [rows, cols] of one channel. Each
-    result is scaled in one float buffer and quantized straight into one interleaved 16-bit
-    buffer, both sized by the first (the tallest) strip, and the strip is written once its
-    results are in; the results themselves are only read.
-    """
-
-    def chunks():
-        yield _pnm_header(b"P6\n", width, height)
-        out = None
-        for _, n, results in strips:
-            if out is None:
-                out, scaled = np.empty((n, width, 3), dtype=">u2"), np.empty(n * width)
-            for (c, rows, cols), values in results:
-                # RGB lies in [0, 1], where floor(x + 0.5) is round-half-away-from-zero; x + 0.5
-                # lies in [0.5, 65535.5], where the truncating uint16 cast is that floor
-                x = np.multiply(values, 65535.0, out=scaled[: values.size].reshape(values.shape))
-                x += 0.5
-                out[:n][rows, cols, c] = x
-            yield out[:n]
-
-    return Path(path), chunks()
+    """The (path, chunks) pair, for _atomic_write, of a height x width PPM whose payload is the
+    finished strips (``_ppm_strip``) that ``strips`` yields, top to bottom."""
+    return Path(path), itertools.chain((_pnm_header(b"P6\n", width, height),), strips)

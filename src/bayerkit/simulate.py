@@ -29,16 +29,19 @@ gives the whole-frame stream. So gen_scene holds its planes and one strip,
 and mosaic and add_noise hold their uint16 result and their strips.
 
 The demosaic runs on the four packed half-resolution planes, read as the
-site view image._sites of the mosaic through the edge-halo strips of
-image._halo_strips: 64 plane rows with one edge-duplicated row and column
+site view image._sites of the mosaic through the edge-halo strips that
+image._halo_fill makes: 64 plane rows with one edge-duplicated row and column
 each side. Mosaic reflect-101 keeps a neighbor's parity, so in plane space
 it is edge duplication, and every neighbor term is a shifted slice of one
 plane, which the mean reads as its flat span (image._span) and sums into a
 flat span of one strip buffer, rows as long as the strip's. Each strip is
 clamped, less black and divided by the span in place, in float64; the clamp
 and the subtraction are exact. Each (block position, channel) result is a
-quarter of the strip's samples.
-``bayerkit demosaic`` quantizes the results into its PPM as they are made.
+quarter of the strip's samples. There is one demosaic kernel, _demosaic, whose
+strips are tasks on the strip pool (image._strip_map), each with its own halo
+and mean buffers, and each finished in its task by its consumer: demosaic_bilinear
+stores the strip's rows of its float frame, and ``bayerkit demosaic`` quantizes
+them into the strip's PPM buffer, which the CLI writes in strip order.
 Every sample of every function here takes the whole-frame float64 steps in
 the same order, so neither the strip height nor the packing shows in the
 bytes.
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .image import RawImage, RgbImage, _adopt, _halo_strips, _row_strips, _sites, _span
+from .image import RawImage, RgbImage, _adopt, _halo_fill, _row_strips, _sites, _span, _strip_map
 from .patterns import CHANNEL_INDEX, BayerPattern, ColorChannel
 
 # Per-channel base levels for gen_scene. Separated by 0.15 so that even after
@@ -209,33 +212,65 @@ def demosaic_bilinear(img: RawImage) -> RgbImage:
     channel identity. Output is normalized to [0, 1] by the image levels.
     """
     out = np.empty((3, img.height, img.width))
-    for r0, n, results in _demosaic_strips(img):
+
+    def store(r0, n, results):  # each strip task stores its own rows
         for (ch, rows, cols), values in results:
             out[ch, r0 : r0 + n][rows, cols] = values
+
+    for _ in _demosaic(img, store):
+        pass
     return _adopt(RgbImage, out)
 
 
-def _demosaic_strips(img: RawImage):
-    """The bilinear demosaic as (r0, n, results) per strip of frame rows r0 .. r0 + n - 1, top
-    to bottom. Each result is ((channel, rows, cols), values): the float64 values of one channel
-    at one block position's sites [rows, cols] of the strip, a quarter of its samples.
-
-    Works on the four packed planes, as the halo strips (image._halo_strips) of the site view
-    image._sites(samples), which never copies: a mosaic neighbor at reflect-101 is the strip's
-    edge duplicate in plane space, so every term is a shifted slice of one plane. A mean of
-    several terms is summed over their flat spans (image._span) in one strip buffer that
-    _halo_strips hands out, with rows as long as the strip's. A
-    generator: it checks the size at the first strip, so a caller writing a file must undo what
-    it wrote before then (``_atomic_write`` removes its temp file). Results are views of buffers
-    that the next result or strip overwrites; read each before asking for the next.
+def _demosaic(img: RawImage, finish, new_bufs=lambda rows, width, size: ()):
+    """The bilinear demosaic on the strip pool (image._strip_map): yields, in strip order,
+    finish(r0, n, results, *bufs) for each strip of frame rows r0 .. r0 + n - 1, which runs in
+    the strip's task. ``results`` are those of _demosaic_strip, read by ``finish`` before it
+    returns. ``bufs`` is the caller's part of the task's buffer set, new_bufs(rows, width,
+    size) for strips of at most ``rows`` frame rows of ``width`` samples whose results hold at
+    most ``size`` samples each; the demosaic's own part is its halo strip and its mean's
+    buffer. A frame under 4x4 is refused here, before any strip is made.
     """
     h, w = img.height, img.width
     if h < 4 or w < 4:
         raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
-    span = float(img.white_level - img.black_level)
-    pattern, pw = img.pattern.value, w // 2
+    fill, shape = _halo_fill(_sites(img.samples))
+    strips = list(_row_strips(h // 2))  # plane rows
+    rows, pw = strips[0][1], w // 2
 
-    def results(xs, acc, n):
+    def task(strip, bufs):
+        return finish(*_demosaic_strip(img, fill, *strip, *bufs[:2]), *bufs[2:])
+
+    return _strip_map(task, strips, lambda: (np.empty(shape), np.empty((rows, pw + 2)),
+                                             *new_bufs(2 * rows, w, rows * pw)), h * w)
+
+
+def _demosaic_strip(img: RawImage, fill, r0: int, n: int, buf: np.ndarray, acc: np.ndarray):
+    """The bilinear demosaic of plane rows r0 .. r0 + n - 1 as (2 * r0, 2 * n, results), frame
+    rows 2 * r0 .. 2 * (r0 + n) - 1. Each result is ((channel, rows, cols), values): the
+    float64 values of one channel at one block position's sites [rows, cols] of the strip, a
+    quarter of its samples.
+
+    Works on the four packed planes, as the halo strip that ``fill`` (image._halo_fill of the
+    site view image._sites(samples), which never copies) writes into ``buf``: a mosaic
+    neighbor at reflect-101 is the strip's edge duplicate in plane space, so every term is a
+    shifted slice of one plane. A mean of several terms is summed over their flat spans
+    (image._span) in ``acc``, whose rows are as long as the strip's. The results are a
+    generator of views of those two buffers, which the next result overwrites; read each
+    before asking for the next.
+    """
+    span = float(img.white_level - img.black_level)
+    pattern, pw = img.pattern.value, img.width // 2
+    xs = fill(r0, n, buf)
+    # samples outside [black, white] are legal in RawImage; clamp so the normalized plane
+    # honors the [0, 1] contract. In float64 the clamp and the subtraction are exact, so the
+    # bytes are those of a uint16 clamp
+    np.clip(xs, img.black_level, img.white_level, out=xs)
+    xs -= img.black_level
+    xs /= span
+    xs = xs.reshape(4, n + 2, pw + 2)
+
+    def results():
         for k, own in enumerate(pattern):
             a, b = divmod(k, 2)
             for channel, ch in CHANNEL_INDEX.items():
@@ -251,13 +286,6 @@ def _demosaic_strips(img: RawImage):
                 for t in terms[2:]:
                     mean += t
                 mean /= len(terms)
-                yield np.s_[ch, a::2, b::2], acc[:, :pw]
+                yield np.s_[ch, a::2, b::2], acc[:n, :pw]
 
-    for r0, n, xs, acc in _halo_strips(_sites(img.samples), pw + 2):
-        # samples outside [black, white] are legal in RawImage; clamp so the normalized
-        # plane honors the [0, 1] contract. In float64 the clamp and the subtraction are
-        # exact, so the bytes are those of a uint16 clamp
-        np.clip(xs, img.black_level, img.white_level, out=xs)
-        xs -= img.black_level
-        xs /= span
-        yield 2 * r0, 2 * n, results(xs.reshape(4, n + 2, pw + 2), acc, n)
+    return 2 * r0, 2 * n, results()
