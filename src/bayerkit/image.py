@@ -6,7 +6,7 @@ array, so ``height`` and ``width`` are defined once, on the base.
 
 The frame's geometry lives here too. Every full-frame kernel runs over the (r0, n) row strips
 of ``_row_strips``, which also allocates the kernel's reused strip buffers, sized from
-``STRIP_ROWS`` when the call starts; no other module reads ``STRIP_ROWS``. A kernel that reads
+``STRIP_ROWS`` when the call starts; no other function reads ``STRIP_ROWS``. A kernel that reads
 rows beneath its own slices them itself. Every kernel that reads past a plane's edge, the
 Gaussian, the median and the bilinear demosaic, reads its planes through ``_halo_strips``, the
 one place that builds such a halo, by one rule: the strip is the matching rows and columns of
@@ -21,19 +21,22 @@ own strips of the four half-resolution planes, read and write them through one s
 over it, where the same step over the 2-D slice costs nearly twice as much.
 
 SSIM's strips of tiles, MSE's strips and the demosaic's strips, each with its PPM quantize,
-run on the strip pool, ``_strip_map``: one task per strip on min(CPUs of the process,
-POOL_WORKERS) worker threads, whose results are consumed in strip order, so a sum or a file
-comes out as one loop would make it. numpy releases the GIL inside its ufuncs and BLAS
-products, so the tasks overlap. Each worker writes into a buffer set that the caller allocated
-before any task ran, so a call's memory does not depend on the threads' timing. A call of one
-task, on a frame under POOL_MIN_SAMPLES or in a process of one CPU runs inline. The workers
-start on the first call that needs them.
+run on the strip pool, ``_strip_map``. A caller hands it only the height of the rows it
+strips; the pool makes the strips of ``_row_strips`` from it and runs one task (r0, n, bufs)
+per strip on min(CPUs of the process, POOL_WORKERS) worker threads, whose results are
+consumed in strip order, so a sum or a file comes out as one loop would make it. numpy
+releases the GIL inside its ufuncs and BLAS products, so the tasks overlap. Each worker writes
+into a buffer set that the caller's new_bufs(rows) made for the tallest strip before any task
+ran, so a call's memory does not depend on the threads' timing. A call of one task, on a frame
+under POOL_MIN_SAMPLES, in a process of one CPU or made inside a strip task runs inline. The
+workers start on the first call that needs them.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +90,11 @@ def _cpus() -> set:
 
 def _lanes(tasks: int, samples: int) -> int:
     """How many tasks of a call on a frame of ``samples`` samples run at once: min(CPUs this
-    process may run on, POOL_WORKERS), and 1, inline, for a call of one task or on a frame
-    under POOL_MIN_SAMPLES."""
-    if tasks < 2 or samples < POOL_MIN_SAMPLES:
+    process may run on, POOL_WORKERS), and 1, inline, for a call of one task, on a frame under
+    POOL_MIN_SAMPLES, or made in a strip task, whose own worker would never run a task queued
+    behind it."""
+    if (tasks < 2 or samples < POOL_MIN_SAMPLES
+            or threading.current_thread().name.startswith("bayerkit-strip-")):
         return 1
     return min(len(_cpus()), POOL_WORKERS)
 
@@ -121,30 +126,33 @@ def _place(k: int) -> None:
         pass
 
 
-def _strip_map(task, items: list, new_bufs, samples: int):
-    """task(item, bufs) for each of ``items``, the strips of a frame of ``samples`` samples,
-    yielded in their order, on the strip pool.
+def _strip_map(task, h: int, new_bufs, samples: int):
+    """task(r0, n, bufs) for each strip (r0, n) of _row_strips(h), the strips of an h-row
+    frame of ``samples`` samples, yielded in strip order, on the strip pool.
 
-    The call has _lanes(len(items), samples) lanes, and each lane one worker thread and one
-    buffer set, made by new_bufs() in the caller's thread before any task runs; a task writes
-    only into its lane's set, so the call's memory does not depend on the threads' timing, and
-    a set stays in the cache of its worker's CPU. Task i runs in lane i % lanes, and starts
-    only once the result of task i - lanes is yielded and the next one asked for, so a result
-    may be a view of its set. With one lane every task runs inline, in the caller's thread. A
-    task's exception is raised in its turn; on it, or when the caller closes the generator,
-    the tasks already started finish before it returns, so the pool is left idle."""
-    lanes = _lanes(len(items), samples)
-    sets = [new_bufs() for _ in range(lanes)]
+    The call has _lanes(len(strips), samples) lanes, and each lane one worker thread and one
+    buffer set, made by new_bufs(rows), where ``rows`` is the tallest strip's height, in the
+    caller's thread before any task runs; a task writes only into its lane's set, so the call's
+    memory does not depend on the threads' timing, and a set stays in the cache of its worker's
+    CPU.
+    Task i runs in lane i % lanes, and starts only once the result of task i - lanes is
+    yielded and the next one asked for, so a result may be a view of its set. With one lane
+    every task runs inline, in the caller's thread. A task's exception is raised in its turn;
+    on it, or when the caller closes the generator, the tasks already started finish before it
+    returns, so the pool is left idle."""
+    strips = list(_row_strips(h))
+    lanes = _lanes(len(strips), samples)
+    sets = [new_bufs(strips[0][1]) for _ in range(lanes)]  # the first strip is the tallest
     if lanes == 1:
-        for item in items:
-            yield task(item, sets[0])
+        for r0, n in strips:
+            yield task(r0, n, sets[0])
         return
     workers, running = _workers(lanes), []
     try:
-        for i, item in enumerate(items):
+        for i, (r0, n) in enumerate(strips):
             if i >= lanes:  # lane i % lanes is free once the result of task i - lanes is taken
                 yield running.pop(0).result()
-            running.append(workers[i % lanes].submit(task, item, sets[i % lanes]))
+            running.append(workers[i % lanes].submit(task, r0, n, sets[i % lanes]))
         while running:
             yield running.pop(0).result()
     finally:  # every task started finishes before the call returns
@@ -153,11 +161,11 @@ def _strip_map(task, items: list, new_bufs, samples: int):
 
 
 def _halo_fill(planes: np.ndarray, radius=1, halo=((1, 1), (1, 1)), step=1):
-    """(fill, shape) for the halo strips of the uint16 planes (..., h, w) with step ``step``:
-    fill(r0, n, buf) writes the strip of rows r0 .. r0 + n - 1 into the head of buf, a buffer
-    of ``shape`` (the tallest strip's), and returns it. See ``_halo_strips`` for the rule; the
-    index maps are made once, here, so strips may be filled in any order, each into a buffer
-    of its own."""
+    """(fill, new_buf) for the halo strips of the uint16 planes (..., h, w) with step ``step``:
+    new_buf(rows, dtype) makes a buffer for strips of at most ``rows`` rows, and fill(r0, n,
+    buf) writes the strip of rows r0 .. r0 + n - 1 into the head of such a buffer and returns
+    it. See ``_halo_strips`` for the rule; the index maps are made once, here, so strips may
+    be filled in any order, each into a buffer of its own."""
     *lead, h, w = planes.shape
     pad = step * radius
     # the index maps of the rule: row i of the strip at r0 is row rows[r0 + i], and strip
@@ -178,7 +186,10 @@ def _halo_fill(planes: np.ndarray, radius=1, halo=((1, 1), (1, 1)), step=1):
             strip[..., j] = strip[..., cols[j] + pad]
         return strip
 
-    return fill, (*lead, min(max(1, STRIP_ROWS // step), h) + 2 * pad, w + 2 * pad)
+    def new_buf(rows: int, dtype=np.float64) -> np.ndarray:
+        return np.empty((*lead, rows + 2 * pad, w + 2 * pad), dtype)
+
+    return fill, new_buf
 
 
 def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1)),
@@ -203,9 +214,10 @@ def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1
     Each strip is C-contiguous in one reused buffer that the next strip overwrites; the caller
     may overwrite it too. ``widths`` asks ``_row_strips`` for strip buffers of ``dtype``,
     yielded after the strip. The strips are made by ``_halo_fill``."""
-    fill, shape = _halo_fill(planes, radius, halo, step)
-    buf = np.empty(shape, dtype)
+    fill, new_buf = _halo_fill(planes, radius, halo, step)
     for r0, n, *bufs in _row_strips(planes.shape[-2], *widths, dtype=dtype, step=step):
+        if r0 == 0:  # the first strip is the tallest
+            buf = new_buf(n, dtype)
         yield r0, n, fill(r0, n, buf), *bufs
 
 

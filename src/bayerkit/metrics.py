@@ -7,11 +7,12 @@ stay total and ordered. SSIM follows the reference formulation: 11-tap Gaussian
 window with sigma 1.5, K1 = 0.01, K2 = 0.03, L = 1, and the mean is taken over
 windows that fit entirely inside the frame (no padding).
 
-Each metric runs its tasks over the row strips of image._row_strips on the
-uint16 inputs on the strip pool (image._strip_map), so memory is bounded by one
-buffer set per worker, allocated when the call starts, not by the frame, and
-each pays only for its own reduction; metric_report runs both. The results are
-added in strip order. MSE strips the frame rows: each strip is cast-copied into
+Each metric hands the strip pool (image._strip_map) the height of the rows it
+strips, and the pool runs one task per row strip of image._row_strips on the
+uint16 inputs, so memory is bounded by one buffer set per worker, allocated
+for the tallest strip when the call starts, not by the frame, and each pays
+only for its own reduction; metric_report runs both. The results are added in
+strip order. MSE strips the frame rows: each strip is cast-copied into
 two int64 buffers, and the exact integer sum of their squared differences does
 not depend on the order, so the one division at the end, in Python integers,
 gives the correctly rounded MSE. SSIM strips the H - _SSIM_WINDOW + 1 window
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, TooSmall
-from .image import RawImage, _row_strips, _strip_map
+from .image import RawImage, _strip_map
 
 PSNR_CAP_DB = 99.0
 
@@ -80,9 +81,8 @@ def mse(a: RawImage, b: RawImage) -> float:
     """Mean squared error in normalized units, correctly rounded."""
     _check_comparable(a, b)
     span = int(a.white_level) - int(a.black_level)  # exact, any int type
-    strips = list(_row_strips(a.height))
-    sums = _strip_map(lambda strip, bufs: _square_sum(a, b, *strip, bufs), strips,
-                      lambda: [np.empty(strips[0][1] * a.width, np.int64) for _ in range(2)],
+    sums = _strip_map(lambda r0, n, bufs: _square_sum(a, b, r0, n, bufs), a.height,
+                      lambda rows: [np.empty(rows * a.width, np.int64) for _ in range(2)],
                       a.samples.size)
     return sum(sums) / (span * span * a.samples.size)
 
@@ -211,22 +211,24 @@ def _ssim_tile(a: RawImage, b: RawImage, tile: tuple, bufs: tuple) -> float:
 
 def ssim(a: RawImage, b: RawImage) -> float:
     """Mean local structural similarity of the two mosaics as gray planes. The map is summed
-    over tiles of at most STRIP_ROWS window rows by 620 window columns, the widest whose
-    column-pass products stay within _BLAS_SERIAL_MNK, each read with its halo, so memory and
-    cache use follow the tile, not the frame. Each strip's tiles are one task on the strip
-    pool, and their sums are added in tile order, so the result does not depend on the pool."""
+    over tiles of one row strip's window rows (image._row_strips of the H - 10 window rows) by
+    at most 620 window columns, the widest whose column-pass products stay within
+    _BLAS_SERIAL_MNK, each read with its halo, so memory and cache use follow the tile, not
+    the frame. The tiles' columns are listed once per call; each strip's tiles are one task on
+    the strip pool, which makes the strips, and their sums are added in tile order, so the
+    result does not depend on the pool."""
     _check_comparable(a, b)
     if min(a.height, a.width) < _SSIM_WINDOW:
         raise TooSmall(f"SSIM needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW}, got {a.height}x{a.width}")
     halo = _SSIM_WINDOW - 1  # rows or columns a window reads past its first
     wide = a.width - halo
     step = _BLAS_SERIAL_MNK // (_BLOCK * (_BLOCK + halo)) - halo  # window columns per tile
-    strips = [[(r0, n, c0, min(step, wide - c0)) for c0 in range(0, wide, step)]
-              for r0, n in _row_strips(a.height - halo)]  # one task per strip of tiles
+    cols = [(c0, min(step, wide - c0)) for c0 in range(0, wide, step)]  # each strip's tiles
     map_sum = 0.0
-    first = strips[0][0]  # the tallest and widest tile
-    for sums in _strip_map(lambda tiles, bufs: [_ssim_tile(a, b, tile, bufs) for tile in tiles],
-                           strips, lambda: _tile_bufs(first[1], first[3]), a.samples.size):
+    # one task per strip of window rows
+    for sums in _strip_map(lambda r0, n, bufs: [_ssim_tile(a, b, (r0, n, *c), bufs) for c in cols],
+                           a.height - halo, lambda rows: _tile_bufs(rows, min(step, wide)),
+                           a.samples.size):
         for tile_sum in sums:  # in tile order, as one loop would
             map_sum += tile_sum
     return map_sum / ((a.height - halo) * wide)

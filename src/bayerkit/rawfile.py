@@ -214,17 +214,13 @@ def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
 
 def write_ppm(rgb: RgbImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 65535, big-endian)."""
-    strips, width = list(_row_strips(rgb.height)), rgb.width
-    rows = strips[0][1]
-
-    def task(strip, bufs):
-        r0, n = strip
+    def task(r0, n, bufs):
         return _ppm_strip(r0, n, ((np.s_[c, :, :], rgb.planes[c, r0 : r0 + n]) for c in range(3)),
                           *bufs)
 
-    chunks = _strip_map(task, strips, lambda: _ppm_bufs(rows, width, rows * width),
-                        rgb.height * width)
-    _atomic_write(_ppm_file(path, rgb.height, width, chunks))
+    chunks = _strip_map(task, rgb.height, lambda rows: _ppm_bufs(rows, rgb.width, rows * rgb.width),
+                        rgb.height * rgb.width)
+    _atomic_write(_ppm_file(path, rgb.height, rgb.width, chunks))
 
 
 def _ppm_bufs(rows: int, width: int, size: int) -> tuple:

@@ -234,15 +234,14 @@ def _demosaic(img: RawImage, finish, new_bufs=lambda rows, width, size: ()):
     h, w = img.height, img.width
     if h < 4 or w < 4:
         raise BadDimensions(f"demosaic needs at least 4x4, got {h}x{w}")
-    fill, shape = _halo_fill(_sites(img.samples))
-    strips = list(_row_strips(h // 2))  # plane rows
-    rows, pw = strips[0][1], w // 2
+    fill, new_buf = _halo_fill(_sites(img.samples))
 
-    def task(strip, bufs):
-        return finish(*_demosaic_strip(img, fill, *strip, *bufs[:2]), *bufs[2:])
+    def task(r0, n, bufs):
+        return finish(*_demosaic_strip(img, fill, r0, n, *bufs[:2]), *bufs[2:])
 
-    return _strip_map(task, strips, lambda: (np.empty(shape), np.empty((rows, pw + 2)),
-                                             *new_bufs(2 * rows, w, rows * pw)), h * w)
+    # strips of the h / 2 plane rows; a strip of n plane rows is 2 * n frame rows
+    return _strip_map(task, h // 2, lambda rows: (new_buf(rows), np.empty((rows, w // 2 + 2)),
+                                                  *new_bufs(2 * rows, w, rows * w // 2)), h * w)
 
 
 def _demosaic_strip(img: RawImage, fill, r0: int, n: int, buf: np.ndarray, acc: np.ndarray):

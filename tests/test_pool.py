@@ -1,10 +1,13 @@
-"""The strip pool (image._strip_map): the same results on one worker or two, the CLI's error
-contract when a strip task fails, a pool of its own in a forked child, and no thread or import
-where no call needs one.
+"""The strip pool (image._strip_map): the strips it makes from a frame's height and the buffer
+sets it asks for, the same results on one worker or two and for concurrent callers, the CLI's
+error contract when a strip task fails and under fuzzing, a call made inside a strip task,
+a pool of its own in a forked child, and no thread or import where no call needs one.
 
 A call runs on min(CPUs of the process, POOL_WORKERS) lanes, and inline on a frame under
 POOL_MIN_SAMPLES. The tests pin all three: the constants by patching them, the CPUs by patching
-image._cpus, so the two-lane path runs on small frames on any host."""
+image._cpus, so the two-lane path runs on small frames on any host. On a host of one CPU the
+patched CPU set names a CPU the process may not use, so a worker's placement is refused and it
+stays where it is."""
 
 import contextlib
 import multiprocessing
@@ -21,10 +24,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bayerkit import BayerPattern, RawImage, demosaic_bilinear, image, metric_report, metrics
-from bayerkit import save_raw, simulate, ssim, write_ppm
+from bayerkit import mse, save_raw, simulate, ssim, write_ppm
 from bayerkit.cli import main
 
 from conftest import rand_raw
+from test_cli_fuzz import test_every_invocation_keeps_the_error_contract as cli_contract
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +40,34 @@ def on_workers(workers: int, cpus: int = 2):
     with (patch.object(image, "POOL_WORKERS", workers), patch.object(image, "POOL_MIN_SAMPLES", 0),
           patch.object(image, "_cpus", lambda: set(range(cpus)))):
         yield
+
+
+@given(st.integers(1, 200), st.integers(1, 8), st.sampled_from([1, 2]))
+@example(1, 8, 2)  # one strip: inline, whatever the lanes
+@example(17, 4, 2)  # four 4-row strips and a 1-row one
+@settings(max_examples=200, deadline=None)
+def test_the_pool_runs_the_row_strips_of_the_height_it_is_handed(height, strip_rows, workers):
+    events, sets = [], []  # appended from the workers too; list.append is atomic
+
+    def new_bufs(rows):
+        events.append(("bufs", rows))
+        sets.append(object())  # a set of its own per lane
+        return sets[-1]
+
+    def task(r0, n, bufs):
+        events.append(("task", r0, n, bufs))
+        return r0, n
+
+    with on_workers(workers), patch.object(image, "STRIP_ROWS", strip_rows):
+        strips = list(image._row_strips(height))
+        assert list(image._strip_map(task, height, new_bufs, height)) == strips  # in order
+    lanes = 1 if len(strips) == 1 else workers
+    # one set per lane, for the tallest strip, before any task runs
+    assert events[:lanes] == [("bufs", max(n for _, n in strips))] * lanes
+    tasks = events[lanes:]
+    assert sorted(event[1:3] for event in tasks) == strips  # each strip once
+    for _, r0, n, bufs in tasks:  # strip i writes into lane i % lanes's set
+        assert bufs is sets[strips.index((r0, n)) % lanes]
 
 
 def outputs(a: RawImage, b: RawImage, workers: int, strip_rows: int, tile: int) -> tuple:
@@ -92,6 +124,75 @@ def test_more_workers_than_cores_switching_often_give_the_same_results(rng):
                 assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_concurrent_callers_get_the_one_lane_results(rng):
+    # four user threads share the lanes' workers; each 1024x1536 call is on the pool
+    a, b = (rand_raw(rng, 1024, 1536, BayerPattern.GRBG) for _ in range(2))
+
+    def results():
+        return ssim(a, b), mse(a, b), demosaic_bilinear(a).planes
+
+    with on_workers(1):
+        want = results()
+
+    matched = []  # list.append is atomic
+
+    def rounds():
+        for _ in range(5):
+            got = results()
+            matched.append(got[:2] == want[:2] and np.array_equal(got[2], want[2]))
+
+    with on_workers(2):
+        callers = [threading.Thread(target=rounds, daemon=True) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+        assert not any(caller.is_alive() for caller in callers)
+    assert matched == [True] * 20
+
+
+def test_a_call_made_in_a_strip_task_runs_inline():
+    # each SSIM strip task makes a pooled mse call of its own. Queued on the lanes' workers,
+    # which run the SSIM tasks, it would never run, so the child runs under a timeout
+    code = """
+from unittest.mock import patch
+import numpy as np
+from bayerkit import BayerPattern, RawImage, image, metrics, mse, ssim
+
+rng = np.random.default_rng(0)
+a, b = (RawImage(rng.integers(0, 65536, (60, 40)), BayerPattern.RGGB) for _ in range(2))
+real, nested = metrics._ssim_tile, []
+
+def tile(*args):
+    nested.append(mse(a, b))
+    return real(*args)
+
+with patch.object(image, "STRIP_ROWS", 8):  # 50 window rows: seven SSIM strips of one tile
+    want = ssim(a, b), mse(a, b)  # inline: the frame is under POOL_MIN_SAMPLES
+    with (patch.object(image, "POOL_MIN_SAMPLES", 0), patch.object(image, "_cpus", lambda: {0, 1}),
+          patch.object(metrics, "_ssim_tile", tile)):
+        got = ssim(a, b)
+assert got == want[0] and nested == [want[1]] * 7, (got, want, nested)
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=30)
+    assert run.returncode == 0, run.stderr
+
+
+def test_the_cli_error_contract_holds_on_the_pool():
+    # 2-row strips and no size gate put the fuzzer's small frames on two lanes
+    pooled, workers = [], image._workers
+
+    def counted(lanes):
+        pooled.append(lanes)
+        return workers(lanes)
+
+    with (on_workers(2), patch.object(image, "STRIP_ROWS", 2),
+          patch.object(image, "_workers", counted)):
+        cli_contract()
+    assert pooled  # the fuzzer's demosaic and metrics calls reached the pool
 
 
 FAULTS = {  # the per-strip function of each command, failing in a strip task after the first
