@@ -6,11 +6,12 @@ What this module actually guarantees is the plumbing around the filter:
 
 * ``denoise_pipeline`` gives what unify_pad -> pack -> denoise_packed -> unpack
   -> disunify_crop would give, without building any of those frames. Each filter
-  runs once per frame, on strips of the mosaic's own contiguous rows
-  (image._halo_strips with step 2), where a site's same-site neighbours sit two
-  samples apart, and writes the strip's rows of one output mosaic. The working
-  pattern only sets each site plane's halo: mosaic reflect-101 keeps a sample's
-  parity, so in plane space a padded row is the plane's edge row duplicated. With
+  runs once per frame, as one strip task per strip of the mosaic's own
+  contiguous rows (image._strip_map with step 2), on the halo strips of
+  image._halo_fill, where a site's same-site neighbours sit two samples apart,
+  and writes the strip's rows of one output mosaic. The working pattern only
+  sets each site plane's halo: mosaic reflect-101 keeps a sample's parity, so
+  in plane space a padded row is the plane's edge row duplicated. With
   (dy, dx) = unify_offsets(pattern, work pattern), plane (a, b) gets one such row
   on top when dy and a == 1, one at the bottom when dy and a == 0, and likewise a
   column on the left or right by dx and b: the engine's halo ((dy, dy), (dx, dx)).
@@ -28,8 +29,8 @@ The Gaussian computes in float64 and rounds by floor(x + 0.5) (half away from
 zero, as x >= 0). Its weights sum to 1, so x + 0.5 lies in [0.5, 65535.5 +
 3e-11] for every sigma, and the truncating uint16 cast of the store is that
 floor: no floor and no clip pass is run. It runs on the edge-halo strips of
-image._halo_strips, which give every site plane one edge row and column, and
-which also hand it the one strip buffer of its column pass; that pass covers the
+image._halo_fill, which give every site plane one edge row and column; its
+new_bufs adds the one strip buffer of its column pass, and that pass covers the
 halo columns too, so they come out of it as the duplicated edge columns the row
 pass needs. The row pass runs on flat spans (image._span) of that buffer, at
 offsets 0, step and 2 * step, and writes a flat span of the spent strip; the
@@ -38,10 +39,10 @@ the same float64 steps as in the whole-plane formula, so neither the strip size,
 the spans nor the interleaving of the site planes show in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
 is one of them. Its windows do see the halo: it reads the uint16 strips of
-image._halo_strips with its radius and the planes' halo, whose rule is the edge
+image._halo_fill with its radius and the planes' halo, whose rule is the edge
 pad by the halo, then the reflect-101 pad by the radius, and takes the windows of
 the planes' own samples, with offsets ``step`` samples apart. Each window offset
-of a strip is copied into one of the lane buffers the engine hands out, and a
+of a strip is copied into one of the lane buffers of its new_bufs, and a
 pruned min/max network over the lanes selects the middle one, so the median
 holds one strip's lanes, never a plane-sized copy.
 """
@@ -55,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadFilterParam
-from .image import PackedImage, RawImage, _adopt, _halo_strips, _span
+from .image import PackedImage, RawImage, _adopt, _halo_fill, _span, _strip_map
 from .patterns import BayerPattern
 from .unify import unify_offsets
 
@@ -67,15 +68,16 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     return 1.0 / total, g1 / total
 
 
-def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> None:
+def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> tuple:
     # separable 3x3 kernel over same-site neighbours ``step`` apart; edge-duplicated borders,
     # so the halo changes no window (see module docstring). Each sample takes the float64 steps
     # (w1*up + w0*mid) + w1*down, then the same along the row.
     w0, w1 = _gaussian_3tap(sigma)
     w, s = plane.shape[1], step
-    # one edge row and column of every site plane; the column pass writes cols, one strip
-    # buffer that includes the halo columns
-    for r0, n, xs, cols in _halo_strips(plane, w + 2 * s, halo=((s, s), (s, s)), step=s):
+    fill, new_buf = _halo_fill(plane, halo=((s, s), (s, s)), step=s)  # one edge row and column
+
+    def task(r0: int, n: int, bufs) -> None:
+        xs, cols = fill(r0, n, bufs[0]), bufs[1][:n]
         mid = np.multiply(w0, xs[s:-s], out=cols)
         xs *= w1
         mid += xs[: -2 * s]
@@ -88,6 +90,9 @@ def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: 
         acc += _span(mid, 0, 2 * s, n, w)
         acc += 0.5
         out[r0 : r0 + n] = xs[:n, :w]
+
+    # the float64 halo strip, and the column pass's buffer, which includes the halo columns
+    return task, lambda rows: (new_buf(rows), np.empty((rows, w + 2 * s)))
 
 
 def _batcher_pairs(n: int):
@@ -127,12 +132,12 @@ def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
 _MEDIAN_NETWORKS = {r: _median_network((2 * r + 1) ** 2) for r in (1, 2)}
 
 
-def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo, step: int) -> None:
-    w = plane.shape[1]
-    size = 2 * radius + 1
-    # one strip buffer per window offset, and the network's spare
-    for r0, n, strip, spare, *lanes in _halo_strips(
-            plane, *(w,) * (size * size + 1), radius=radius, halo=halo, dtype=np.uint16, step=step):
+def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo, step: int) -> tuple:
+    w, size = plane.shape[1], 2 * radius + 1
+    fill, new_buf = _halo_fill(plane, radius, halo, step)
+
+    def task(r0: int, n: int, bufs) -> None:
+        strip, (spare, *lanes) = fill(r0, n, bufs[0]), bufs[1][:, :n]
         for lane, (dy, dx) in zip(lanes, np.ndindex(size, size)):
             lane[...] = strip[step * dy : step * dy + n, step * dx : step * dx + w]
         for lo, hi, keep_min, keep_max in _MEDIAN_NETWORKS[radius]:
@@ -143,14 +148,19 @@ def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo, step: i
                 np.maximum(a, b, out=b)
         out[r0 : r0 + n] = lanes[len(lanes) // 2]
 
+    # the uint16 halo strip, and the network's spare and one lane per window offset
+    return task, lambda rows: (new_buf(rows, np.uint16),
+                               np.empty((size * size + 1, rows, w), np.uint16))
+
 
 class _Filter(NamedTuple):
     parse_arg: Callable[[str], float | int] | None  # None: takes no argument
     accepts: Callable[[object], bool]
     expects: str  # what accepts() checks, for error messages
-    # (plane, out, param, halo, step): filters the uint16 plane, whose same-site neighbours
-    # sit step apart, into out; None: identity
-    plane: Callable[[np.ndarray, np.ndarray, float | int, tuple, int], None] | None
+    # (plane, out, param, halo, step) -> (task, new_bufs): the strip task (r0, n, bufs) of
+    # image._strip_map that filters rows r0 .. r0 + n - 1 of the uint16 plane, whose same-site
+    # neighbours sit step apart, into out, and its new_bufs(rows); None: identity
+    plane: Callable[[np.ndarray, np.ndarray, float | int, tuple, int], tuple] | None
 
 
 def _finite_positive(v) -> bool:
@@ -203,16 +213,24 @@ def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, step: int, dy: int, dx: i
 
     Each (h, w) frame in arr's last two axes, a PackedImage's planes or a RawImage's mosaic,
     is filtered into the same frame of the result, its same-site neighbours ``step`` apart,
-    with the engine's halo ((dy, dy), (dx, dx)) (see ``image._halo_strips``): on a mosaic,
-    the edge rows and columns that unify_pad's reflect-101 pad by the origin shift (dy, dx)
-    gives each site plane. The identity filter returns img itself.
+    with the engine's halo ((dy, dy), (dx, dx)) (see ``image._halo_fill``): on a mosaic, the
+    edge rows and columns that unify_pad's reflect-101 pad by the origin shift (dy, dx) gives
+    each site plane. The filter runs as one strip task per strip of the frame's rows, each
+    writing its rows of the result, on the strip pool (``image._strip_map``), inline. The
+    identity filter returns img itself.
     """
     plane_filter = _FILTERS[spec.name].plane
     if plane_filter is None:
         return img
     out = np.empty_like(arr)
     for i in np.ndindex(arr.shape[:-2]):
-        plane_filter(arr[i], out[i], spec.param, ((dy, dy), (dx, dx)), step)
+        task, new_bufs = plane_filter(arr[i], out[i], spec.param, ((dy, dy), (dx, dx)), step)
+        # samples 0 keeps every filter call inline, in the caller's thread, with one buffer
+        # set. Under the size gate a tall frame would take two lanes and two sets where a short
+        # one of the same width takes one, so the memory would grow with the frame's height.
+        # The frame's samples go here once the pool's gate follows a strip's work
+        for _ in _strip_map(task, arr.shape[-2], new_bufs, 0, step):
+            pass
     return _adopt(type(img), out, img.pattern, img.black_level, img.white_level)
 
 

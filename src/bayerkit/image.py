@@ -8,28 +8,30 @@ The frame's geometry lives here too. Every full-frame kernel runs over the (r0, 
 of ``_row_strips``, which also allocates the kernel's reused strip buffers, sized from
 ``STRIP_ROWS`` when the call starts; no other function reads ``STRIP_ROWS``. A kernel that reads
 rows beneath its own slices them itself. Every kernel that reads past a plane's edge, the
-Gaussian, the median and the bilinear demosaic, reads its planes through ``_halo_strips``, the
-one place that builds such a halo, by one rule: the strip is the matching rows and columns of
-np.pad(np.pad(planes, halo, "edge"), radius, "reflect"). With step 2 the engine reads a
-mosaic's own rows, and its strip interleaves that rule's strips of the four site planes, each
-with its own halo; ``denoise_pipeline`` runs each filter once per frame so. SSIM stays outside
-the engine: it reads only fully interior windows, so it has no edge rule, and slices the rows
-beneath its strip itself. ``pack``, ``unpack``, ``mosaic`` and the demosaic, which keep their
-own strips of the four half-resolution planes, read and write them through one site view,
-``_sites``. The Gaussian's row pass and the demosaic's means run their elementwise steps on
-``_span``, the flat span of a slice of a C-contiguous strip buffer: numpy runs one 1-D loop
-over it, where the same step over the 2-D slice costs nearly twice as much.
+Gaussian, the median and the bilinear demosaic, reads its planes through the strips that
+``_halo_fill`` fills, the one place that builds such a halo, by one rule: the strip is the
+matching rows and columns of np.pad(np.pad(planes, halo, "edge"), radius, "reflect"). With
+step 2 the engine reads a mosaic's own rows, and its strip interleaves that rule's strips of
+the four site planes, each with its own halo; ``denoise_pipeline`` runs each filter once per
+frame so. SSIM stays outside the engine: it reads only fully interior windows, so it has no
+edge rule, and slices the rows beneath its strip itself. ``pack``, ``unpack``, ``mosaic`` and
+the demosaic, which keep their own strips of the four half-resolution planes, read and write
+them through one site view, ``_sites``. The Gaussian's row pass and the demosaic's means run
+their elementwise steps on ``_span``, the flat span of a slice of a C-contiguous strip buffer:
+numpy runs one 1-D loop over it, where the same step over the 2-D slice costs nearly twice as
+much.
 
-SSIM's strips of tiles, MSE's strips and the demosaic's strips, each with its PPM quantize,
-run on the strip pool, ``_strip_map``. A caller hands it only the height of the rows it
-strips; the pool makes the strips of ``_row_strips`` from it and runs one task (r0, n, bufs)
-per strip on min(CPUs of the process, POOL_WORKERS) worker threads, whose results are
-consumed in strip order, so a sum or a file comes out as one loop would make it. numpy
-releases the GIL inside its ufuncs and BLAS products, so the tasks overlap. Each worker writes
-into a buffer set that the caller's new_bufs(rows) made for the tallest strip before any task
-ran, so a call's memory does not depend on the threads' timing. A call of one task, on a frame
-under POOL_MIN_SAMPLES, in a process of one CPU or made inside a strip task runs inline. The
-workers start on the first call that needs them.
+SSIM's strips of tiles, MSE's strips, the demosaic's strips, each with its PPM quantize, and
+the Gaussian's and the median's strips run on the strip pool, ``_strip_map``; the filters
+hand it no samples, so they run inline. A caller hands it only the height of the rows it
+strips, and their step; the pool makes the strips of ``_row_strips`` from them and runs one
+task (r0, n, bufs) per strip on min(CPUs of the process, POOL_WORKERS) worker threads, whose
+results are consumed in strip order, so a sum or a file comes out as one loop would make it.
+numpy releases the GIL inside its ufuncs and BLAS products, so the tasks overlap. Each worker
+writes into a buffer set that the caller's new_bufs(rows) made for the tallest strip before any
+task ran, so a call's memory does not depend on the threads' timing. A call of one task, on a
+frame under POOL_MIN_SAMPLES, in a process of one CPU or made inside a strip task runs inline.
+The workers start on the first call that needs them.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ def _place(k: int) -> None:
         pass
 
 
-def _strip_map(task, h: int, new_bufs, samples: int):
-    """task(r0, n, bufs) for each strip (r0, n) of _row_strips(h), the strips of an h-row
-    frame of ``samples`` samples, yielded in strip order, on the strip pool.
+def _strip_map(task, h: int, new_bufs, samples: int, step=1):
+    """task(r0, n, bufs) for each strip (r0, n) of _row_strips(h, step=step), the strips of an
+    h-row frame of ``samples`` samples whose site planes interleave with ``step``, yielded in
+    strip order, on the strip pool.
 
     The call has _lanes(len(strips), samples) lanes, and each lane one worker thread and one
     buffer set, made by new_bufs(rows), where ``rows`` is the tallest strip's height, in the
@@ -138,9 +141,10 @@ def _strip_map(task, h: int, new_bufs, samples: int):
     Task i runs in lane i % lanes, and starts only once the result of task i - lanes is
     yielded and the next one asked for, so a result may be a view of its set. With one lane
     every task runs inline, in the caller's thread. A task's exception is raised in its turn;
-    on it, or when the caller closes the generator, the tasks already started finish before it
-    returns, so the pool is left idle."""
-    strips = list(_row_strips(h))
+    on it, on an exception raised in the caller's thread while it waits on a task, such as a
+    KeyboardInterrupt, or when the caller closes the generator, the tasks already started
+    finish before it returns, so the pool is left idle."""
+    strips = list(_row_strips(h, step=step))
     lanes = _lanes(len(strips), samples)
     sets = [new_bufs(strips[0][1]) for _ in range(lanes)]  # the first strip is the tallest
     if lanes == 1:
@@ -148,24 +152,47 @@ def _strip_map(task, h: int, new_bufs, samples: int):
             yield task(r0, n, sets[0])
         return
     workers, running = _workers(lanes), []
+    # a task leaves ``running`` only once its result is taken, so the finally waits on it too
+    # when an interrupt in the caller's thread ends the wait
     try:
         for i, (r0, n) in enumerate(strips):
             if i >= lanes:  # lane i % lanes is free once the result of task i - lanes is taken
-                yield running.pop(0).result()
+                yield running[0].result()
+                del running[0]
             running.append(workers[i % lanes].submit(task, r0, n, sets[i % lanes]))
         while running:
-            yield running.pop(0).result()
+            yield running[0].result()
+            del running[0]
     finally:  # every task started finishes before the call returns
         for future in running:
             future.exception()
 
 
 def _halo_fill(planes: np.ndarray, radius=1, halo=((1, 1), (1, 1)), step=1):
-    """(fill, new_buf) for the halo strips of the uint16 planes (..., h, w) with step ``step``:
-    new_buf(rows, dtype) makes a buffer for strips of at most ``rows`` rows, and fill(r0, n,
-    buf) writes the strip of rows r0 .. r0 + n - 1 into the head of such a buffer and returns
-    it. See ``_halo_strips`` for the rule; the index maps are made once, here, so strips may
-    be filled in any order, each into a buffer of its own."""
+    """(fill, new_buf) for the halo strips of the uint16 planes (..., h, w): new_buf(rows,
+    dtype) makes a buffer for strips of at most ``rows`` rows, and fill(r0, n, buf) writes the
+    strip of rows r0 .. r0 + n - 1 into the C-contiguous head of such a buffer and returns it,
+    so fill is a strip task of ``_strip_map``. The strip is (..., n + 2 * pad, w + 2 * pad) of
+    the buffer's dtype, pad = step * radius, the window halo around those rows and columns
+    0 .. w - 1. One rule sets what lies past the plane: the strip is those rows and columns of
+    np.pad(np.pad(planes, halo, "edge"), radius, "reflect"), where ``halo`` is ((top, bottom),
+    (left, right)) and plane sample (i, j) sits at (i + top + radius, j + left + radius).
+    Mosaic reflect-101 keeps a sample's parity, so in plane space it is the edge halo a
+    working pattern gives a plane; the default, radius 1 and one edge row and column on each
+    side, is a one-sample edge-duplicated border.
+
+    With step 2, ``planes`` is an (h, w) mosaic, sides even, and the strip interleaves the
+    strips of its four site planes [a::2, b::2], so same-site neighbours sit two samples apart;
+    its strips are those of ``_strip_map(..., step=2)``, max(1, STRIP_ROWS // 2) mosaic rows
+    tall. ``halo`` then counts mosaic rows and columns, each a copy of the nearest sample of
+    its own site: plane [a, b] gets (top + a) // 2 edge rows on top and (bottom + 1 - a) // 2
+    at the bottom, and its columns likewise by b. So ((dy, dy), (dx, dx)) is unify_pad's
+    reflect-101 pad by an origin shift, and ((2, 2), (2, 2)) gives every plane one edge row and
+    column.
+
+    The index maps are made once, here, so strips may be filled in any order, each into a
+    buffer of its own; the next strip filled into a buffer overwrites it, and the caller may
+    overwrite it too."""
     *lead, h, w = planes.shape
     pad = step * radius
     # the index maps of the rule: row i of the strip at r0 is row rows[r0 + i], and strip
@@ -190,35 +217,6 @@ def _halo_fill(planes: np.ndarray, radius=1, halo=((1, 1), (1, 1)), step=1):
         return np.empty((*lead, rows + 2 * pad, w + 2 * pad), dtype)
 
     return fill, new_buf
-
-
-def _halo_strips(planes: np.ndarray, *widths: int, radius=1, halo=((1, 1), (1, 1)),
-                 dtype=np.float64, step=1):
-    """(r0, n, strip, *bufs) per strip of the uint16 planes (..., h, w), top to bottom: the
-    strip is (..., n + 2 * pad, w + 2 * pad) of ``dtype``, pad = step * radius, the window halo
-    around rows r0 .. r0 + n - 1 and columns 0 .. w - 1. One rule sets what lies past the
-    plane: the strip is those rows and columns of np.pad(np.pad(planes, halo, "edge"), radius,
-    "reflect"), where ``halo`` is ((top, bottom), (left, right)) and plane sample (i, j) sits
-    at (i + top + radius, j + left + radius). Mosaic reflect-101 keeps a sample's parity, so in
-    plane space it is the edge halo a working pattern gives a plane; the default, radius 1 and
-    one edge row and column on each side, is a one-sample edge-duplicated border.
-
-    With step 2, ``planes`` is an (h, w) mosaic, sides even, and the strip interleaves the
-    strips of its four site planes [a::2, b::2], so same-site neighbours sit two samples apart;
-    the strips are max(1, STRIP_ROWS // 2) mosaic rows tall. ``halo`` then counts mosaic rows
-    and columns, each a copy of the nearest sample of its own site: plane [a, b] gets
-    (top + a) // 2 edge rows on top and (bottom + 1 - a) // 2 at the bottom, and its columns
-    likewise by b. So ((dy, dy), (dx, dx)) is unify_pad's reflect-101 pad by an origin shift,
-    and ((2, 2), (2, 2)) gives every plane one edge row and column.
-
-    Each strip is C-contiguous in one reused buffer that the next strip overwrites; the caller
-    may overwrite it too. ``widths`` asks ``_row_strips`` for strip buffers of ``dtype``,
-    yielded after the strip. The strips are made by ``_halo_fill``."""
-    fill, new_buf = _halo_fill(planes, radius, halo, step)
-    for r0, n, *bufs in _row_strips(planes.shape[-2], *widths, dtype=dtype, step=step):
-        if r0 == 0:  # the first strip is the tallest
-            buf = new_buf(n, dtype)
-        yield r0, n, fill(r0, n, buf), *bufs
 
 
 def _span(buf: np.ndarray, i: int, j: int, n: int, w: int) -> np.ndarray:

@@ -35,6 +35,14 @@ PAIRS = list(itertools.product(ALL_PATTERNS, ALL_PATTERNS))
 NO_HALO = ((0, 0), (0, 0))
 
 
+def _smooth(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> None:
+    """The Gaussian of ``plane`` into ``out``: the strip task that _smooth_plane returns, run
+    on the strip pool over the plane's strips, inline, as _denoise runs it."""
+    task, new_bufs = denoise._smooth_plane(plane, out, sigma, halo, step)
+    for _ in image._strip_map(task, plane.shape[0], new_bufs, 0, step):
+        pass
+
+
 def test_spec_parse():
     assert DenoiserSpec.parse("identity") == DenoiserSpec("identity")
     g = DenoiserSpec.parse("gaussian:1.5")
@@ -74,7 +82,7 @@ def test_gaussian_returns_constant_planes_at_both_ends_of_the_cast(value, sigma)
     # x + 0.5 lies in [0.5, 65535.5 + 3e-11], which the truncating uint16 cast takes to its floor
     planes = np.full((4, 67, 5), value, dtype=np.uint16)  # 67 rows: a 64-row strip and a tail
     out = np.empty_like(planes[0])
-    denoise._smooth_plane(planes[0], out, sigma, ((1, 0), (0, 1)), 1)
+    _smooth(planes[0], out, sigma, ((1, 0), (0, 1)), 1)
     np.testing.assert_array_equal(out, planes[0])
     spec = DenoiserSpec("gaussian", sigma)
     np.testing.assert_array_equal(denoise_packed(PackedImage(planes, BayerPattern.RGGB), spec)
@@ -161,7 +169,7 @@ def test_strip_gaussian_equals_the_whole_plane_formula(strip, data, width, sigma
     plane = wide[:, ::2] if strided else wide[:, : step * width]  # pack hands out strided planes
     got = np.empty_like(plane)
     with mock.patch.object(image, "STRIP_ROWS", step * strip):
-        denoise._smooth_plane(plane, got, sigma, NO_HALO, step)
+        _smooth(plane, got, sigma, NO_HALO, step)
     for a, b in np.ndindex(step, step):
         np.testing.assert_array_equal(got[a::step, b::step],
                                       _whole_plane_gaussian(plane[a::step, b::step], sigma))
@@ -179,7 +187,7 @@ def test_gaussian_working_set_stays_below_one_float64_plane():
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         one = np.empty_like(planes[0])
-        denoise._smooth_plane(planes[0], one, 1.0, NO_HALO, 1)
+        _smooth(planes[0], one, 1.0, NO_HALO, 1)
         plane_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -1,6 +1,8 @@
 """The frame's geometry in image.py: row strips and their buffers, the plane-space halo strips
-of every neighbourhood kernel and their mosaic mode, and the site view."""
+of every neighbourhood kernel and their mosaic mode, and the site view. The halo strips are
+those of _halo_fill's fill run as a strip task on the strip pool, as the filters run it."""
 
+import functools
 import itertools
 from unittest import mock
 
@@ -27,7 +29,7 @@ from bayerkit import (
     unify_offsets,
 )
 from bayerkit.cli import main
-from bayerkit.image import _halo_strips, _row_strips, _sites, _span
+from bayerkit.image import _halo_fill, _row_strips, _sites, _span, _strip_map
 
 from conftest import ALL_PATTERNS
 
@@ -73,10 +75,14 @@ def test_halo_strips_equal_the_edge_padded_planes(strip_rows, data, width, layou
     want = np.pad(np.pad(planes.astype(dtype), lead + list(halo), mode="edge"),
                   lead + [(radius, radius)] * 2, mode="reflect")
     (top, _), (left, _) = halo
+    fill, new_buf = _halo_fill(planes, **{key: kwargs[key] for key in ("radius", "halo")
+                                          if key in kwargs})
+    new_bufs = functools.partial(new_buf, dtype=kwargs["dtype"]) if "dtype" in kwargs else new_buf
     owned = 0
     with mock.patch.object(image, "STRIP_ROWS", strip_rows):
-        for r0, n, strip in _halo_strips(planes, **kwargs):
-            assert (r0, n) == (owned, min(strip_rows, height - r0))
+        for strip in _strip_map(fill, height, new_bufs, 0):
+            r0, n = owned, strip.shape[-2] - 2 * radius  # the strip of rows r0 .. r0 + n - 1
+            assert n == min(strip_rows, height - r0)
             assert strip.dtype == dtype and strip.flags.c_contiguous
             np.testing.assert_array_equal(
                 strip, want[..., top + r0 : top + r0 + n + 2 * radius,
@@ -126,17 +132,20 @@ def test_mosaic_halo_strips_interleave_the_padded_site_planes(strip_rows, odd, d
     # row further, where a site plane with no halo row reflects about its own edge row, the
     # far row of the frame's edge pair
     source = mosaic.astype(np.float64)
+    fill, new_buf = _halo_fill(mosaic, radius, halo, 2)
+    source_fill, source_buf = _halo_fill(source, radius, halo, 2)
     owned = 0
     with mock.patch.object(image, "STRIP_ROWS", 2 * strip_rows + odd):
-        sourced = _halo_strips(source, radius=radius, halo=halo, dtype=np.float64, step=2)
-        for r0, n, strip in _halo_strips(mosaic, radius=radius, halo=halo, dtype=dtype, step=2):
-            assert (r0, n) == (owned, min(strip_rows, 2 * height - r0))
+        sourced = _strip_map(source_fill, 2 * height, source_buf, 0, 2)  # float64 strips
+        for strip in _strip_map(fill, 2 * height, lambda rows: new_buf(rows, dtype), 0, 2):
+            r0, n = owned, strip.shape[0] - 4 * radius  # the strip of rows r0 .. r0 + n - 1
+            assert n == min(strip_rows, 2 * height - r0)
             assert strip.dtype == dtype and strip.flags.c_contiguous
             np.testing.assert_array_equal(strip, want[r0 : r0 + n + 4 * radius])
             window = slice(max(0, r0 - 2 * radius - (n == 1)), r0 + n + 2 * radius + (n == 1))
             source[...] = np.nan
             source[window] = mosaic[window]
-            np.testing.assert_array_equal(next(sourced)[2], want[r0 : r0 + n + 4 * radius])
+            np.testing.assert_array_equal(next(sourced), want[r0 : r0 + n + 4 * radius])
             owned += n
     assert owned == 2 * height
     assert next(sourced, None) is None
@@ -151,7 +160,8 @@ def test_span_rows_are_the_slices_rows(data, layout, pitch):
         bufs = [data.draw(arrays(np.float64, (rows, pitch), elements=st.floats(-9, 9)))]
     else:
         mosaic = data.draw(arrays(np.uint16, (2 * rows, 2 * pitch), elements=SAMPLES))
-        bufs = [plane for _, _, strip in _halo_strips(_sites(mosaic))
+        fill, new_buf = _halo_fill(_sites(mosaic))
+        bufs = [plane for strip in _strip_map(fill, rows, new_buf, 0)
                 for plane in strip.reshape(4, rows + 2, pitch + 2)]
     for buf in bufs:
         height, width = buf.shape
@@ -189,21 +199,6 @@ def test_row_strips_hand_out_reused_strip_buffers(height, widths, dtype):
                 assert sum(np.shares_memory(buf, other) for other in bufs) == 1
             addresses.add(tuple(buf.__array_interface__["data"][0] for buf in bufs))
     assert len(addresses) == 1  # every strip reuses the first strip's buffers
-
-
-def test_halo_strips_forward_their_buffer_request():
-    planes = np.arange(2 * 2 * 9 * 5, dtype=np.uint16).reshape(2, 2, 9, 5)
-    for dtype in (np.float64, np.uint16):
-        addresses = set()
-        with mock.patch.object(image, "STRIP_ROWS", 4):
-            for r0, n, strip, acc, cols in _halo_strips(planes, 5, 7, dtype=dtype):
-                assert (acc.shape, cols.shape) == ((n, 5), (n, 7))
-                assert acc.dtype == cols.dtype == strip.dtype == dtype
-                assert not np.shares_memory(acc, strip) and not np.shares_memory(cols, strip)
-                addresses.add((acc.__array_interface__["data"][0],
-                               cols.__array_interface__["data"][0]))
-            assert len(addresses) == 1  # every strip reuses the first strip's buffers
-    assert len(next(_halo_strips(planes))) == 3  # with no widths: (r0, n, strip)
 
 
 def _in_layout(values, layout, writable=False):

@@ -1,7 +1,8 @@
 """The strip pool (image._strip_map): the strips it makes from a frame's height and the buffer
 sets it asks for, the same results on one worker or two and for concurrent callers, the CLI's
-error contract when a strip task fails and under fuzzing, a call made inside a strip task,
-a pool of its own in a forked child, and no thread or import where no call needs one.
+error contract when a strip task fails and under fuzzing, a call made inside a strip task, an
+interrupt while the caller waits on a task, a pool of its own in a forked child, and no thread
+or import where no call needs one.
 
 A call runs on min(CPUs of the process, POOL_WORKERS) lanes, and inline on a frame under
 POOL_MIN_SAMPLES. The tests pin all three: the constants by patching them, the CPUs by patching
@@ -12,6 +13,7 @@ stays where it is."""
 import contextlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,8 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bayerkit import BayerPattern, RawImage, demosaic_bilinear, image, metric_report, metrics
-from bayerkit import mse, save_raw, simulate, ssim, write_ppm
+from bayerkit import BayerPattern, DenoiserSpec, RawImage, demosaic_bilinear, denoise, image
+from bayerkit import denoise_packed, denoise_pipeline, metric_report, metrics, mse, pack
+from bayerkit import save_raw, simulate, ssim, write_ppm
 from bayerkit.cli import main
 
 from conftest import rand_raw
@@ -70,10 +73,22 @@ def test_the_pool_runs_the_row_strips_of_the_height_it_is_handed(height, strip_r
         assert bufs is sets[strips.index((r0, n)) % lanes]
 
 
+FILTERS = [DenoiserSpec.parse(text) for text in ("gaussian:1.0", "median:1", "median:2")]
+
+
 def outputs(a: RawImage, b: RawImage, workers: int, strip_rows: int, tile: int) -> tuple:
-    """ssim, metric_report, and the PPM bytes of `bayerkit demosaic` and of write_ppm of
-    demosaic_bilinear, on ``workers`` lanes, with STRIP_ROWS and SSIM's tile width patched."""
+    """ssim, metric_report, the PPM bytes of `bayerkit demosaic` and of write_ppm of
+    demosaic_bilinear, and the bytes of each filter through denoise_pipeline, to a working
+    pattern that gives each site plane a halo, and through denoise_packed, on ``workers``
+    lanes, with STRIP_ROWS and SSIM's tile width patched; and how many filter calls reached
+    the pool."""
     mnk = metrics._BLOCK * (metrics._BLOCK + 10) * (tile + 10)  # tiles of ``tile`` window columns
+    pooled, real = [], image._workers
+
+    def counted(lanes):
+        pooled.append(lanes)
+        return real(lanes)
+
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         save_raw(a, None, d / "a.pgm")
@@ -82,7 +97,12 @@ def outputs(a: RawImage, b: RawImage, workers: int, strip_rows: int, tile: int) 
             s, report = ssim(a, b), metric_report(a, b)
             assert main(["demosaic", str(d / "a.pgm"), "-o", str(d / "cli.ppm")]) == 0
             write_ppm(demosaic_bilinear(a), d / "lib.ppm")
-        return s, report, (d / "cli.ppm").read_bytes(), (d / "lib.ppm").read_bytes()
+            with patch.object(image, "_workers", counted):
+                filtered = tuple(out.tobytes() for spec in FILTERS for out in (
+                    denoise_pipeline(a, BayerPattern.GBRG, spec).samples,  # GRBG: shift (1, 1)
+                    denoise_packed(pack(a), spec).planes))
+        return (s, report, (d / "cli.ppm").read_bytes(), (d / "lib.ppm").read_bytes(),
+                filtered), len(pooled)
 
 
 @given(st.integers(6, 40).map(lambda n: 2 * n), st.integers(6, 40).map(lambda n: 2 * n),
@@ -99,9 +119,15 @@ def test_results_do_not_depend_on_the_worker_count(height, width, strip_rows, ti
     clean = rng.integers(black, white + 1, size=(height, width))
     noisy = np.clip(clean + rng.integers(-500, 501, size=clean.shape), black, white)
     a, b = (RawImage(v, BayerPattern.GRBG, black, white) for v in (noisy, clean))
-    one, two = (outputs(a, b, workers, strip_rows, tile) for workers in (1, 2))
+    (one, inline), (two, pooled) = (outputs(a, b, workers, strip_rows, tile)
+                                    for workers in (1, 2))
     assert one == two  # the same floats, the same report and the same bytes
     assert one[2] == one[3]  # the CLI's streamed PPM is the library's
+    # on two lanes every filter call of more than one strip is on the pool: each filter's one
+    # call on the mosaic's rows, in strips of STRIP_ROWS // 2, and its four on packed planes
+    mosaic_strips = len(range(0, height, max(1, strip_rows // 2)))
+    plane_strips = len(range(0, height // 2, strip_rows))
+    assert inline == 0 and pooled == len(FILTERS) * ((mosaic_strips > 1) + 4 * (plane_strips > 1))
 
 
 def test_more_workers_than_cores_switching_often_give_the_same_results(rng):
@@ -181,6 +207,101 @@ assert got == want[0] and nested == [want[1]] * 7, (got, want, nested)
     assert run.returncode == 0, run.stderr
 
 
+def run_interrupted(code: str, *args: str) -> None:
+    """Run ``code`` in a child, whose strip task sends SIGINT to the child's main thread. A
+    stray interrupt, or a call that does not return, must not reach the test session, so the
+    child runs under a timeout."""
+    child = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert child.returncode == 0, child.stderr
+
+
+INTERRUPTING = """
+import contextlib, signal, sys, threading, time
+from unittest.mock import patch
+from bayerkit import image
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even where SIGINT was ignored
+started, finished = [], []  # list.append is atomic
+
+def interrupting(r0):  # the task sends SIGINT while the main thread waits on it, then runs on
+    started.append(r0)
+    time.sleep(0.1)
+    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+    time.sleep(0.5)
+    finished.append(r0)
+
+@contextlib.contextmanager
+def pooled():  # every call of more than one task on two lanes
+    with patch.object(image, "POOL_MIN_SAMPLES", 0), patch.object(image, "_cpus", lambda: {0, 1}):
+        yield
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no signal.pthread_kill")
+def test_an_interrupt_lets_the_started_tasks_finish():
+    # 40 rows in 4-row strips on two lanes: the main thread waits on the first task, which
+    # interrupts it, while the second has run. The call must not return before the first task
+    # ends, and the next call gets every strip
+    run_interrupted(INTERRUPTING + """
+def task(r0, n, bufs):
+    if r0 == 0:
+        interrupting(r0)
+    else:
+        started.append(r0)
+        finished.append(r0)
+    return r0
+
+with pooled(), patch.object(image, "STRIP_ROWS", 4):
+    try:
+        for _ in image._strip_map(task, 40, lambda rows: None, 40):
+            pass
+    except KeyboardInterrupt:
+        counts = len(started), len(finished)
+    else:
+        sys.exit("the interrupt did not surface")
+    assert counts == (2, 2), counts
+    got = list(image._strip_map(lambda r0, n, bufs: (r0, n), 40, lambda rows: None, 40))
+    assert got == [(r0, 4) for r0 in range(0, 40, 4)], got
+""")
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no signal.pthread_kill")
+def test_an_interrupted_demosaic_command_leaves_no_temp_file(tmp_path, rng):
+    # 260 rows: three demosaic strips on two lanes. The second strip's task interrupts the main
+    # thread while it waits on that task, between writes of the PPM's temp file
+    img = rand_raw(rng, 260, 200, BayerPattern.RGGB)
+    save_raw(img, None, tmp_path / "in.pgm")
+    write_ppm(demosaic_bilinear(img), tmp_path / "want.ppm")
+    run_interrupted(INTERRUPTING + """
+from pathlib import Path
+from bayerkit import simulate
+from bayerkit.cli import main
+
+d = Path(sys.argv[1])
+argv = ["demosaic", str(d / "in.pgm"), "-o", str(d / "out.ppm")]
+real = simulate._demosaic_strip
+
+def strip(img, fill, r0, *rest):
+    if r0 == image.STRIP_ROWS:  # the second strip of plane rows
+        interrupting(r0)
+    return real(img, fill, r0, *rest)
+
+with pooled():
+    with patch.object(simulate, "_demosaic_strip", strip):
+        try:
+            main(argv)
+        except KeyboardInterrupt:
+            pass
+        else:
+            sys.exit("the interrupt did not surface")
+    assert started == finished == [image.STRIP_ROWS], (started, finished)  # it finished
+    assert sorted(p.name for p in d.iterdir()) == ["in.json", "in.pgm", "want.ppm"]  # no temp
+    assert main(argv) == 0  # the pool is not poisoned
+assert (d / "out.ppm").read_bytes() == (d / "want.ppm").read_bytes()
+""", str(tmp_path))
+
+
 def test_the_cli_error_contract_holds_on_the_pool():
     # 2-row strips and no size gate put the fuzzer's small frames on two lanes
     pooled, workers = [], image._workers
@@ -195,9 +316,30 @@ def test_the_cli_error_contract_holds_on_the_pool():
     assert pooled  # the fuzzer's demosaic and metrics calls reached the pool
 
 
+def failing(real, fails):
+    """``real``, raising MemoryError on each call whose arguments ``fails`` accepts."""
+    def faulty(*args):
+        if fails(*args):
+            raise MemoryError
+        return real(*args)
+    return faulty
+
+
+def failing_fill(real):
+    """denoise's _halo_fill, whose fill raises MemoryError in each strip task after the first:
+    the fill is the first step of a filter's strip task."""
+    def halo_fill(*args, **kwargs):
+        fill, new_buf = real(*args, **kwargs)
+        return failing(fill, lambda r0, n, buf: r0 > 0), new_buf
+    return halo_fill
+
+
 FAULTS = {  # the per-strip function of each command, failing in a strip task after the first
-    "demosaic": (simulate, "_demosaic_strip", lambda img, fill, r0, *rest: r0 > 0),
-    "metrics": (metrics, "_ssim_tile", lambda a, b, tile, bufs: tile[0] > 0),
+    "demosaic": (simulate, "_demosaic_strip",
+                 lambda real: failing(real, lambda img, fill, r0, *rest: r0 > 0)),
+    "metrics": (metrics, "_ssim_tile",
+                lambda real: failing(real, lambda a, b, tile, bufs: tile[0] > 0)),
+    "denoise": (denoise, "_halo_fill", failing_fill),
 }
 
 
@@ -205,22 +347,19 @@ FAULTS = {  # the per-strip function of each command, failing in a strip task af
 @pytest.mark.parametrize("command", sorted(FAULTS))
 def test_a_fault_in_a_strip_task_keeps_the_cli_error_contract(tmp_path, rng, capsys, command,
                                                              workers):
-    # 260 rows: three demosaic strips, and four SSIM strips of one tile each
+    # 260 rows: three demosaic strips, four SSIM strips of one tile each, and nine 32-row
+    # strips of the mosaic for the filter
     img, ref = (rand_raw(rng, 260, 200, BayerPattern.GBRG) for _ in range(2))
     save_raw(img, None, tmp_path / "in.pgm")
     save_raw(ref, None, tmp_path / "ref.pgm")
     argv = {"demosaic": ["demosaic", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.ppm")],
-            "metrics": ["metrics", "--ref", str(tmp_path / "ref.pgm"), str(tmp_path / "in.pgm")]}
-    module, name, fails = FAULTS[command]
-    real = getattr(module, name)
-
-    def faulty(*args):
-        if fails(*args):
-            raise MemoryError
-        return real(*args)
+            "metrics": ["metrics", "--ref", str(tmp_path / "ref.pgm"), str(tmp_path / "in.pgm")],
+            "denoise": ["denoise", "--filter", "median:2", "--work-pattern", "RGGB",
+                        str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm")]}
+    module, name, faulty = FAULTS[command]
 
     with on_workers(workers):
-        with patch.object(module, name, faulty):
+        with patch.object(module, name, faulty(getattr(module, name))):
             assert main(argv[command]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "bayerkit: error: MemoryError\n"  # one line, no traceback
@@ -230,6 +369,10 @@ def test_a_fault_in_a_strip_task_keeps_the_cli_error_contract(tmp_path, rng, cap
     if command == "demosaic":
         write_ppm(demosaic_bilinear(img), tmp_path / "want.ppm")
         assert (tmp_path / "out.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
+    elif command == "denoise":
+        save_raw(denoise_pipeline(img, BayerPattern.RGGB, DenoiserSpec("median", 2)), None,
+                 tmp_path / "want.pgm")
+        assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
     else:
         assert capsys.readouterr().out == metric_report(img, ref).to_json() + "\n"
 
