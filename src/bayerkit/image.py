@@ -36,7 +36,6 @@ The workers start on the first call that needs them.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -46,25 +45,26 @@ import numpy as np
 from .patterns import BayerPattern
 
 # Rows per strip of every full-frame kernel; a kernel on a mosaic's own rows takes
-# STRIP_ROWS // 2 of them, so its strip holds as many samples of each site plane as a plane
-# strip. A strip's buffers grow with the frame's width, never its height, and they are in cache
-# only at modest widths: at 2048x3072 the demosaic's halo strip of the four planes,
-# (2, 2, 66, 1538), is 3.2 MB on its own, past the 2 MiB L2 of one core of a 2-core Xeon. SSIM
-# alone also cuts its strips into column tiles. The Gaussian through denoise_pipeline on a
-# 2048x3072 mosaic took 17.8-17.9 ms on 32-row mosaic strips and 30.1-31.1 ms on 64-row ones
-# (2-core Xeon, numpy 2.4, best of 7 in two alternated rounds).
+# STRIP_ROWS // 2 of them, STRIP_ROWS // 4 rows of each site plane, so its strip holds as many
+# samples in all as one plane strip, a quarter of them of each plane. A strip's buffers grow
+# with the frame's width, never its height, and they are in cache only at modest widths: at
+# 2048x3072 the demosaic's halo strip of the four planes, (2, 2, 66, 1538), is 3.2 MB on its
+# own, past the 2 MiB L2 of one core of a 2-core Xeon. SSIM alone also cuts its strips into
+# column tiles. The Gaussian through denoise_pipeline on a 2048x3072 mosaic took 17.8-17.9 ms
+# on 32-row mosaic strips and 30.1-31.1 ms on 64-row ones (2-core Xeon, numpy 2.4, best of 7 in
+# two alternated rounds).
 STRIP_ROWS = 64
 
 
 def _row_strips(h: int, *widths: int, dtype=np.float64, step=1):
     """(r0, n, *bufs) per strip of an h-row frame, top to bottom: it owns rows r0 .. r0 + n - 1,
     and n <= max(1, STRIP_ROWS // step), so a frame whose site planes interleave with ``step``
-    (2 on a mosaic) gets strips that hold as many samples of each plane as a plane's own
-    strips. Each width asks for one strip buffer of ``dtype``, allocated once, at the first
-    strip, with as many rows as the tallest strip, by STRIP_ROWS as it reads then; each strip
-    gets its C-contiguous (n, width) head, which the next strip overwrites. With h alone it
-    yields (r0, n). A caller that reads rows beneath its own slices them, and a slice stops at
-    the frame."""
+    (2 on a mosaic) gets strips of STRIP_ROWS // 4 rows of each of its four planes: as many
+    samples in all as one plane's own strip, a quarter of them of each plane. Each width asks
+    for one strip buffer of ``dtype``, allocated once, at the first strip, with as many rows as
+    the tallest strip, by STRIP_ROWS as it reads then; each strip gets its C-contiguous
+    (n, width) head, which the next strip overwrites. With h alone it yields (r0, n). A caller
+    that reads rows beneath its own slices them, and a slice stops at the frame."""
     rows = max(1, STRIP_ROWS // step)
     bufs = [np.empty((min(rows, h), width), dtype) for width in widths]
     for r0 in range(0, h, rows):
@@ -101,17 +101,22 @@ def _lanes(tasks: int, samples: int) -> int:
     return min(len(_cpus()), POOL_WORKERS)
 
 
-@functools.cache
+# the strip pool of each lane count: one single-thread executor per lane
+_POOLS: dict = {}
+# a pool inherited through fork has no threads, so a task submitted to it would never run
+os.register_at_fork(after_in_child=_POOLS.clear)
+
+
 def _workers(lanes: int) -> list:
     """One single-thread executor per lane, made on the first call that needs them, so importing
-    bayerkit, and every call that runs inline, starts no thread and imports no executor."""
+    bayerkit, and every call that runs inline, starts no thread and imports no executor. Racing
+    first callers share one pool, with no lock: each may make a list, but setdefault keeps one,
+    and an executor starts its thread only on its first task, so a list that loses starts
+    none."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return [ThreadPoolExecutor(1, f"bayerkit-strip-{k}", _place, (k,)) for k in range(lanes)]
-
-
-# a pool inherited through fork has no threads, so a task submitted to it would never run
-os.register_at_fork(after_in_child=_workers.cache_clear)
+    return _POOLS.get(lanes) or _POOLS.setdefault(
+        lanes, [ThreadPoolExecutor(1, f"bayerkit-strip-{k}", _place, (k,)) for k in range(lanes)])
 
 
 def _place(k: int) -> None:
@@ -155,14 +160,12 @@ def _strip_map(task, h: int, new_bufs, samples: int, step=1):
     # a task leaves ``running`` only once its result is taken, so the finally waits on it too
     # when an interrupt in the caller's thread ends the wait
     try:
-        for i, (r0, n) in enumerate(strips):
+        for i in range(len(strips) + lanes):
             if i >= lanes:  # lane i % lanes is free once the result of task i - lanes is taken
                 yield running[0].result()
                 del running[0]
-            running.append(workers[i % lanes].submit(task, r0, n, sets[i % lanes]))
-        while running:
-            yield running[0].result()
-            del running[0]
+            if i < len(strips):
+                running.append(workers[i % lanes].submit(task, *strips[i], sets[i % lanes]))
     finally:  # every task started finishes before the call returns
         for future in running:
             future.exception()

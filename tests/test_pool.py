@@ -1,8 +1,8 @@
 """The strip pool (image._strip_map): the strips it makes from a frame's height and the buffer
-sets it asks for, the same results on one worker or two and for concurrent callers, the CLI's
-error contract when a strip task fails and under fuzzing, a call made inside a strip task, an
-interrupt while the caller waits on a task, a pool of its own in a forked child, and no thread
-or import where no call needs one.
+sets it asks for, the same results on one worker or two and for concurrent callers, one pool
+for racing first callers, the CLI's error contract when a strip task fails and under fuzzing, a
+call made inside a strip task, an interrupt while the caller waits on a task, a pool of its own
+in a forked child, and no thread or import where no call needs one.
 
 A call runs on min(CPUs of the process, POOL_WORKERS) lanes, and inline on a frame under
 POOL_MIN_SAMPLES. The tests pin all three: the constants by patching them, the CPUs by patching
@@ -45,9 +45,10 @@ def on_workers(workers: int, cpus: int = 2):
         yield
 
 
-@given(st.integers(1, 200), st.integers(1, 8), st.sampled_from([1, 2]))
+@given(st.integers(1, 200), st.integers(1, 8), st.sampled_from([1, 2, 3]))
 @example(1, 8, 2)  # one strip: inline, whatever the lanes
 @example(17, 4, 2)  # four 4-row strips and a 1-row one
+@example(2, 1, 3)  # two strips on three lanes: fewer tasks than lanes
 @settings(max_examples=200, deadline=None)
 def test_the_pool_runs_the_row_strips_of_the_height_it_is_handed(height, strip_rows, workers):
     events, sets = [], []  # appended from the workers too; list.append is atomic
@@ -61,7 +62,7 @@ def test_the_pool_runs_the_row_strips_of_the_height_it_is_handed(height, strip_r
         events.append(("task", r0, n, bufs))
         return r0, n
 
-    with on_workers(workers), patch.object(image, "STRIP_ROWS", strip_rows):
+    with on_workers(workers, cpus=workers), patch.object(image, "STRIP_ROWS", strip_rows):
         strips = list(image._row_strips(height))
         assert list(image._strip_map(task, height, new_bufs, height)) == strips  # in order
     lanes = 1 if len(strips) == 1 else workers
@@ -177,6 +178,51 @@ def test_concurrent_callers_get_the_one_lane_results(rng):
             caller.join(120)
         assert not any(caller.is_alive() for caller in callers)
     assert matched == [True] * 20
+
+
+def test_racing_first_callers_share_one_pool():
+    # eight threads make their first pooled call at once, and each executor takes 0.2 s to
+    # make, so every caller finds no pool. They must still share one: two workers, kept
+    # alive by the wrapper's references, and the one-lane results. The child runs under a
+    # timeout, so a caller left waiting cannot hold the session
+    code = """
+import threading, time
+from concurrent.futures import ThreadPoolExecutor
+from unittest.mock import patch
+import numpy as np
+from bayerkit import BayerPattern, RawImage, image, mse, ssim
+
+rng = np.random.default_rng(0)
+a, b = (RawImage(rng.integers(0, 65536, (200, 100)), BayerPattern.RGGB) for _ in range(2))
+want = ssim(a, b), mse(a, b)  # inline: the frame is under POOL_MIN_SAMPLES
+real, made = ThreadPoolExecutor.__init__, []
+
+def slow(self, *args, **kwargs):
+    time.sleep(0.2)
+    real(self, *args, **kwargs)
+    made.append(self)  # so no worker exits before the count below
+
+barrier, got = threading.Barrier(8), []  # list.append is atomic
+
+def caller():
+    barrier.wait()
+    got.append((ssim(a, b), mse(a, b)))
+
+with (patch.object(image, "POOL_MIN_SAMPLES", 0), patch.object(image, "_cpus", lambda: {0, 1}),
+      patch.object(ThreadPoolExecutor, "__init__", slow)):
+    callers = [threading.Thread(target=caller) for _ in range(8)]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(30)
+assert not any(thread.is_alive() for thread in callers)
+workers = [t.name for t in threading.enumerate() if t.name.startswith("bayerkit-strip-")]
+assert len(workers) == image.POOL_WORKERS == 2, (len(made), workers)
+assert got == [want] * 8, (got, want)
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_a_call_made_in_a_strip_task_runs_inline():

@@ -338,7 +338,7 @@ def test_load_raw_returns_an_image_or_raises_parse_error(pgm):
             img, _ = load_raw(path)
         except ParseError:
             return
-    header = rawfile._pnm_header(b"P5\n", img.width, img.height)
+    header = b"P5\n%d %d\n65535\n" % (img.width, img.height)  # the format's, not the writer's
     assert pgm.startswith(header)
     want = np.frombuffer(pgm, ">u2", offset=len(header)).reshape(img.height, img.width)
     np.testing.assert_array_equal(img.samples, want)
