@@ -216,8 +216,10 @@ def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, step: int, dy: int, dx: i
     with the engine's halo ((dy, dy), (dx, dx)) (see ``image._halo_fill``): on a mosaic, the
     edge rows and columns that unify_pad's reflect-101 pad by the origin shift (dy, dx) gives
     each site plane. The filter runs as one strip task per strip of the frame's rows, each
-    writing its rows of the result, on the strip pool (``image._strip_map``), inline. The
-    identity filter returns img itself.
+    writing its rows of the result, on the strip pool (``image._strip_map``), which the frame's
+    samples gate by one strip's share: a 3072-wide mosaic's 32-row strips run on the pool, and
+    a 512- or 1536-wide one's inline, whatever the frame's height. The identity filter returns
+    img itself.
     """
     plane_filter = _FILTERS[spec.name].plane
     if plane_filter is None:
@@ -225,11 +227,7 @@ def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, step: int, dy: int, dx: i
     out = np.empty_like(arr)
     for i in np.ndindex(arr.shape[:-2]):
         task, new_bufs = plane_filter(arr[i], out[i], spec.param, ((dy, dy), (dx, dx)), step)
-        # samples 0 keeps every filter call inline, in the caller's thread, with one buffer
-        # set. Under the size gate a tall frame would take two lanes and two sets where a short
-        # one of the same width takes one, so the memory would grow with the frame's height.
-        # The frame's samples go here once the pool's gate follows a strip's work
-        for _ in _strip_map(task, arr.shape[-2], new_bufs, 0, step):
+        for _ in _strip_map(task, arr.shape[-2], new_bufs, arr[i].size, step):
             pass
     return _adopt(type(img), out, img.pattern, img.black_level, img.white_level)
 

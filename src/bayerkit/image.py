@@ -22,16 +22,18 @@ numpy runs one 1-D loop over it, where the same step over the 2-D slice costs ne
 much.
 
 SSIM's strips of tiles, MSE's strips, the demosaic's strips, each with its PPM quantize, and
-the Gaussian's and the median's strips run on the strip pool, ``_strip_map``; the filters
-hand it no samples, so they run inline. A caller hands it only the height of the rows it
-strips, and their step; the pool makes the strips of ``_row_strips`` from them and runs one
-task (r0, n, bufs) per strip on min(CPUs of the process, POOL_WORKERS) worker threads, whose
-results are consumed in strip order, so a sum or a file comes out as one loop would make it.
-numpy releases the GIL inside its ufuncs and BLAS products, so the tasks overlap. Each worker
-writes into a buffer set that the caller's new_bufs(rows) made for the tallest strip before any
-task ran, so a call's memory does not depend on the threads' timing. A call of one task, on a
-frame under POOL_MIN_SAMPLES, in a process of one CPU or made inside a strip task runs inline.
-The workers start on the first call that needs them.
+the Gaussian's and the median's strips run on the strip pool, ``_strip_map``. A caller hands
+it the height of the rows it strips, their step and the frame's samples; the pool makes the
+strips of ``_row_strips`` from them and runs one task (r0, n, bufs) per strip on min(CPUs of
+the process, POOL_WORKERS) worker threads, whose results are consumed in strip order, so a sum
+or a file comes out as one loop would make it. numpy releases the GIL inside its ufuncs and
+BLAS products, so the tasks overlap. Each worker writes into a buffer set that the caller's
+new_bufs(rows) made for the tallest strip before any task ran, so a call's memory does not
+depend on the threads' timing. A call of one task, whose tallest strip holds at most
+POOL_MIN_SAMPLES samples, in a process of one CPU or made inside a strip task runs inline. The
+gate reads one strip's samples, never the frame's, so a frame's lanes, and its buffer sets,
+depend on its width and step, not on its height. The workers start on the first call that
+needs them.
 """
 
 from __future__ import annotations
@@ -76,12 +78,16 @@ def _row_strips(h: int, *widths: int, dtype=np.float64, step=1):
 # own, so the cap also bounds the sets a call holds: two keep `bayerkit demosaic` of a
 # 1024x1536 frame within its pinned peak, where three did not.
 POOL_WORKERS = 2
-# Samples a frame needs for its strips to run on the pool; a smaller frame's strips run inline.
-# There a task is too short to pay for waking a worker: at 512x512 the pool made `eval_sweep`
-# items 4.9 ms slower, mse 0.31-0.33 -> 0.46-0.51 ms and ssim only 4.2-4.4 -> 3.4-4.1 ms, where
-# at 1024x1024 it took ssim 17.3-17.9 -> 14.5-16.3 ms and demosaic_bilinear 11.8-12.3 -> 8.2-9.9
-# ms (2-core Xeon, numpy 2.4, best of 15 in three alternated rounds).
-POOL_MIN_SAMPLES = 1 << 20
+# Samples of a call's tallest strip at or below which its strips run inline, at any frame
+# height; a task that small is too short to pay for waking a worker. At 512x512 the pool made
+# `eval_sweep` items 4.9 ms slower, mse 0.31-0.33 -> 0.46-0.51 ms and ssim only 4.2-4.4 ->
+# 3.4-4.1 ms, and pooling the 512x512 demosaic, whose strips hold 65,536 samples, cut
+# `eval_sweep` by 8-11% in four benchmark pairs; so those stay inline. Above it the pool
+# gains: the Gaussian on a 2048x3072 mosaic, strips of 32 x 3,072 = 98,304 samples, took
+# 14-18 ms pooled vs 20-21 ms inline, median:2 98-113 vs 171-180 ms, and ssim at 1024x1024
+# 17.3-17.9 -> 14.5-16.3 ms (2-core Xeon, numpy 2.4, best of 7 to 15 in three alternated
+# rounds).
+POOL_MIN_SAMPLES = 1 << 16
 
 
 def _cpus() -> set:
@@ -91,11 +97,11 @@ def _cpus() -> set:
 
 
 def _lanes(tasks: int, samples: int) -> int:
-    """How many tasks of a call on a frame of ``samples`` samples run at once: min(CPUs this
-    process may run on, POOL_WORKERS), and 1, inline, for a call of one task, on a frame under
-    POOL_MIN_SAMPLES, or made in a strip task, whose own worker would never run a task queued
-    behind it."""
-    if (tasks < 2 or samples < POOL_MIN_SAMPLES
+    """How many tasks of a call whose tallest strip holds ``samples`` samples run at once:
+    min(CPUs this process may run on, POOL_WORKERS), and 1, inline, for a call of one task,
+    of strips of at most POOL_MIN_SAMPLES samples, or made in a strip task, whose own worker
+    would never run a task queued behind it."""
+    if (tasks < 2 or samples <= POOL_MIN_SAMPLES
             or threading.current_thread().name.startswith("bayerkit-strip-")):
         return 1
     return min(len(_cpus()), POOL_WORKERS)
@@ -138,11 +144,11 @@ def _strip_map(task, h: int, new_bufs, samples: int, step=1):
     h-row frame of ``samples`` samples whose site planes interleave with ``step``, yielded in
     strip order, on the strip pool.
 
-    The call has _lanes(len(strips), samples) lanes, and each lane one worker thread and one
-    buffer set, made by new_bufs(rows), where ``rows`` is the tallest strip's height, in the
-    caller's thread before any task runs; a task writes only into its lane's set, so the call's
-    memory does not depend on the threads' timing, and a set stays in the cache of its worker's
-    CPU.
+    The call has _lanes(len(strips), samples * rows // h) lanes, where ``rows`` is the tallest
+    strip's height, so the gate reads that strip's share of the frame's samples. Each lane has
+    one worker thread and one buffer set, made by new_bufs(rows) in the caller's thread before
+    any task runs; a task writes only into its lane's set, so the call's memory does not depend
+    on the threads' timing, and a set stays in the cache of its worker's CPU.
     Task i runs in lane i % lanes, and starts only once the result of task i - lanes is
     yielded and the next one asked for, so a result may be a view of its set. With one lane
     every task runs inline, in the caller's thread. A task's exception is raised in its turn;
@@ -150,8 +156,9 @@ def _strip_map(task, h: int, new_bufs, samples: int, step=1):
     KeyboardInterrupt, or when the caller closes the generator, the tasks already started
     finish before it returns, so the pool is left idle."""
     strips = list(_row_strips(h, step=step))
-    lanes = _lanes(len(strips), samples)
-    sets = [new_bufs(strips[0][1]) for _ in range(lanes)]  # the first strip is the tallest
+    # the first strip is the tallest: the gate reads its samples, the sets are made for it
+    lanes = _lanes(len(strips), samples * strips[0][1] // h)
+    sets = [new_bufs(strips[0][1]) for _ in range(lanes)]
     if lanes == 1:
         for r0, n in strips:
             yield task(r0, n, sets[0])

@@ -27,6 +27,7 @@ from bayerkit import (
     unify_pad,
 )
 import bayerkit.cli as cli
+import bayerkit.image as image
 from bayerkit.cli import build_parser, main
 from bayerkit.image import STRIP_ROWS
 
@@ -403,6 +404,31 @@ def test_denoise_command_holds_two_frames_and_its_strip_buffers(tmp_path, rng):
     assert STRIP_ROWS * w * 2 < strips
     assert peak < 2 * h * w * 2 + strips
 
+
+
+def test_denoise_command_on_the_pool_holds_two_frames_and_a_buffer_set_per_lane(tmp_path, rng):
+    # 3072 wide, each 32-row strip of the mosaic holds 98,304 samples, past POOL_MIN_SAMPLES,
+    # so the Gaussian runs on min(CPUs, POOL_WORKERS) lanes, each with a buffer set of its own
+    save_raw(rand_raw(rng, 512, 3072, BayerPattern.GBRG), None, tmp_path / "in.pgm")
+    padded = tmp_path / "padded.pgm"
+    assert main(["unify", "--target", "RGGB", "--mode", "pad", str(tmp_path / "in.pgm"),
+                 "-o", str(padded)]) == 0
+    h, w = 514, 3072
+    assert (STRIP_ROWS // 2) * w > image.POOL_MIN_SAMPLES
+    argv = ["denoise", "--filter", "gaussian:1.0", "--work-pattern", "BGGR", str(padded),
+            "-o", str(tmp_path / "out.pgm")]
+    assert main(argv) == 0  # the workers start, and the executor's modules load, untraced
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per lane the Gaussian's halo and column-pass strips, STRIP_ROWS // 2 + 4 and
+    # STRIP_ROWS // 2 rows of w + 4 float64, and once the engine's index maps
+    lanes = min(len(image._cpus()), image.POOL_WORKERS)
+    one_set = (2 * (STRIP_ROWS // 2) + 4) * (w + 4) * 8
+    assert peak < 2 * h * w * 2 + lanes * one_set + 4 * (h + w) * 8
 
 def test_demosaic_command_never_holds_a_float_frame_plane(tmp_path, rng):
     h, w = 1024, 1536

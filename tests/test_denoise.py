@@ -37,7 +37,7 @@ NO_HALO = ((0, 0), (0, 0))
 
 def _smooth(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> None:
     """The Gaussian of ``plane`` into ``out``: the strip task that _smooth_plane returns, run
-    on the strip pool over the plane's strips, inline, as _denoise runs it."""
+    on the strip pool over the plane's strips, inline, as _denoise runs it on a narrow plane."""
     task, new_bufs = denoise._smooth_plane(plane, out, sigma, halo, step)
     for _ in image._strip_map(task, plane.shape[0], new_bufs, 0, step):
         pass
@@ -225,6 +225,25 @@ def test_median_memory_does_not_grow_with_the_frame_height():
             tracemalloc.stop()
     assert abs(beyond[1] - beyond[0]) < lanes
 
+
+
+def test_median_memory_on_the_pool_does_not_grow_with_the_frame_height():
+    # 3072 wide, each 32-row strip of the mosaic holds 98,304 samples, past POOL_MIN_SAMPLES,
+    # so 256 rows and 2048 rows both run on min(CPUs, POOL_WORKERS) lanes: the same buffer
+    # sets, where a gate by the frame's samples would give the taller frame one more
+    width, spec = 3072, DenoiserSpec("median", 2)
+    assert (image.STRIP_ROWS // 2) * width > image.POOL_MIN_SAMPLES
+    lanes = 26 * (image.STRIP_ROWS // 2) * width * 2  # one mosaic strip's lanes, uint16
+    beyond = []
+    for height in (256, 2048):
+        img = rand_raw(np.random.default_rng(height), height, width, BayerPattern.GBRG)
+        tracemalloc.start()
+        try:
+            out = denoise_pipeline(img, BayerPattern.RGGB, spec)
+            beyond.append(tracemalloc.get_traced_memory()[1] - out.samples.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(beyond[1] - beyond[0]) < lanes
 
 def test_filters_keep_shape_and_metadata(rng):
     img = rand_raw(rng, 12, 16, BayerPattern.GBRG, black=50, white=60000)

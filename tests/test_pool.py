@@ -4,11 +4,11 @@ for racing first callers, the CLI's error contract when a strip task fails and u
 call made inside a strip task, an interrupt while the caller waits on a task, a pool of its own
 in a forked child, and no thread or import where no call needs one.
 
-A call runs on min(CPUs of the process, POOL_WORKERS) lanes, and inline on a frame under
-POOL_MIN_SAMPLES. The tests pin all three: the constants by patching them, the CPUs by patching
-image._cpus, so the two-lane path runs on small frames on any host. On a host of one CPU the
-patched CPU set names a CPU the process may not use, so a worker's placement is refused and it
-stays where it is."""
+A call runs on min(CPUs of the process, POOL_WORKERS) lanes, and inline where its tallest
+strip holds at most POOL_MIN_SAMPLES samples. The tests pin all three: the constants by
+patching them, the CPUs by patching image._cpus, so the two-lane path runs on small frames on
+any host. On a host of one CPU the patched CPU set names a CPU the process may not use, so a
+worker's placement is refused and it stays where it is."""
 
 import contextlib
 import multiprocessing
@@ -72,6 +72,28 @@ def test_the_pool_runs_the_row_strips_of_the_height_it_is_handed(height, strip_r
     assert sorted(event[1:3] for event in tasks) == strips  # each strip once
     for _, r0, n, bufs in tasks:  # strip i writes into lane i % lanes's set
         assert bufs is sets[strips.index((r0, n)) % lanes]
+
+
+@given(st.integers(1, 4096), st.sampled_from([1, 2]), st.integers(2, 40), st.integers(0, 400),
+       st.integers(0, 63))
+@example(1024, 1, 2, 0, 0)  # 64 x 1,024: POOL_MIN_SAMPLES itself, inline
+@example(1025, 1, 2, 300, 0)  # one column more: on the pool
+@example(512, 1, 8, 0, 0)  # the 512x512 demosaic's strips of 64 plane rows, inline
+@example(3072, 2, 8, 56, 1)  # the 2048x3072 mosaic's 32-row filter strips, on the pool
+@settings(max_examples=200, deadline=None)
+def test_the_lane_count_never_depends_on_the_frame_height(width, step, strips, more, tail):
+    # a frame of at least two strips and a taller one of the same width and step: the gate
+    # reads one strip's samples, so both get the same lanes and as many buffer sets
+    rows = image.STRIP_ROWS // step
+    lanes = []
+    for height in (strips * rows - tail % rows, (strips + more) * rows):
+        sets = []
+        with patch.object(image, "_cpus", lambda: {0, 1}):
+            for _ in image._strip_map(lambda r0, n, bufs: None, height, sets.append,
+                                      height * width, step):
+                pass
+        lanes.append(len(sets))
+    assert lanes == [1 + (rows * width > image.POOL_MIN_SAMPLES)] * 2
 
 
 FILTERS = [DenoiserSpec.parse(text) for text in ("gaussian:1.0", "median:1", "median:2")]
@@ -194,7 +216,7 @@ from bayerkit import BayerPattern, RawImage, image, mse, ssim
 
 rng = np.random.default_rng(0)
 a, b = (RawImage(rng.integers(0, 65536, (200, 100)), BayerPattern.RGGB) for _ in range(2))
-want = ssim(a, b), mse(a, b)  # inline: the frame is under POOL_MIN_SAMPLES
+want = ssim(a, b), mse(a, b)  # inline: its strips are under POOL_MIN_SAMPLES
 real, made = ThreadPoolExecutor.__init__, []
 
 def slow(self, *args, **kwargs):
@@ -242,7 +264,7 @@ def tile(*args):
     return real(*args)
 
 with patch.object(image, "STRIP_ROWS", 8):  # 50 window rows: seven SSIM strips of one tile
-    want = ssim(a, b), mse(a, b)  # inline: the frame is under POOL_MIN_SAMPLES
+    want = ssim(a, b), mse(a, b)  # inline: its strips are under POOL_MIN_SAMPLES
     with (patch.object(image, "POOL_MIN_SAMPLES", 0), patch.object(image, "_cpus", lambda: {0, 1}),
           patch.object(metrics, "_ssim_tile", tile)):
         got = ssim(a, b)
@@ -447,16 +469,18 @@ def test_a_forked_child_runs_the_pool_of_its_own(rng):
 
 
 def test_importing_and_inline_calls_start_no_thread():
-    # the training path (unify_crop, sample_plan, apply_plan, pack), the denoise command and a
-    # call on a frame under POOL_MIN_SAMPLES run nothing on the pool, so they start no thread
-    # and import no queue; the first call on a frame of POOL_MIN_SAMPLES, in a process of two
-    # CPUs, starts both workers
+    # the training path (unify_crop, sample_plan, apply_plan, pack), the denoise command on a
+    # 400-wide frame and a full 512x512 eval_sweep cell run nothing on the pool, so they start
+    # no thread and import no queue: every strip of theirs holds at most POOL_MIN_SAMPLES
+    # samples, the cell's demosaic strip exactly that many. The first call whose strips hold
+    # more, in a process of two CPUs, starts both workers
     code = """
 import sys, tempfile, threading
 import numpy as np
 import bayerkit
-from bayerkit import (BayerPattern, RawImage, apply_plan, image, pack, sample_plan, save_raw,
-                      ssim, unify_crop)
+from bayerkit import (BayerPattern, DenoiserSpec, NoiseParams, RawImage, add_noise, apply_plan,
+                      demosaic_bilinear, denoise_pipeline, gen_scene, image, metrics, mosaic,
+                      pack, psnr, sample_plan, save_raw, ssim, unify_crop)
 from bayerkit.cli import main
 
 def idle():
@@ -473,10 +497,18 @@ with tempfile.TemporaryDirectory() as d:
     assert main(["denoise", "--filter", "gaussian:1.0", "--work-pattern", "BGGR",
                  d + "/in.pgm", "-o", d + "/out.pgm"]) == 0
 image._cpus = lambda: {0, 1}
-ssim(img, img)  # 300x400 is under POOL_MIN_SAMPLES: inline
+# the eval_sweep cell: its demosaic strip, 64 plane rows of 512x512, holds 2**16 samples
+assert 512 * 2 * image.STRIP_ROWS == image.POOL_MIN_SAMPLES
+clean = mosaic(gen_scene(7, 512, 512), BayerPattern.GRBG)
+noisy = add_noise(clean, NoiseParams(0.02, 0.04), 907)
+for text in ("gaussian:1.0", "median:1", "median:2"):
+    out = denoise_pipeline(noisy, BayerPattern.RGGB, DenoiserSpec.parse(text))
+    psnr(out, clean), ssim(out, clean)
+demosaic_bilinear(out)
 assert idle()
-big = RawImage(rng.integers(0, 65536, (1024, 1024)), BayerPattern.GBRG)
-assert big.samples.size == image.POOL_MIN_SAMPLES
+big = RawImage(rng.integers(0, 65536, (1024, 1536)), BayerPattern.GBRG)
+rows = big.height - (metrics._SSIM_WINDOW - 1)  # SSIM strips its window rows
+assert big.samples.size * image.STRIP_ROWS // rows > image.POOL_MIN_SAMPLES
 ssim(big, big)
 assert threading.active_count() == 1 + image.POOL_WORKERS
 """
