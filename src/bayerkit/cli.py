@@ -95,12 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "unify", cmd_unify, "convert a mosaic to a target Bayer pattern")
     p.add_argument("--target", type=_pattern, required=True)
     p.add_argument("--mode", choices=["crop", "pad"], required=True)
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
 
-    p = _command(sub, "disunify", cmd_disunify, "undo pad-unification recorded in the sidecar")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
+    _command(sub, "disunify", cmd_disunify, "undo pad-unification recorded in the sidecar")
 
     p = _command(sub, "augment", cmd_augment, "apply pattern-preserving augmentation")
     p.add_argument("--hflip", action="store_true")
@@ -110,12 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed)
     p.add_argument("--patch-size", type=_patch_size)
     p.add_argument("--plan", metavar="plan.json")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
 
-    p = _command(sub, "pack-roundtrip", cmd_pack_roundtrip,
-                 "self-check: pack then unpack must be exact")
-    p.add_argument("input")
+    _command(sub, "pack-roundtrip", cmd_pack_roundtrip,
+             "self-check: pack then unpack must be exact")
 
     p = _command(sub, "simulate", cmd_simulate, "generate a synthetic mosaic")
     p.add_argument("--pattern", type=_pattern, required=True)
@@ -124,27 +117,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_noise, metavar="READ,SHOT")
     p.add_argument("--noise-seed", type=_seed, default=0)
     p.add_argument("--clean", metavar="clean.pgm")
-    p.add_argument("-o", "--output", required=True)
 
     p = _command(sub, "denoise", cmd_denoise, "filter each plane as if padded to --work-pattern")
     p.add_argument("--filter", required=True, dest="filter_spec",
                    metavar="identity|gaussian:<s>|median:<r>")
     p.add_argument("--work-pattern", type=_pattern, required=True)
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
 
-    p = _command(sub, "demosaic", cmd_demosaic, "bilinear demosaic to a 16-bit PPM")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
+    _command(sub, "demosaic", cmd_demosaic, "bilinear demosaic to a 16-bit PPM")
 
     p = _command(sub, "metrics", cmd_metrics, "print MSE/PSNR/SSIM of input vs reference as JSON")
     p.add_argument("--ref", required=True)
-    p.add_argument("input")
 
     p = _command(sub, "baseline-demo", cmd_baseline_demo,
                  "differential demo: correct transforms vs naive packed-plane ops")
     p.add_argument("--seed", type=_seed, required=True)
 
+    # input and -o are declared after each subcommand's own options, not through parents=, which
+    # would put them first: argparse lists arguments in their order of declaration, in --help and
+    # in the "the following arguments are required" error
+    for cmd in ("unify", "disunify", "augment", "pack-roundtrip", "denoise", "demosaic", "metrics"):
+        sub.choices[cmd].add_argument("input")
+    for cmd in ("unify", "disunify", "augment", "simulate", "denoise", "demosaic"):
+        sub.choices[cmd].add_argument("-o", "--output", required=True)
     return parser
 
 

@@ -12,16 +12,17 @@ optionally a "pad" object of JSON integers recording reversible pad-unification.
 A key the layout does not name, in the sidecar or its "pad" object, is ignored;
 anything else that deviates from this layout is rejected rather than guessed at:
 the whole point of the format is that save -> load -> save is byte-identical.
-``load_raw`` reads and checks the header, checks the payload's size against the
-file's size from fstat before it allocates anything, then reads the payload in row strips,
-each with ``readinto`` into one reused big-endian strip buffer and cast-copied from it into
-the rows of one fresh native uint16 array, which it adopts without another copy. The cast
-copy is right on a host of either byte order, and it is cheap: at 2048x3072 the 32 strip
-copies out of the in-cache buffer take 0.7 ms, where numpy's in-place byteswap of the frame
-took 4.4 ms (2-core Xeon, numpy 2.4.6). A payload that shrank after the fstat check is
-reported with the number of bytes actually read. A fault in the sidecar is
-reported with the sidecar's path. A PGM path that ends in ``.json`` names its
-own sidecar; load and save refuse it up front.
+``load_raw`` opens the PGM before it looks for the sidecar, so a missing PGM is reported as
+itself. It reads and checks the header, of whose dimension line it reads at most 64 bytes, and
+checks the payload's size against the file's size from fstat before it allocates anything. It
+then reads the payload in row strips, each with ``readinto`` into one reused big-endian strip
+buffer and cast-copied from it into the rows of one fresh native uint16 array, which it adopts
+without another copy. The cast copy is right on a host of either byte order, and it is cheap:
+at 2048x3072 the 32 strip copies out of the in-cache buffer take 0.7 ms, where numpy's
+in-place byteswap of the frame took 4.4 ms (2-core Xeon, numpy 2.4.6). A payload that shrank
+after the fstat check is reported with the number of bytes actually read. A fault in the
+sidecar is reported with the sidecar's path. A PGM path that ends in ``.json`` names its own
+sidecar; load and save refuse it up front.
 
 A file is a (path, chunks) pair: ``_raw_files`` builds the PGM+sidecar pairs and
 ``_ppm_file`` a PPM's. ``_atomic_write`` writes each file of a unit to a temp file of its own
@@ -56,6 +57,9 @@ from .unify import PadSpec
 
 _PGM_MAGIC = b"P5\n"
 _MAXVAL_LINE = b"65535\n"
+# at most this many bytes of the dimension line are read: a valid one has at most 40, two sides
+# of at most 19 digits (twice their product is a real file's payload size), a space and the newline
+_DIMS_MAX = 64
 _PAD = "bad pad record"
 
 
@@ -79,9 +83,10 @@ def _read_pgm(fh, origin: str) -> np.ndarray:
     through one reused big-endian buffer, each strip cast-copied into the array's rows."""
     if fh.read(len(_PGM_MAGIC)) != _PGM_MAGIC:
         raise ParseError(f"{origin}: not a binary PGM (bad magic)")
-    dims = fh.readline()
+    dims = fh.readline(_DIMS_MAX)  # bounded: a file need not hold a newline at all
     if not dims.endswith(b"\n"):
-        raise ParseError(f"{origin}: header ends before the dimension line")
+        raise ParseError(f"{origin}: header ends before the dimension line" if len(dims) < _DIMS_MAX
+                         else f"{origin}: dimension line has no newline in {_DIMS_MAX} bytes")
     dims = dims[:-1]
     parts = dims.split(b" ")
     if len(parts) != 2:
@@ -146,9 +151,9 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
     """Read a PGM and its ``<stem>.json`` sidecar; returns the image and any recorded padding."""
     pgm = Path(path)
     sidecar = sidecar_path(pgm)
-    if not sidecar.exists():
-        raise MissingSidecar(f"no sidecar at {sidecar}")
-    with open(pgm, "rb") as fh:
+    with open(pgm, "rb") as fh:  # first, so that a missing PGM is reported as itself
+        if not sidecar.exists():
+            raise MissingSidecar(f"no sidecar at {sidecar}")
         samples = _read_pgm(fh, str(pgm))
     pattern, black, white, pad = _parse_sidecar(sidecar.read_bytes(), str(sidecar))
     try:

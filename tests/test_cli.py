@@ -474,7 +474,9 @@ def test_baseline_demo_command(capsys):
 def test_missing_input_file_is_processing_error(tmp_path, capsys):
     rc = main(["demosaic", str(tmp_path / "absent.pgm"), "-o", str(tmp_path / "x.ppm")])
     assert rc == 1
-    capsys.readouterr()
+    # the message names the PGM that is missing, not the sidecar beside it
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "absent.pgm" in err and "absent.json" not in err, err
 
 
 def test_usage_error_exit_code():

@@ -40,12 +40,14 @@ def _write_inputs(d: Path) -> None:
     (d / "junk.pgm").write_bytes(b"P5\n4 4\n65535\nshort")
     (d / "junk.json").write_text('{"bayer_pattern": "RGGB"}')
     (d / "nosidecar.pgm").write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+    (d / "longline.pgm").write_bytes(b"P5\n" + b"4" * 4096)  # a dimension line with no end
+    (d / "longline.json").write_text('{"bayer_pattern": "RGGB"}')
     (d / "sub").mkdir()
 
 
 VALID_INPUTS = ["RGGB_8x8.pgm", "GRBG_12x10.pgm", "BGGR_4x6.pgm", "GBRG_pad.pgm"]
 INPUTS = VALID_INPUTS + ["GBRG_2x2.pgm", "RGGB_pad.pgm", "junk.pgm", "nosidecar.pgm",
-                         "absent.pgm", "sub", "plan.json", ""]
+                         "longline.pgm", "absent.pgm", "sub", "plan.json", ""]
 OUTPUTS = ["out.pgm", "out2.pgm", "out.ppm", "out.json", "sub", "sub/", "missing/out.pgm",
            "", ".", "RGGB_8x8.pgm"]
 

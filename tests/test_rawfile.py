@@ -207,6 +207,11 @@ def test_load_rejects_inverted_levels(tmp_path):
     (b"P6\n4 4\n65535\n", 32, "not a binary PGM (bad magic)"),
     (b"P5 4 4 65535", 0, "not a binary PGM (bad magic)"),
     (b"P5\n4 4", 0, "header ends before the dimension line"),
+    (b"P5\n" + b"4" * 63, 0, "header ends before the dimension line"),
+    (b"P5\n" + b"4" * 64, 0, "dimension line has no newline in 64 bytes"),
+    (b"P5\n4 " + b"4" * 64 + b"\n65535\n", 32, "dimension line has no newline in 64 bytes"),
+    # a line of 64 bytes, its newline included, is read whole and parsed
+    (b"P5\n4 " + b"0" * 61 + b"\n65535\n", 0, "dimensions must be even and >= 2, got 4x0"),
     (b"P5\n4\n65535\n", 32, "dimension line must be '<width> <height>'"),
     (b"P5\n4 4 4\n65535\n", 32, "dimension line must be '<width> <height>'"),
     (b"P5\n4  4\n65535\n", 32, "dimension line must be '<width> <height>'"),
@@ -253,6 +258,20 @@ def test_a_huge_header_over_a_short_payload_is_refused_before_allocating(tmp_pat
         tracemalloc.stop()
     assert str(e.value) == f"{path}: payload is 32 bytes, expected 20000000000"
     assert peak < 2**20
+
+
+def test_a_header_line_of_megabytes_is_refused_after_64_bytes(tmp_path):
+    # without a newline, an unbounded readline would read the whole file before any check
+    path = write_pair(tmp_path, b"P5\n" + b"4" * (8 << 20), GOOD_SIDECAR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as e:
+            load_raw(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == f"{path}: dimension line has no newline in 64 bytes"
+    assert peak < 2**15
 
 
 @pytest.mark.parametrize("kept", [10, 128, 134], ids=["first strip", "strip boundary", "third strip"])
