@@ -27,13 +27,13 @@ import sys
 
 from . import baselines
 from .augment import AugPlan, HFlip, Patch, Transpose, VFlip, apply_plan, sample_plan
-from .denoise import DenoiserSpec, denoise_pipeline
+from .denoise import DenoiserSpec, _pipeline_strips
 from .errors import BayerKitError
 from .metrics import metric_report
 from .packing import pack, unpack
 from .patterns import BayerPattern
-from .rawfile import (_atomic_write, _ppm_bufs, _ppm_file, _ppm_strip, _raw_files, load_raw,
-                      sidecar_path)
+from .rawfile import (_atomic_write, _pgm_bufs, _pgm_strip, _ppm_bufs, _ppm_file, _ppm_strip,
+                      _raw_files, load_raw, sidecar_path)
 from .simulate import NoiseParams, _demosaic, add_noise, gen_scene, mosaic
 from .unify import disunify_crop, unify_crop, unify_pad
 
@@ -214,8 +214,11 @@ def cmd_simulate(args) -> tuple:
 def cmd_denoise(args) -> tuple:
     spec = DenoiserSpec.parse(args.filter_spec)
     img, pad = load_raw(args.input)
-    # the output has the input's size and pattern, so a pad record still applies to it
-    return _raw_files(denoise_pipeline(img, args.work_pattern, spec), pad, args.output)
+    # the output has the input's size, pattern and levels, so a pad record still applies to it.
+    # The output frame is never built: each strip task stores its rows big-endian, and the PGM
+    # writes them in strip order. The identity filter writes the input's own strips
+    strips = _pipeline_strips(img, args.work_pattern, spec, _pgm_strip, _pgm_bufs)
+    return _raw_files(img, pad, args.output, strips)
 
 
 def cmd_demosaic(args) -> tuple:

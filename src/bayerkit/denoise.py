@@ -8,8 +8,13 @@ What this module actually guarantees is the plumbing around the filter:
   -> disunify_crop would give, without building any of those frames. Each filter
   runs once per frame, as one strip task per strip of the mosaic's own
   contiguous rows (image._strip_map with step 2), on the halo strips of
-  image._halo_fill, where a site's same-site neighbours sit two samples apart,
-  and writes the strip's rows of one output mosaic. The working pattern only
+  image._halo_fill, where a site's same-site neighbours sit two samples apart.
+  The task returns the strip's filtered rows, and one store step in the task,
+  chosen by its consumer (``_strips``), puts their uint16 cast in place:
+  ``denoise_pipeline`` and ``denoise_packed`` store them into their output
+  frame's rows, and ``bayerkit denoise`` stores each strip big-endian into its
+  lane's PGM strip buffer, which the writer takes in strip order (rawfile), so
+  the command never builds its output frame. The working pattern only
   sets each site plane's halo: mosaic reflect-101 keeps a sample's parity, so
   in plane space a padded row is the plane's edge row duplicated. With
   (dy, dx) = unify_offsets(pattern, work pattern), plane (a, b) gets one such row
@@ -27,24 +32,25 @@ What this module actually guarantees is the plumbing around the filter:
 
 The Gaussian computes in float64 and rounds by floor(x + 0.5) (half away from
 zero, as x >= 0). Its weights sum to 1, so x + 0.5 lies in [0.5, 65535.5 +
-3e-11] for every sigma, and the truncating uint16 cast of the store is that
-floor: no floor and no clip pass is run. It runs on the edge-halo strips of
-image._halo_fill, which give every site plane one edge row and column; its
-new_bufs adds the one strip buffer of its column pass, and that pass covers the
-halo columns too, so they come out of it as the duplicated edge columns the row
-pass needs. The row pass runs on flat spans (image._span) of that buffer, at
-offsets 0, step and 2 * step, and writes a flat span of the spent strip; the
-samples between the spans' rows are computed and never stored. Each sample takes
-the same float64 steps as in the whole-plane formula, so neither the strip size,
-the spans nor the interleaving of the site planes show in the bytes.
+3e-11] for every sigma, and the truncating uint16 cast of the store, in either
+byte order, is that floor: no floor and no clip pass is run. It runs on the
+edge-halo strips of image._halo_fill, which give every site plane one edge row
+and column; its new_bufs adds the one strip buffer of its column pass, and that
+pass covers the halo columns too, so they come out of it as the duplicated edge
+columns the row pass needs. The row pass runs on flat spans (image._span) of
+that buffer, at offsets 0, step and 2 * step, and writes a flat span of the spent
+strip, whose rows the task returns; the samples between the spans' rows are
+computed and never stored. Each sample takes the same float64 steps as in the
+whole-plane formula, so neither the strip size, the spans nor the interleaving
+of the site planes show in the bytes.
 The median is exact selection on uint16: a median of an odd count of samples
 is one of them. Its windows do see the halo: it reads the uint16 strips of
 image._halo_fill with its radius and the planes' halo, whose rule is the edge
 pad by the halo, then the reflect-101 pad by the radius, and takes the windows of
 the planes' own samples, with offsets ``step`` samples apart. Each window offset
 of a strip is copied into one of the lane buffers of its new_bufs, and a
-pruned min/max network over the lanes selects the middle one, so the median
-holds one strip's lanes, never a plane-sized copy.
+pruned min/max network over the lanes selects the middle one, the rows the task
+returns, so the median holds one strip's lanes, never a plane-sized copy.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ def _gaussian_3tap(sigma: float) -> tuple[float, float]:
     return 1.0 / total, g1 / total
 
 
-def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> tuple:
+def _smooth_plane(plane: np.ndarray, sigma: float, halo, step: int) -> tuple:
     # separable 3x3 kernel over same-site neighbours ``step`` apart; edge-duplicated borders,
     # so the halo changes no window (see module docstring). Each sample takes the float64 steps
     # (w1*up + w0*mid) + w1*down, then the same along the row.
@@ -76,7 +82,7 @@ def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: 
     w, s = plane.shape[1], step
     fill, new_buf = _halo_fill(plane, halo=((s, s), (s, s)), step=s)  # one edge row and column
 
-    def task(r0: int, n: int, bufs) -> None:
+    def task(r0: int, n: int, bufs) -> np.ndarray:
         xs, cols = fill(r0, n, bufs[0]), bufs[1][:n]
         mid = np.multiply(w0, xs[s:-s], out=cols)
         xs *= w1
@@ -89,7 +95,7 @@ def _smooth_plane(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: 
         acc += _span(mid, 0, 0, n, w)
         acc += _span(mid, 0, 2 * s, n, w)
         acc += 0.5
-        out[r0 : r0 + n] = xs[:n, :w]
+        return xs[:n, :w]
 
     # the float64 halo strip, and the column pass's buffer, which includes the halo columns
     return task, lambda rows: (new_buf(rows), np.empty((rows, w + 2 * s)))
@@ -132,11 +138,11 @@ def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
 _MEDIAN_NETWORKS = {r: _median_network((2 * r + 1) ** 2) for r in (1, 2)}
 
 
-def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo, step: int) -> tuple:
+def _median_plane(plane: np.ndarray, radius: int, halo, step: int) -> tuple:
     w, size = plane.shape[1], 2 * radius + 1
     fill, new_buf = _halo_fill(plane, radius, halo, step)
 
-    def task(r0: int, n: int, bufs) -> None:
+    def task(r0: int, n: int, bufs) -> np.ndarray:
         strip, (spare, *lanes) = fill(r0, n, bufs[0]), bufs[1][:, :n]
         for lane, (dy, dx) in zip(lanes, np.ndindex(size, size)):
             lane[...] = strip[step * dy : step * dy + n, step * dx : step * dx + w]
@@ -146,7 +152,7 @@ def _median_plane(plane: np.ndarray, out: np.ndarray, radius: int, halo, step: i
                 lanes[lo], spare = np.minimum(a, b, out=spare), a
             if keep_max:  # a still holds lane lo's samples
                 np.maximum(a, b, out=b)
-        out[r0 : r0 + n] = lanes[len(lanes) // 2]
+        return lanes[len(lanes) // 2]
 
     # the uint16 halo strip, and the network's spare and one lane per window offset
     return task, lambda rows: (new_buf(rows, np.uint16),
@@ -157,10 +163,11 @@ class _Filter(NamedTuple):
     parse_arg: Callable[[str], float | int] | None  # None: takes no argument
     accepts: Callable[[object], bool]
     expects: str  # what accepts() checks, for error messages
-    # (plane, out, param, halo, step) -> (task, new_bufs): the strip task (r0, n, bufs) of
+    # (plane, param, halo, step) -> (task, new_bufs): the strip task (r0, n, bufs) of
     # image._strip_map that filters rows r0 .. r0 + n - 1 of the uint16 plane, whose same-site
-    # neighbours sit step apart, into out, and its new_bufs(rows); None: identity
-    plane: Callable[[np.ndarray, np.ndarray, float | int, tuple, int], tuple] | None
+    # neighbours sit step apart, and returns them as n rows in its buffer set whose uint16 cast
+    # is the result, and its new_bufs(rows); None: identity
+    plane: Callable[[np.ndarray, float | int, tuple, int], tuple] | None
 
 
 def _finite_positive(v) -> bool:
@@ -208,28 +215,50 @@ class DenoiserSpec:
             raise BadFilterParam(f"bad {name} parameter: {arg!r}") from None
 
 
+def _strips(frame: np.ndarray, spec, step: int, dy: int, dx: int, finish, new_bufs=lambda *_: ()):
+    """The filter of ``spec`` on the uint16 (h, w) frame, on the strip pool
+    (``image._strip_map``): yields, in strip order, finish(index, rows, *bufs) for each strip of
+    frame rows index = slice(r0, r0 + n), which runs in the strip's task. ``rows`` are the
+    filter's n rows, whose uint16 cast is the result, in the task's buffer set; finish stores
+    them before it returns. ``bufs`` is the caller's part of that set, new_bufs(rows, w) for
+    strips of at most ``rows`` rows. Same-site neighbours sit ``step`` apart, with the engine's
+    halo ((dy, dy), (dx, dx)) (see ``image._halo_fill``). The frame's samples gate the pool by
+    one strip's share: a 3072-wide mosaic's 32-row strips run on the pool, and a 512- or
+    1536-wide one's inline, whatever the frame's height.
+    """
+    task, own_bufs = _FILTERS[spec.name].plane(frame, spec.param, ((dy, dy), (dx, dx)), step)
+    h, w = frame.shape
+
+    def finished(r0: int, n: int, bufs):  # the filter's part of the set comes first
+        return finish(slice(r0, r0 + n), task(r0, n, bufs[0]), *bufs[1:])
+
+    return _strip_map(finished, h, lambda rows: (own_bufs(rows), *new_bufs(rows, w)), h * w, step)
+
+
 def _denoise(img, arr: np.ndarray, spec: DenoiserSpec, step: int, dy: int, dx: int):
     """A new ``type(img)`` with img's metadata, over an array like ``arr``, img's own array.
 
-    Each (h, w) frame in arr's last two axes, a PackedImage's planes or a RawImage's mosaic,
-    is filtered into the same frame of the result, its same-site neighbours ``step`` apart,
-    with the engine's halo ((dy, dy), (dx, dx)) (see ``image._halo_fill``): on a mosaic, the
-    edge rows and columns that unify_pad's reflect-101 pad by the origin shift (dy, dx) gives
-    each site plane. The filter runs as one strip task per strip of the frame's rows, each
-    writing its rows of the result, on the strip pool (``image._strip_map``), which the frame's
-    samples gate by one strip's share: a 3072-wide mosaic's 32-row strips run on the pool, and
-    a 512- or 1536-wide one's inline, whatever the frame's height. The identity filter returns
-    img itself.
+    Each (h, w) frame in arr's last two axes, a PackedImage's planes or a RawImage's mosaic, is
+    filtered by ``_strips`` into the same frame of the result, each strip task storing its rows.
+    On a mosaic, the halo ((dy, dy), (dx, dx)) is the edge rows and columns that unify_pad's
+    reflect-101 pad by the origin shift (dy, dx) gives each site plane. The identity filter
+    returns img itself.
     """
-    plane_filter = _FILTERS[spec.name].plane
-    if plane_filter is None:
+    if _FILTERS[spec.name].plane is None:
         return img
     out = np.empty_like(arr)
-    for i in np.ndindex(arr.shape[:-2]):
-        task, new_bufs = plane_filter(arr[i], out[i], spec.param, ((dy, dy), (dx, dx)), step)
-        for _ in _strip_map(task, arr.shape[-2], new_bufs, arr[i].size, step):
+    for i in np.ndindex(arr.shape[:-2]):  # out[i][index] = rows, by the uint16 cast
+        for _ in _strips(arr[i], spec, step, dy, dx, out[i].__setitem__):
             pass
     return _adopt(type(img), out, img.pattern, img.black_level, img.white_level)
+
+
+def _pipeline_strips(img: RawImage, work_pattern: BayerPattern, spec, finish, new_bufs):
+    """``denoise_pipeline(img, work_pattern, spec)`` as the strips of ``_strips``, each stored
+    by ``finish`` in its task, so its frame is never built; None for the identity filter, whose
+    result is img itself."""
+    return None if _FILTERS[spec.name].plane is None else _strips(
+        img.samples, spec, 2, *unify_offsets(img.pattern, work_pattern), finish, new_bufs)
 
 
 def denoise_packed(p: PackedImage, spec: DenoiserSpec) -> PackedImage:

@@ -26,10 +26,11 @@ the Gaussian's and the median's strips run on the strip pool, ``_strip_map``. A 
 it the height of the rows it strips, their step and the frame's samples; the pool makes the
 strips of ``_row_strips`` from them and runs one task (r0, n, bufs) per strip on min(CPUs of
 the process, POOL_WORKERS) worker threads, whose results are consumed in strip order, so a sum
-or a file comes out as one loop would make it. numpy releases the GIL inside its ufuncs and
-BLAS products, so the tasks overlap. Each worker writes into a buffer set that the caller's
-new_bufs(rows) made for the tallest strip before any task ran, so a call's memory does not
-depend on the threads' timing. A call of one task, whose tallest strip holds at most
+or a file comes out as one loop would make it: ``bayerkit demosaic`` and ``bayerkit denoise``
+store each strip big-endian in its task, and write it in strip order. numpy releases the GIL
+inside its ufuncs and BLAS products, so the tasks overlap. Each worker writes into a buffer set
+that the caller's new_bufs(rows) made for the tallest strip before any task ran, so a call's
+memory does not depend on the threads' timing. A call of one task, whose tallest strip holds at most
 POOL_MIN_SAMPLES samples, in a process of one CPU or made inside a strip task runs inline. The
 gate reads one strip's samples, never the frame's, so a frame's lanes, and its buffer sets,
 depend on its width and step, not on its height. The workers start on the first call that

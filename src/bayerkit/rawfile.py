@@ -26,10 +26,15 @@ sidecar; load and save refuse it up front.
 
 A file is a (path, chunks) pair: ``_raw_files`` builds the PGM+sidecar pairs and
 ``_ppm_file`` a PPM's. ``_atomic_write`` writes each file of a unit to a temp file of its own
-beside the target and completes every temp file before it renames the first over its path.
+beside the target and completes every temp file before it renames the first over its path; on
+a failure it closes every chunk generator first, so no strip task outlives the error.
 ``save_raw`` and ``write_ppm`` commit one image's files; the CLI commits all of a command's.
-A PGM's payload is written in row strips, each converted to big-endian in one reused buffer,
-so no big-endian copy of the frame is made.
+A PGM's or PPM's chunks are one protocol, ``_pnm_chunks``: the header, then the payload's
+finished big-endian row strips, top to bottom. A PGM's strips are made by ``_pgm_strip``: by
+default from an image's own samples, each converted in one reused buffer, so no big-endian
+copy of the frame is made; ``bayerkit denoise`` instead stores each strip big-endian in the
+filter's strip task on the strip pool, into its lane's buffer (``_pgm_bufs``), and the writer
+takes them in strip order, so the command never builds its output frame.
 A PPM's payload is written in row strips, each made by a task on the strip pool
 (image._strip_map) and written in strip order: ``_ppm_strip`` quantizes each result of a strip,
 the float samples of one channel at some of the strip's sites, straight into the interleaved
@@ -42,7 +47,6 @@ demosaic never holds its float frame.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import asdict
@@ -71,10 +75,6 @@ def sidecar_path(path) -> Path:
     if pgm.with_suffix(".json") == pgm:
         raise BayerKitError(f"{pgm}: the PGM path ends in .json, which names its own sidecar")
     return pgm.with_suffix(".json")
-
-
-def _pnm_header(magic: bytes, width: int, height: int) -> bytes:
-    return magic + f"{width} {height}\n".encode("ascii") + _MAXVAL_LINE
 
 
 def _read_pgm(fh, origin: str) -> np.ndarray:
@@ -166,9 +166,11 @@ def load_raw(path) -> tuple[RawImage, PadSpec | None]:
 def _atomic_write(*files) -> None:
     """Write each (path, chunks) pair's iterable of byte buffers in order to a temp file of
     its own, then, once every temp file is complete, rename each over its path in order.
-    The chunks are written as they come; on any exception every temp file goes. An OSError
-    from opening a temp file or renaming it names the output's path instead, so the message
-    is the same on every run and names no file that is gone."""
+    The chunks are written as they come. On any exception every chunk iterable that has a
+    ``close`` is closed, so a strip generator's started tasks finish before the exception
+    leaves, and every temp file goes. An OSError with an errno, from opening a temp file,
+    writing it or renaming it, names the output's path instead, so the message is the same on
+    every run and names no file that is gone."""
     tmps = []
     try:
         for path, chunks in files:
@@ -181,15 +183,20 @@ def _atomic_write(*files) -> None:
         for tmp, (path, _) in zip(tmps, files):
             os.replace(tmp, path)
     except BaseException as e:
+        for _, chunks in files:
+            getattr(chunks, "close", lambda: None)()
         for tmp in tmps:  # a renamed one is gone already
             tmp.unlink(missing_ok=True)
-        if isinstance(e, OSError) and e.filename is not None:  # from the open or the rename
+        if isinstance(e, OSError) and e.errno is not None:  # from the open, a write or the rename
             raise type(e)(e.errno, e.strerror, str(path)) from None  # the output, not a temp file
         raise
 
 
-def _raw_files(img: RawImage, pad: PadSpec | None, path) -> tuple:
-    """The (path, chunks) pairs of the PGM and its ``<stem>.json`` sidecar, for _atomic_write."""
+def _raw_files(img: RawImage, pad: PadSpec | None, path, strips=None) -> tuple:
+    """The (path, chunks) pairs of the PGM and its ``<stem>.json`` sidecar, for _atomic_write,
+    of a frame of img's size and metadata. The PGM's payload is ``strips``, the frame's
+    big-endian row strips top to bottom, each made by ``_pgm_strip``; by default img's own,
+    each converted in one reused buffer that the next strip overwrites once it is written."""
     pgm = Path(path)
     sidecar_file = sidecar_path(pgm)  # refuses a .json path before anything is written
     sidecar: dict = {
@@ -199,17 +206,22 @@ def _raw_files(img: RawImage, pad: PadSpec | None, path) -> tuple:
     }
     if pad is not None:
         sidecar["pad"] = {**asdict(pad), "original_pattern": pad.original_pattern.value}
-    text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    return ((pgm, _pgm_chunks(img)), (sidecar_file, (text.encode("ascii"),)))
+    text = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("ascii")
+    strips = strips or (_pgm_strip(np.s_[r0 : r0 + n], img.samples[r0 : r0 + n], buf)
+                        for r0, n, buf in _row_strips(img.height, img.width, dtype=">u2"))
+    return (pgm, _pnm_chunks(_PGM_MAGIC, img.height, img.width, strips)), (sidecar_file, (text,))
 
 
-def _pgm_chunks(img: RawImage):
-    """The PGM's header, then its payload in row strips, each converted to big-endian in one
-    reused buffer that the next strip overwrites once the strip is written."""
-    yield _pnm_header(_PGM_MAGIC, img.width, img.height)
-    for r0, n, buf in _row_strips(img.height, img.width, dtype=">u2"):
-        buf[...] = img.samples[r0 : r0 + n]
-        yield buf
+def _pgm_bufs(rows: int, width: int) -> tuple:
+    """A PGM strip task's buffer: the big-endian strip of at most ``rows`` rows."""
+    return (np.empty((rows, width), dtype=">u2"),)
+
+
+def _pgm_strip(index: slice, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The PGM payload of the strip of frame rows ``index``: ``rows``, stored big-endian by
+    their uint16 cast into the head of out (``_pgm_bufs``), which is returned."""
+    out[: len(rows)] = rows
+    return out[: len(rows)]
 
 
 def save_raw(img: RawImage, pad: PadSpec | None, path) -> None:
@@ -251,4 +263,12 @@ def _ppm_strip(r0: int, n: int, results, out: np.ndarray, scaled: np.ndarray) ->
 def _ppm_file(path, height: int, width: int, strips) -> tuple:
     """The (path, chunks) pair, for _atomic_write, of a height x width PPM whose payload is the
     finished strips (``_ppm_strip``) that ``strips`` yields, top to bottom."""
-    return Path(path), itertools.chain((_pnm_header(b"P6\n", width, height),), strips)
+    return Path(path), _pnm_chunks(b"P6\n", height, width, strips)
+
+
+def _pnm_chunks(magic: bytes, height: int, width: int, strips):
+    """A height x width PGM's or PPM's chunks: its header, then the big-endian row strips that
+    ``strips`` yields, top to bottom. Closing it closes ``strips``, and with it a strip
+    generator's tasks."""
+    yield magic + f"{width} {height}\n".encode("ascii") + _MAXVAL_LINE
+    yield from strips

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +18,7 @@ from bayerkit import (
     AugPlan,
     HFlip,
     Patch,
+    RawImage,
     denoise_pipeline,
     disunify_crop,
     gen_scene,
@@ -31,7 +34,8 @@ import bayerkit.image as image
 from bayerkit.cli import build_parser, main
 from bayerkit.image import STRIP_ROWS
 
-from conftest import assert_same_image, rand_raw
+from conftest import ALL_PATTERNS, assert_same_image, rand_raw
+from test_pool import on_workers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -382,9 +386,79 @@ def test_demosaic_too_small_writes_nothing(tmp_path, rng, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "in.pgm"]
 
 
-def test_denoise_command_holds_two_frames_and_its_strip_buffers(tmp_path, rng):
-    # the input as read and the output mosaic its planes are filtered into: no padded,
-    # packed or unpacked frame, no copy of the file's bytes and no big-endian frame
+DENOISE_FILTERS = ("identity", "gaussian:1.0", "median:1", "median:2")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("width", [3072, 200])
+def test_denoise_command_streams_the_library_bytes(tmp_path, rng, width, workers):
+    # 130 rows: four 32-row strips of the mosaic and a 2-row tail, at a width whose strips the
+    # pool's gate takes (3072: 98,304 samples) and one it runs inline (200). on_workers(1) runs
+    # every call inline and on_workers(2) on two lanes, at either width. The filters' strips
+    # are stored big-endian in their tasks and written in strip order; the identity's are the
+    # input's own
+    samples = rand_raw(rng, 130, width, BayerPattern.RGGB).samples
+    src, out, want = (tmp_path / f"{n}.pgm" for n in ("in", "out", "want"))
+    with on_workers(workers):
+        for pattern, work in itertools.product(ALL_PATTERNS, ALL_PATTERNS):
+            img = RawImage(samples, pattern, 16, 60000)
+            save_raw(img, None, src)
+            for f in DENOISE_FILTERS:
+                assert main(["denoise", "--filter", f, "--work-pattern", work.value, str(src),
+                             "-o", str(out)]) == 0
+                save_raw(denoise_pipeline(img, work, DenoiserSpec.parse(f)), None, want)
+                for suffix in (".pgm", ".json"):
+                    got = out.with_suffix(suffix).read_bytes()
+                    assert got == want.with_suffix(suffix).read_bytes(), (pattern, work, f)
+
+
+@pytest.mark.parametrize("f", DENOISE_FILTERS)
+def test_denoise_command_keeps_the_pad_record_and_may_overwrite_its_input(tmp_path, rng, f):
+    save_raw(rand_raw(rng, 130, 3072, BayerPattern.GBRG), None, tmp_path / "raw.pgm")
+    src = tmp_path / "in.pgm"
+    assert main(["unify", "--target", "RGGB", "--mode", "pad", str(tmp_path / "raw.pgm"),
+                 "-o", str(src)]) == 0
+    img, pad = load_raw(src)
+    assert pad is not None
+    save_raw(denoise_pipeline(img, BayerPattern.BGGR, DenoiserSpec.parse(f)), pad,
+             tmp_path / "want.pgm")
+    with on_workers(2):
+        assert main(["denoise", "--filter", f, "--work-pattern", "BGGR", str(src),
+                     "-o", str(src)]) == 0
+    for suffix in (".pgm", ".json"):
+        got = src.with_suffix(suffix).read_bytes()
+        assert got == (tmp_path / "want").with_suffix(suffix).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.json", "in.pgm", "raw.json", "raw.pgm", "want.json", "want.pgm"]  # no temp file
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None or len(image._cpus()) < 2,
+                    reason="needs taskset and two CPUs")
+@pytest.mark.parametrize("f", ["gaussian:1.0", "median:2"])
+def test_denoise_module_on_one_cpu_and_on_two_writes_the_library_bytes(tmp_path, f):
+    # the filters on the pool: 130 rows of a 3072-wide mosaic are four 32-row strips and a
+    # 2-row tail, and a 32-row strip holds 98,304 samples, so on two CPUs the command runs on
+    # two lanes and on one CPU inline. RGGB to BGGR gives each site plane a halo
+    src = tmp_path / "wide.pgm"
+    assert main(["simulate", "--pattern", "RGGB", "--size", "130x3072", "--seed", "4",
+                 "--noise", "0.02,0.04", "-o", str(src)]) == 0
+    save_raw(denoise_pipeline(load_raw(src)[0], BayerPattern.BGGR, DenoiserSpec.parse(f)), None,
+             tmp_path / "want.pgm")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    first, second = sorted(image._cpus())[:2]
+    for cpus in (f"{first}", f"{first},{second}"):
+        out = tmp_path / f"wide{cpus}.pgm"
+        proc = subprocess.run(["taskset", "-c", cpus, sys.executable, "-m", "bayerkit.cli",
+                               "denoise", "--filter", f, "--work-pattern", "BGGR", str(src),
+                               "-o", str(out)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes(), cpus
+
+
+def test_denoise_command_holds_one_frame_and_its_strip_buffers(tmp_path, rng):
+    # the input as read, and no other frame: no padded, packed or unpacked frame, no output
+    # mosaic, no copy of the file's bytes and no big-endian frame
     save_raw(rand_raw(rng, 1024, 1536, BayerPattern.GBRG), None, tmp_path / "in.pgm")
     padded = tmp_path / "padded.pgm"
     assert main(["unify", "--target", "RGGB", "--mode", "pad", str(tmp_path / "in.pgm"),
@@ -398,15 +472,16 @@ def test_denoise_command_holds_two_frames_and_its_strip_buffers(tmp_path, rng):
     finally:
         tracemalloc.stop()
     # the Gaussian's halo and column-pass strips of the mosaic, STRIP_ROWS // 2 + 4 and
-    # STRIP_ROWS // 2 rows of w + 4 float64, and the engine's index maps of the frame's rows and
-    # columns; the writer's smaller strip comes after they are freed
-    strips = (2 * (STRIP_ROWS // 2) + 4) * (w + 4) * 8 + 4 * (h + w) * 8
+    # STRIP_ROWS // 2 rows of w + 4 float64, the big-endian PGM strip its task stores its rows
+    # into, STRIP_ROWS // 2 rows of w uint16, and the engine's index maps of the frame's rows
+    # and columns; the reader's strip is freed before the filter runs
+    strips = (2 * (STRIP_ROWS // 2) + 4) * (w + 4) * 8 + (STRIP_ROWS // 2) * w * 2
     assert STRIP_ROWS * w * 2 < strips
-    assert peak < 2 * h * w * 2 + strips
+    assert peak < h * w * 2 + strips + 4 * (h + w) * 8
 
 
 
-def test_denoise_command_on_the_pool_holds_two_frames_and_a_buffer_set_per_lane(tmp_path, rng):
+def test_denoise_command_on_the_pool_holds_one_frame_and_a_buffer_set_per_lane(tmp_path, rng):
     # 3072 wide, each 32-row strip of the mosaic holds 98,304 samples, past POOL_MIN_SAMPLES,
     # so the Gaussian runs on min(CPUs, POOL_WORKERS) lanes, each with a buffer set of its own
     save_raw(rand_raw(rng, 512, 3072, BayerPattern.GBRG), None, tmp_path / "in.pgm")
@@ -424,11 +499,12 @@ def test_denoise_command_on_the_pool_holds_two_frames_and_a_buffer_set_per_lane(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # per lane the Gaussian's halo and column-pass strips, STRIP_ROWS // 2 + 4 and
-    # STRIP_ROWS // 2 rows of w + 4 float64, and once the engine's index maps
+    # the input as read, no output mosaic, and per lane the Gaussian's halo and column-pass
+    # strips, STRIP_ROWS // 2 + 4 and STRIP_ROWS // 2 rows of w + 4 float64, and the big-endian
+    # PGM strip, STRIP_ROWS // 2 rows of w uint16; and once the engine's index maps
     lanes = min(len(image._cpus()), image.POOL_WORKERS)
-    one_set = (2 * (STRIP_ROWS // 2) + 4) * (w + 4) * 8
-    assert peak < 2 * h * w * 2 + lanes * one_set + 4 * (h + w) * 8
+    one_set = (2 * (STRIP_ROWS // 2) + 4) * (w + 4) * 8 + (STRIP_ROWS // 2) * w * 2
+    assert peak < h * w * 2 + lanes * one_set + 4 * (h + w) * 8
 
 def test_demosaic_command_never_holds_a_float_frame_plane(tmp_path, rng):
     h, w = 1024, 1536

@@ -37,9 +37,14 @@ NO_HALO = ((0, 0), (0, 0))
 
 def _smooth(plane: np.ndarray, out: np.ndarray, sigma: float, halo, step: int) -> None:
     """The Gaussian of ``plane`` into ``out``: the strip task that _smooth_plane returns, run
-    on the strip pool over the plane's strips, inline, as _denoise runs it on a narrow plane."""
-    task, new_bufs = denoise._smooth_plane(plane, out, sigma, halo, step)
-    for _ in image._strip_map(task, plane.shape[0], new_bufs, 0, step):
+    on the strip pool over the plane's strips, inline, as _denoise runs it on a narrow plane,
+    each strip's returned rows stored into out by their uint16 cast."""
+    task, new_bufs = denoise._smooth_plane(plane, sigma, halo, step)
+
+    def store(r0, n, bufs):
+        out[r0 : r0 + n] = task(r0, n, bufs)
+
+    for _ in image._strip_map(store, plane.shape[0], new_bufs, 0, step):
         pass
 
 

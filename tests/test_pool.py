@@ -1,8 +1,9 @@
 """The strip pool (image._strip_map): the strips it makes from a frame's height and the buffer
 sets it asks for, the same results on one worker or two and for concurrent callers, one pool
-for racing first callers, the CLI's error contract when a strip task fails and under fuzzing, a
-call made inside a strip task, an interrupt while the caller waits on a task, a pool of its own
-in a forked child, and no thread or import where no call needs one.
+for racing first callers, the CLI's error contract when a strip task fails, when the disk fills
+mid-payload and under fuzzing, a call made inside a strip task, an interrupt while the caller
+waits on a task, a pool of its own in a forked child, and no thread or import where no call
+needs one.
 
 A call runs on min(CPUs of the process, POOL_WORKERS) lanes, and inline where its tallest
 strip holds at most POOL_MIN_SAMPLES samples. The tests pin all three: the constants by
@@ -11,6 +12,8 @@ any host. On a host of one CPU the patched CPU set names a CPU the process may n
 worker's placement is refused and it stays where it is."""
 
 import contextlib
+import errno
+import io
 import multiprocessing
 import os
 import signal
@@ -18,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest.mock import patch
 
@@ -27,7 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bayerkit import BayerPattern, DenoiserSpec, RawImage, demosaic_bilinear, denoise, image
 from bayerkit import denoise_packed, denoise_pipeline, metric_report, metrics, mse, pack
-from bayerkit import save_raw, simulate, ssim, write_ppm
+from bayerkit import cli, rawfile, save_raw, simulate, ssim, write_ppm
 from bayerkit.cli import main
 
 from conftest import rand_raw
@@ -443,6 +447,66 @@ def test_a_fault_in_a_strip_task_keeps_the_cli_error_contract(tmp_path, rng, cap
         assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
     else:
         assert capsys.readouterr().out == metric_report(img, ref).to_json() + "\n"
+
+
+STORES = {"denoise": "_pgm_strip", "demosaic": "_ppm_strip"}  # the last step of a strip task
+
+
+@pytest.mark.parametrize("command", sorted(STORES))
+def test_a_full_disk_mid_payload_stops_every_strip_task_before_the_error_leaves(
+        tmp_path, rng, capsys, monkeypatch, command):
+    # 260 rows: nine 32-row strips of the mosaic for the filter, three 64-row strips of plane
+    # rows for the demosaic. The output's third write, the second strip, fails with ENOSPC
+    # while the task of the third strip runs
+    save_raw(rand_raw(rng, 260, 200, BayerPattern.GBRG), None, tmp_path / "in.pgm")
+    out = tmp_path / ("out.pgm" if command == "denoise" else "out.ppm")
+    argv = {"denoise": ["denoise", "--filter", "median:2", "--work-pattern", "RGGB"],
+            "demosaic": ["demosaic"]}[command] + [str(tmp_path / "in.pgm"), "-o", str(out)]
+    events = []  # appended from the workers too; list.append is atomic
+
+    class FullDisk(io.BufferedWriter):
+        writes = 0
+
+        def write(self, chunk):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(chunk)
+
+    def open_(file, mode):  # only the output's temp file fills the disk
+        if not Path(file).name.startswith(f"{out.name}."):
+            return open(file, mode)
+        return FullDisk(io.FileIO(file, mode))
+
+    def slow(real):  # the store step, made slow enough that the next task is still running
+        def store(*args):
+            events.append("start")
+            time.sleep(0.05)
+            try:
+                return real(*args)
+            finally:
+                events.append("end")
+        return store
+
+    def atomic_write(*files):
+        try:
+            rawfile._atomic_write(*files)
+        except OSError:
+            events.append("raised")
+            raise
+
+    monkeypatch.setattr(rawfile, "open", open_, raising=False)
+    monkeypatch.setattr(cli, STORES[command], slow(getattr(cli, STORES[command])))
+    monkeypatch.setattr(cli, "_atomic_write", atomic_write)
+    with on_workers(2):
+        assert main(argv) == 1
+    time.sleep(0.2)  # a task still running would end in this time
+    assert events.count("start") == events.count("end") >= 3
+    assert events[-1] == "raised", events  # every task ended before the error left
+    out_, err = capsys.readouterr()
+    assert out_ == "" and err.count("\n") == 1 and err.startswith("bayerkit: error: ")
+    assert "No space left" in err and repr(str(out)) in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "in.pgm"]  # no temp file
 
 
 def _send_ssim(conn, a, b):
